@@ -1,5 +1,8 @@
 """berlab: Berezin-number inequality verification on finite kernel models."""
 
+# set before the submodule imports: harness stamps it on every report
+__version__ = "0.1.0"
+
 from .blockops import (
     BlockOperator,
     aluthge_general,
@@ -40,8 +43,6 @@ from .rkhs import (
     normalized_kernel,
 )
 from .theorems import Certificate, check_block, check_scalar, check_single
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BlockOperator", "CampaignConfig", "Certificate", "HermitianEigen",

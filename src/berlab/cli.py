@@ -45,59 +45,53 @@ def _parse_families(text):
 def _read_config_file(path):
     """Flat ``key = value`` campaign description."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigInvalid(f"bad config line {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"config file {path} is not UTF-8 text") from exc
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigInvalid(f"bad config line {raw.strip()!r}")
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
     return values
+
+
+def _parse_ids(text):
+    return tuple(t.strip() for t in text.split(",") if t.strip())
+
+
+# (config-file key, command-line flag, CampaignConfig field, parser)
+_SETTINGS = (
+    ("master_seed", "seed", "master_seed", int),
+    ("trials_per_checker", "trials", "trials_per_checker", int),
+    ("dims", "dims", "dims", _parse_dims),
+    ("kernel", "kernel", "kernel_families", _parse_families),
+    ("theorems", "theorems", "checker_filter", _parse_ids),
+    ("check_tol", "tol", "check_tol", float),
+    ("out", "out", "out", str),
+    ("format", "format", "format", str),
+)
 
 
 def build_config(args):
     """Merge config file values and CLI flags (flags win)."""
     config = harness.CampaignConfig()
-    values = {}
-    if getattr(args, "config", None):
-        values = _read_config_file(args.config)
-    if "master_seed" in values:
-        config.master_seed = int(values["master_seed"])
-    if "trials_per_checker" in values:
-        config.trials_per_checker = int(values["trials_per_checker"])
-    if "dims" in values:
-        config.dims = _parse_dims(values["dims"])
-    if "kernel" in values:
-        config.kernel_families = _parse_families(values["kernel"])
-    if "theorems" in values:
-        config.checker_filter = tuple(
-            t.strip() for t in values["theorems"].split(",") if t.strip())
-    if "check_tol" in values:
-        config.check_tol = float(values["check_tol"])
-    if "out" in values:
-        config.out = values["out"]
-    if "format" in values:
-        config.format = values["format"]
-
-    if getattr(args, "seed", None) is not None:
-        config.master_seed = args.seed
-    if getattr(args, "trials", None) is not None:
-        config.trials_per_checker = args.trials
-    if getattr(args, "dims", None):
-        config.dims = _parse_dims(args.dims)
-    if getattr(args, "kernel", None):
-        config.kernel_families = _parse_families(args.kernel)
-    if getattr(args, "theorems", None):
-        config.checker_filter = tuple(
-            t.strip() for t in args.theorems.split(",") if t.strip())
-    if getattr(args, "tol", None) is not None:
-        config.check_tol = args.tol
-    if getattr(args, "out", None):
-        config.out = args.out
-    if getattr(args, "format", None):
-        config.format = args.format
+    values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    for key, _, field, parse in _SETTINGS:
+        if key in values:
+            try:
+                setattr(config, field, parse(values[key]))
+            except ValueError as exc:
+                raise ConfigInvalid(f"bad config value {key} = {values[key]!r}") from exc
+    for _, flag, field, parse in _SETTINGS:
+        value = getattr(args, flag, None)
+        if value is not None and value != "":
+            setattr(config, field, parse(value))
     config.validate()
     return config
 
@@ -133,6 +127,13 @@ def cmd_verify(args):
         sys.stdout.write(reporting.dumps_json(report.to_dict())
                          if config.format == "json"
                          else reporting.report_csv(report))
+    # a gating checker that evaluated no trial must not pass as green
+    evaluated = {r["theorem_id"] for r in report.results if r["trials"] > 0}
+    empty = [tid for tid in config.checkers() if tid not in evaluated and any(
+        mode == theorems.GATING for _, mode in theorems.CHECKERS[tid].runs)]
+    if empty:
+        print(f"error: no evaluated trials for {', '.join(empty)}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_VIOLATION if report.gating_failures else EXIT_OK
 
 
@@ -146,8 +147,8 @@ def cmd_explore(args):
 
 def cmd_case(args):
     # here --seed is the per-trial seed recorded in a report witness
-    if args.seed is None:
-        raise ConfigInvalid("case needs --seed (the per-trial seed)")
+    if args.seed is None or args.seed < 0:
+        raise ConfigInvalid("case needs --seed (the per-trial seed, >= 0)")
     config = build_config(args)
     draw = harness.draw_trial(args.theorem, args.seed, config)
     certs = harness.evaluate_draw(draw, config)

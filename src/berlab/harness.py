@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import blockops, numlin, rkhs, theorems
+from . import __version__, blockops, numlin, rkhs, theorems
 from .errors import BadParams, BerlabError, ConfigInvalid, IllConditioned
-
-__version__ = "0.1.0"
+from .theorems import choice as _choice
 
 OPERATOR_KINDS = (
     "ginibre", "hermitian", "psd", "unitary", "partial_isometry",
@@ -41,58 +40,9 @@ DEFAULT_PARAM_GRID = {
     "theta_grid": 720,
 }
 
-# Hoelder-conjugate (p, q) pairs with p >= q used by I38 and T311.
-CONJUGATE_PAIRS = ((2.0, 2.0), (3.0, 1.5), (4.0, 4.0 / 3.0))
-
 GATING = theorems.GATING
-INFORMATIONAL = theorems.INFORMATIONAL
 
-# conventions each block checker is evaluated at, with the mode of each run
-_PAIR_GATED = (("pair", GATING), ("joint", INFORMATIONAL))
-_JOINT_GATED = (("joint", GATING), ("pair", INFORMATIONAL))
-
-BLOCK_CONVS = {
-    "L21a": _JOINT_GATED,
-    "L21b": _JOINT_GATED,
-    "INEQ1": _JOINT_GATED,
-    "T24a": _PAIR_GATED,
-    "T24b": _PAIR_GATED,
-    "C25a": _PAIR_GATED,
-    "C25b": _PAIR_GATED,
-    "R26": _JOINT_GATED,
-    "C27": _JOINT_GATED,
-    "C28": _JOINT_GATED,
-    "T29": _PAIR_GATED,
-    "C210": _PAIR_GATED,
-    "T31": (("joint", GATING),),
-    "C34": (("joint", GATING),),
-    "C35": ((None, INFORMATIONAL),),
-    "T36": (("joint", GATING),),
-    "T37": (("joint", GATING),),
-}
-
-# how the blocks of each block checker are drawn
-BLOCK_SHAPES = {
-    "L21a": "diag",
-    "L21b": "offdiag",
-    "INEQ1": "offdiag",
-    "T24a": "offdiag",
-    "T24b": "offdiag",
-    "C25a": "offdiag",
-    "C25b": "offdiag",
-    "R26": "offdiag",
-    "C27": "tied_square",
-    "C28": "offdiag",
-    "T29": "offdiag",
-    "C210": "tied_square",
-    "T31": "offdiag_square",
-    "C34": "offdiag_square",
-    "C35": "offdiag_square",
-    "T36": "full",
-    "T37": "full",
-}
-
-ALL_CHECKERS = tuple(theorems.SCALAR_IDS) + tuple(theorems.SINGLE_IDS) + tuple(theorems.BLOCK_IDS)
+ALL_CHECKERS = tuple(theorems.CHECKERS)
 
 
 @dataclass
@@ -106,7 +56,6 @@ class CampaignConfig:
     param_grid: dict = field(default_factory=lambda: dict(DEFAULT_PARAM_GRID))
     checker_filter: tuple = ()
     check_tol: float = theorems.CHECK_TOL
-    check_tol_overrides: dict = field(default_factory=dict)
     out: str = None
     format: str = "json"
 
@@ -118,16 +67,13 @@ class CampaignConfig:
         if not self.kernel_families:
             raise ConfigInvalid("need at least one kernel family")
         for tid in self.checker_filter:
-            if tid not in ALL_CHECKERS:
+            if tid not in theorems.CHECKERS:
                 raise ConfigInvalid(f"unknown checker id {tid!r}")
         if self.format not in ("json", "csv"):
             raise ConfigInvalid(f"unknown report format {self.format!r}")
 
     def checkers(self):
         return tuple(self.checker_filter) if self.checker_filter else ALL_CHECKERS
-
-    def tol_for(self, theorem_id):
-        return float(self.check_tol_overrides.get(theorem_id, self.check_tol))
 
     def echo(self):
         return {
@@ -141,7 +87,8 @@ class CampaignConfig:
                            for k, v in sorted(self.param_grid.items())},
             "checker_filter": list(self.checker_filter),
             "check_tol": self.check_tol,
-            "check_tol_overrides": dict(sorted(self.check_tol_overrides.items())),
+            # a report field; every checker runs at check_tol
+            "check_tol_overrides": {},
         }
 
 
@@ -193,10 +140,6 @@ def _draw_rect(rng, kind, rows, cols):
     return np.ascontiguousarray(big[:rows, :cols])
 
 
-def _choice(rng, seq):
-    return seq[int(rng.integers(len(seq)))]
-
-
 def draw_space(rng, family, n, attempts=5):
     """Sample a kernel space; ill-conditioned point draws are retried."""
     last = None
@@ -226,42 +169,6 @@ def _draw_scalar_pair(rng):
     return a, b
 
 
-def _draw_params(theorem_id, rng, grid):
-    if theorem_id == "YOUNG2":
-        return {"m": int(_choice(rng, grid["m"]))}
-    if theorem_id == "I37":
-        return {"nu": _choice(rng, grid["nu"]), "r": _choice(rng, grid["r"])}
-    if theorem_id == "I38":
-        p, q = _choice(rng, CONJUGATE_PAIRS)
-        return {"p": p, "q": q, "r": _choice(rng, grid["r"])}
-    if theorem_id == "L21c":
-        return {"theta_grid": int(grid["theta_grid"])}
-    if theorem_id in ("P39", "R310"):
-        return {"r": _choice(rng, grid["r"])}
-    if theorem_id in ("T311_stmt", "T311_proof"):
-        p, q = _choice(rng, CONJUGATE_PAIRS)
-        valid_r = [r for r in grid["r"] if q * r >= 2.0 - 1e-12]
-        return {"p": p, "q": q, "r": _choice(rng, valid_r),
-                "e": _choice(rng, grid["p"])}
-    if theorem_id in ("T312_stmt", "T312_proof"):
-        return {"nu": _choice(rng, grid["nu"]), "t": _choice(rng, grid["t"])}
-    if theorem_id in ("T32", "T31", "C34"):
-        return {"t": _choice(rng, grid["t"])}
-    if theorem_id == "L22a":
-        return {"r": _choice(rng, grid["r"])}
-    if theorem_id == "L22b":
-        return {"r": 1.0 / _choice(rng, grid["r"])}
-    if theorem_id == "L23":
-        return {"p": _choice(rng, grid["p"])}
-    if theorem_id == "INEQ1":
-        return {"s": _choice(rng, grid["s"]), "p": _choice(rng, grid["p"])}
-    if theorem_id in ("T24a", "T24b", "C25a", "C25b", "T29", "C210"):
-        return {"r": _choice(rng, grid["r"]), "p": _choice(rng, grid["p"])}
-    if theorem_id in ("T36", "T37"):
-        return {"alpha": _choice(rng, grid["alpha"])}
-    return {}
-
-
 @dataclass
 class TrialDraw:
     """Concrete inputs of one checker trial; arrays are the free operands."""
@@ -275,36 +182,41 @@ class TrialDraw:
 
 
 def draw_trial(theorem_id, trial_seed, config):
-    """Deterministically draw the inputs of one trial from its seed."""
+    """Deterministically draw the inputs of one trial from its seed.
+
+    The params come first, then the operands that the shape and extras of
+    the checker's ``theorems.Checker`` record name. This call order fixes
+    every trial's inputs, so changing it changes every report.
+    """
+    checker = theorems.CHECKERS.get(theorem_id)
+    if checker is None:
+        raise BadParams(f"unknown checker id {theorem_id!r}")
+    shape = checker.shape
     rng = np.random.default_rng(int(trial_seed))
-    grid = config.param_grid
-    params = _draw_params(theorem_id, rng, grid)
+    params = checker.sample(rng, config.param_grid)
     arrays, scalars, spaces = {}, {}, {}
 
-    if theorem_id in ("YOUNG2", "I37", "I38"):
-        a, b = _draw_scalar_pair(rng)
-        scalars = {"a": a, "b": b}
-    elif theorem_id == "S310":
+    if shape == "pair":
+        scalars = dict(zip("ab", _draw_scalar_pair(rng)))
+    elif shape == "vectors":
         n1, _ = _choice(rng, config.dims)
         n = max(n1, 2)
-        arrays = {"a": _complex_gaussian(rng, n), "b": _complex_gaussian(rng, n),
-                  "e": _complex_gaussian(rng, n)}
-    elif theorem_id in theorems.SINGLE_IDS:
+        arrays = {name: _complex_gaussian(rng, n) for name in "abe"}
+    elif checker.kind == theorems.SINGLE:
         n1, _ = _choice(rng, config.dims)
         family = _choice(rng, config.kernel_families)
         spaces["space"] = draw_space(rng, family, n1)
-        kind = "psd" if theorem_id in ("L22a", "L22b") else _choice(rng, OPERATOR_KINDS)
+        kind = "psd" if shape == "psd" else _choice(rng, OPERATOR_KINDS)
         arrays["T"] = _draw_operator(rng, kind, n1)
-        if theorem_id == "L23":
-            arrays["x"] = _complex_gaussian(rng, n1)
-            arrays["y"] = _complex_gaussian(rng, n1)
-        elif theorem_id == "BER_SUB":
-            arrays["B"] = _draw_operator(rng, _choice(rng, OPERATOR_KINDS), n1)
-        elif theorem_id == "BER_HOM":
-            alpha = complex(_complex_gaussian(rng, ()))
-            params = {"alpha_re": alpha.real, "alpha_im": alpha.imag}
-    elif theorem_id in theorems.BLOCK_IDS:
-        shape = BLOCK_SHAPES[theorem_id]
+        for name, what in checker.extras:
+            if what == "vector":
+                arrays[name] = _complex_gaussian(rng, n1)
+            elif what == "operator":
+                arrays[name] = _draw_operator(rng, _choice(rng, OPERATOR_KINDS), n1)
+            else:  # "complex": recorded as two real params
+                z = complex(_complex_gaussian(rng, ()))
+                params.update({f"{name}_re": z.real, f"{name}_im": z.imag})
+    else:
         n1, n2 = _choice(rng, config.dims)
         if shape in ("tied_square", "offdiag_square"):
             n2 = n1
@@ -313,69 +225,53 @@ def draw_trial(theorem_id, trial_seed, config):
         spaces["space2"] = (spaces["space1"] if shape == "tied_square"
                             else draw_space(rng, family, n2))
         kind = _choice(rng, OPERATOR_KINDS)
-        if shape == "diag":
+        if shape in ("diag", "full"):
             arrays["S"] = _draw_operator(rng, kind, n1)
             arrays["R"] = _draw_operator(rng, _choice(rng, OPERATOR_KINDS), n2)
-        elif shape == "tied_square":
+            # a full block draws a fresh ensemble for X
+            kind = _choice(rng, OPERATOR_KINDS) if shape == "full" else None
+        if shape == "tied_square":
             arrays["X"] = _draw_operator(rng, kind, n1)
-        elif shape == "full":
-            arrays["S"] = _draw_operator(rng, kind, n1)
-            arrays["R"] = _draw_operator(rng, _choice(rng, OPERATOR_KINDS), n2)
-            arrays["X"] = _draw_rect(rng, _choice(rng, OPERATOR_KINDS), n1, n2)
-            arrays["Y"] = _draw_rect(rng, _choice(rng, OPERATOR_KINDS), n2, n1)
-        else:
+        elif shape != "diag":
             arrays["X"] = _draw_rect(rng, kind, n1, n2)
             arrays["Y"] = _draw_rect(rng, _choice(rng, OPERATOR_KINDS), n2, n1)
-    else:
-        raise BadParams(f"unknown checker id {theorem_id!r}")
     return TrialDraw(theorem_id=theorem_id, trial_seed=int(trial_seed),
                      params=params, arrays=arrays, scalars=scalars,
                      spaces=spaces)
 
 
-def _build_block(draw):
+def _build_block(draw, shape):
+    """The block operator of a block draw; blocks the shape leaves out are 0."""
     sp1, sp2 = draw.spaces["space1"], draw.spaces["space2"]
     n1, n2 = sp1.dim, sp2.dim
     zero = lambda r, c: np.zeros((r, c), dtype=np.complex128)
-    shape = BLOCK_SHAPES[draw.theorem_id]
-    if shape == "diag":
-        return blockops.BlockOperator(S=draw.arrays["S"], X=zero(n1, n2),
-                                      Y=zero(n2, n1), R=draw.arrays["R"],
-                                      space1=sp1, space2=sp2)
-    if shape == "tied_square":
-        x = draw.arrays["X"]
-        return blockops.BlockOperator(S=zero(n1, n1), X=x, Y=x.copy(),
-                                      R=zero(n2, n2), space1=sp1, space2=sp2)
-    if shape == "full":
-        return blockops.BlockOperator(S=draw.arrays["S"], X=draw.arrays["X"],
-                                      Y=draw.arrays["Y"], R=draw.arrays["R"],
-                                      space1=sp1, space2=sp2)
-    return blockops.BlockOperator(S=zero(n1, n1), X=draw.arrays["X"],
-                                  Y=draw.arrays["Y"], R=zero(n2, n2),
+    arrays = draw.arrays
+    x = arrays.get("X", zero(n1, n2))
+    y = x.copy() if shape == "tied_square" else arrays.get("Y", zero(n2, n1))
+    return blockops.BlockOperator(S=arrays.get("S", zero(n1, n1)), X=x, Y=y,
+                                  R=arrays.get("R", zero(n2, n2)),
                                   space1=sp1, space2=sp2)
 
 
 def evaluate_draw(draw, config):
-    """Evaluate every convention of the drawn checker; returns Certificates."""
+    """Evaluate every run of the drawn checker; returns Certificates."""
     tid = draw.theorem_id
-    tol = config.tol_for(tid)
-    if tid in theorems.SCALAR_IDS:
-        if tid == "S310":
-            inputs = (draw.arrays["a"], draw.arrays["b"], draw.arrays["e"])
-        else:
-            inputs = (draw.scalars["a"], draw.scalars["b"])
+    checker = theorems.CHECKERS[tid]
+    tol = config.check_tol
+    if checker.kind == theorems.SCALAR:
+        # a, b (and e) in the order they were drawn
+        inputs = tuple((draw.scalars or draw.arrays).values())
         certs = theorems.check_scalar(tid, draw.params, inputs, check_tol=tol)
-    elif tid in theorems.SINGLE_IDS:
+    elif checker.kind == theorems.SINGLE:
         extras = {k: v for k, v in draw.arrays.items() if k != "T"}
         certs = theorems.check_single(tid, draw.spaces["space"],
                                       draw.arrays["T"], draw.params,
                                       extras=extras, check_tol=tol)
     else:
-        block = _build_block(draw)
-        certs = []
-        for conv, mode in BLOCK_CONVS[tid]:
-            certs.extend(theorems.check_block(tid, block, conv, draw.params,
-                                              mode=mode, check_tol=tol))
+        block = _build_block(draw, checker.shape)
+        certs = [cert for conv, mode in checker.runs
+                 for cert in theorems.check_block(tid, block, conv, draw.params,
+                                                  mode=mode, check_tol=tol)]
     return [dataclasses.replace(
         c, witness={**c.witness, "trial_seed": draw.trial_seed}) for c in certs]
 
@@ -504,7 +400,7 @@ def explore(config, theorem_id, budget, restarts=10):
     never returns a certificate with larger slack than that start.
     """
     config.validate()
-    if theorem_id not in ALL_CHECKERS:
+    if theorem_id not in theorems.CHECKERS:
         raise BadParams(f"unknown checker id {theorem_id!r}")
     if budget < 0:
         raise BadParams("budget must be >= 0")

@@ -51,10 +51,6 @@ class HermitianEigen:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self):
-        q = self.eigenvectors
-        return (q * self.eigenvalues) @ q.conj().T
-
 
 def hermitian_eig(a, herm_tol=HERM_TOL):
     """Eigendecomposition of a (numerically) Hermitian matrix.
@@ -139,13 +135,6 @@ def polar_decompose(t, rank_tol=RANK_TOL):
     modulus = (vh.conj().T * s) @ vh
     modulus = (modulus + modulus.conj().T) / 2.0
     return PolarParts(isometry=iso, modulus=modulus)
-
-
-def support_projection(t, rank_tol=RANK_TOL):
-    """Orthogonal projection onto range(|T|) = ker(T)^perp."""
-    parts = polar_decompose(t, rank_tol=rank_tol)
-    u = parts.isometry
-    return u.conj().T @ u
 
 
 def re_rotation(a, theta):

@@ -1,5 +1,6 @@
 """Tests for campaign running, random ensembles, explore, reporting, CLI."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -98,8 +99,15 @@ def test_config_validation():
 
 def test_default_filter_covers_all_checkers():
     assert small_config().checkers() == harness.ALL_CHECKERS
-    assert set(harness.ALL_CHECKERS) == (
-        set(theorems.SCALAR_IDS) | set(theorems.SINGLE_IDS) | set(theorems.BLOCK_IDS))
+    # campaign order: every trial seed and report row follows it
+    assert harness.ALL_CHECKERS == tuple(theorems.CHECKERS) == (
+        "YOUNG2", "I37", "I38", "S310",
+        "L21c", "P39", "R310", "T311_proof", "T311_stmt", "T312_proof",
+        "T312_stmt", "T32", "R33", "L22a", "L22b", "L23", "BER_HOM",
+        "BER_SUB", "BER_NORM",
+        "L21a", "L21b", "INEQ1", "T24a", "T24b", "C25a", "C25b", "R26", "C27",
+        "C28", "T29", "C210", "T31", "C34", "C35", "T36", "T37")
+    assert theorems.SCALAR_IDS == ("YOUNG2", "I37", "I38", "S310")
 
 
 def test_campaign_deterministic_and_green():
@@ -155,6 +163,29 @@ def test_explore_finds_young2_equality():
     config = small_config(trials_per_checker=30)
     cert = harness.explore(config, "YOUNG2", 200)
     assert cert.slack <= 1e-6
+
+
+# sha256 of the explore certificate, one checker per draw path; explore
+# perturbs a key chosen among the sorted draw keys, so these pin both the
+# RNG call order of draw_trial and the names of the drawn operands
+EXPLORE_PINS = {
+    "YOUNG2": "8fe251fe54900e0eb8cab34558ec8f54dc7a1c15fafb57dc5701207ca6e4664a",
+    "S310": "b270a6c44e2cd2d38e73e2d2c6f368c64a848986c0d3d39ea3fb03a6816b6597",
+    "L23": "4eb48c65482e24b6ddcf8780327ec9850968e93591a7d9dff3f470c4a7e49213",
+    "BER_SUB": "41f28ec57c3803081abb27a950b169bce782cbf7eb392446cf1ce8fc5900078c",
+    "BER_HOM": "4cabbe0f4c3e2e9f730cbf949c489f0ef5a4e5b19bede214b6ab8d38ef54dfa8",
+    "L22b": "948ee72844d2cfa1787da087098ee2bccd591a5d95404b781643d508ef605b7a",
+    "L21a": "c44a794b88216388d7c11689760b5c69930f66117f4f01c9ba3271b33f71b5ad",
+    "C27": "9b4206335209e2bbe2b1dadc508f2ad03589efcd9630efcf0fbf893f6892ad88",
+    "T31": "df3932901f9ea955842d475ec1cd7706cfb6ef2c83f9895bce728273bd7c15c2",
+    "T36": "c3ef4d733a7eaa6c28242f61315fa89ac1d3d1f6a458a2b29b5e1332a33f72ea",
+}
+
+
+@pytest.mark.parametrize("tid", sorted(EXPLORE_PINS))
+def test_explore_pinned_per_draw_path(tid):
+    text = report.dumps_json(harness.explore(small_config(), tid, 20).to_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPLORE_PINS[tid]
 
 
 def test_explore_bad_inputs():
@@ -256,12 +287,29 @@ def test_cli_explore_and_case(capsys):
     assert certs and certs[0]["theorem_id"] == "L21b"
 
 
-def test_cli_error_exit_codes(capsys):
+def test_cli_error_exit_codes(tmp_path, capsys):
+    bad_seed = tmp_path / "bad.cfg"
+    bad_seed.write_text("master_seed = abc\n")
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe master_seed = 1\n")
     assert cli.main(["verify", "--theorems", "NOPE"]) == cli.EXIT_CONFIG
     assert cli.main(["verify", "--dims", "bogus"]) == cli.EXIT_CONFIG
     assert cli.main(["case", "--theorem", "L21b"]) == cli.EXIT_CONFIG  # no seed
+    assert cli.main(["case", "--theorem", "L21b", "--seed", "-5"]) == cli.EXIT_CONFIG
     assert cli.main(["verify", "--config", "/no/such/file"]) == cli.EXIT_CONFIG
-    capsys.readouterr()
+    assert cli.main(["verify", "--config", str(bad_seed)]) == cli.EXIT_CONFIG
+    assert cli.main(["verify", "--config", str(binary)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert all(line.startswith("error: ") for line in err.splitlines())
+
+
+def test_cli_verify_without_evaluated_trials_exits_2(capsys):
+    # every 30-point Gaussian Gram draw is ill-conditioned, so no trial runs
+    code = cli.main(["verify", "--theorems", "T24a", "--kernel", "gaussian",
+                     "--dims", "30x30", "--trials", "3"])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: no evaluated trials for T24a\n"
 
 
 def test_cli_violation_exit_code(capsys):
