@@ -8,6 +8,7 @@ statistics into a deterministic Report.
 
 import dataclasses
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -71,6 +72,8 @@ class CampaignConfig:
                 raise ConfigInvalid(f"unknown checker id {tid!r}")
         if self.format not in ("json", "csv"):
             raise ConfigInvalid(f"unknown report format {self.format!r}")
+        if not (math.isfinite(self.check_tol) and self.check_tol >= 0):
+            raise ConfigInvalid(f"check_tol must be finite and >= 0, got {self.check_tol!r}")
 
     def checkers(self):
         return tuple(self.checker_filter) if self.checker_filter else ALL_CHECKERS

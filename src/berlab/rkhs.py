@@ -65,6 +65,13 @@ class KernelSpace:
     points: tuple
     gram: np.ndarray
     chart: np.ndarray
+    _khat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        norms = np.sqrt(np.einsum("ij,ij->j", self.chart.conj(), self.chart).real)
+        khat = self.chart / norms[None, :]
+        khat.flags.writeable = False
+        object.__setattr__(self, "_khat", khat)
 
     @property
     def dim(self):
@@ -77,13 +84,13 @@ class KernelSpace:
         return self.chart[:, j].copy()
 
     def normalized_chart(self):
-        """Matrix whose column j is the normalized kernel at point j."""
-        norms = np.sqrt(np.einsum("ij,ij->j", self.chart.conj(), self.chart).real)
-        return self.chart / norms[None, :]
+        """Read-only matrix whose column j is the normalized kernel at point j."""
+        return self._khat
 
-    def check_operator(self, a):
-        a = numlin.as_matrix(a)
-        if a.shape != (self.dim, self.dim):
+    def check_operator(self, a, stack=False):
+        """A as a validated dim x dim matrix (or, with ``stack``, a stack of them)."""
+        a = numlin.as_matrix(a, stack=stack)
+        if a.shape[-2:] != (self.dim, self.dim):
             raise DimensionMismatch(
                 f"operator is {a.shape}, space has dim {self.dim}"
             )
@@ -134,15 +141,20 @@ def berezin_symbol(space, a, j):
 
 
 def berezin_symbols(space, a):
-    """All Berezin symbols of A at once, as a length-dim complex array."""
-    a = space.check_operator(a)
+    """All Berezin symbols of A at once, as a length-dim complex array.
+
+    A stack of operators of shape (..., dim, dim) gives shape (..., dim).
+    """
+    a = space.check_operator(a, stack=True)
     khat = space.normalized_chart()
-    return np.einsum("ji,jk,ki->i", khat.conj(), a, khat)
+    return np.einsum("ji,...jk,ki->...i", khat.conj(), a, khat)
 
 
 def berezin_peak(space, a):
     """(ber(A), argmax point index)."""
     vals = np.abs(berezin_symbols(space, a))
+    if vals.ndim != 1:
+        raise ValueError(f"expected one operator, got a stack of shape {np.shape(a)}")
     j = int(np.argmax(vals))
     return float(vals[j]), j
 
@@ -157,7 +169,5 @@ def ber_via_rotations(space, a, grid):
     if grid < 4:
         raise BadParams("rotation grid must have at least 4 points")
     a = space.check_operator(a)
-    best = 0.0
-    for theta in np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False):
-        best = max(best, berezin_number(space, numlin.re_rotation(a, theta)))
-    return best
+    thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    return float(np.abs(berezin_symbols(space, numlin.re_rotation(a, thetas))).max())

@@ -292,6 +292,8 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     bad_seed.write_text("master_seed = abc\n")
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"\xff\xfe master_seed = 1\n")
+    nan_tol = tmp_path / "nan_tol.cfg"
+    nan_tol.write_text("check_tol = nan\n")
     assert cli.main(["verify", "--theorems", "NOPE"]) == cli.EXIT_CONFIG
     assert cli.main(["verify", "--dims", "bogus"]) == cli.EXIT_CONFIG
     assert cli.main(["case", "--theorem", "L21b"]) == cli.EXIT_CONFIG  # no seed
@@ -299,7 +301,13 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert cli.main(["verify", "--config", "/no/such/file"]) == cli.EXIT_CONFIG
     assert cli.main(["verify", "--config", str(bad_seed)]) == cli.EXIT_CONFIG
     assert cli.main(["verify", "--config", str(binary)]) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
+    for tol in ("nan", "-1", "inf"):
+        assert cli.main(["verify", "--theorems", "YOUNG2", "--trials", "2",
+                         "--tol", tol]) == cli.EXIT_CONFIG
+    assert cli.main(["verify", "--config", str(nan_tol)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""  # rejected before any trial ran or report printed
+    err = captured.err
     assert "Traceback" not in err
     assert all(line.startswith("error: ") for line in err.splitlines())
 

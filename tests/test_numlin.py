@@ -93,6 +93,24 @@ def test_as_matrix_rejects_nonfinite():
         numlin.as_matrix([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         numlin.as_matrix([1.0, 2.0])  # not 2-d
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.eye(2, dtype=np.complex128)
+        m[0, 1] = complex(0.0, bad)  # finite real part, non-finite imaginary part
+        assert np.isfinite(m.real).all()
+        with pytest.raises(ValueError):
+            numlin.as_matrix(m)
+
+
+def test_as_matrix_stacks_only_on_request():
+    stack = np.zeros((3, 2, 2), dtype=np.complex128)
+    assert numlin.as_matrix(stack, stack=True).shape == (3, 2, 2)
+    with pytest.raises(ValueError):
+        numlin.as_matrix(stack)
+    with pytest.raises(ValueError):
+        numlin.as_matrix([1.0, 2.0], stack=True)
+    stack[1, 0, 1] = complex(0.0, np.inf)
+    with pytest.raises(ValueError):
+        numlin.as_matrix(stack, stack=True)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +144,18 @@ def test_hermitian_eig_rejects_nonhermitian():
         numlin.hermitian_eig([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NotHermitian):
         numlin.hermitian_eig(np.zeros((2, 3)))
+
+
+def test_hermitian_eig_defect_tolerance():
+    # inputs that are Hermitian only up to rounding take the norm check:
+    # H + d*E has defect ||d*(E - E*)|| = d for E the 2x2 shift
+    h = np.diag([1.0, 2.0]).astype(np.complex128)
+    shift = np.array([[0.0, 1.0], [0.0, 0.0]])
+    tol = numlin.HERM_TOL * numlin.operator_norm(h)
+    eig = numlin.hermitian_eig(h + 0.5 * tol * shift)
+    assert np.allclose(eig.eigenvalues, [1.0, 2.0])
+    with pytest.raises(NotHermitian):
+        numlin.hermitian_eig(h + 2.0 * tol * shift)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +280,29 @@ def test_re_rotation_examples():
     h = (g + g.conj().T) / 2.0
     assert numlin.operator_norm(numlin.re_rotation(h, 0.0) - h) <= 1e-12
     assert numlin.operator_norm(numlin.re_rotation(1j * np.eye(2), 0.0)) <= 1e-12
+
+
+def rotation_by_formula(a, theta):
+    """Re(e^{i theta} A) for one angle, written out with a scalar phase."""
+    z = np.exp(1j * theta)
+    h = (z * a + np.conj(z) * a.conj().T) / 2.0
+    return (h + h.conj().T) / 2.0
+
+
+def test_re_rotation_stack_matches_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(61)
+    for n in range(1, 9):
+        g = cgauss(rng, (n, n))
+        for a in (g, np.asfortranarray(g), g.T):
+            for grid in (4, 7, 720):
+                thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+                stack = numlin.re_rotation(a, thetas)
+                assert stack.shape == (grid, n, n)
+                assert stack.flags.c_contiguous
+                scalar = np.stack([numlin.re_rotation(a, t) for t in thetas])
+                assert np.array_equal(stack, scalar)
+                formula = np.stack([rotation_by_formula(a, t) for t in thetas])
+                assert np.array_equal(stack, formula)
 
 
 def test_re_rotation_direct_formula():

@@ -5,6 +5,8 @@ works on unnormalized kernel columns, and the rotation identity of the
 symbol modulus is checked at a finite grid.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,44 @@ def test_rotations_monotone_and_bounded():
             assert cur <= ber + 1e-12
             prev = cur
         assert abs(prev - ber) <= 1e-4 * (1.0 + ber)
+
+
+def space_of_dim(n):
+    """A space of the family picked by n, with well-separated points."""
+    if n % 3 == 0:
+        return rkhs.identity_space(n)
+    if n % 3 == 1:
+        pts = [0.7 * np.exp(2j * np.pi * j / n) if j else 0.0 for j in range(n)]
+        return rkhs.build_space(rkhs.KernelFamily("szego"), pts)
+    return rkhs.build_space(rkhs.KernelFamily("gaussian"), [1.5 * j for j in range(n)])
+
+
+def test_rotation_sweep_matches_per_angle_loop_bit_for_bit():
+    rng = np.random.default_rng(71)
+    for n in range(1, 9):
+        sp = space_of_dim(n)
+        g = cgauss(rng, (n, n))
+        for a in (g, np.asfortranarray(g), g.T):
+            for grid in (4, 7, 720):
+                thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+                want = max(rkhs.berezin_number(sp, numlin.re_rotation(a, t))
+                           for t in thetas)
+                assert rkhs.ber_via_rotations(sp, a, grid) == want
+
+
+def test_berezin_symbols_of_a_stack_match_per_slice():
+    rng = np.random.default_rng(73)
+    for n in range(1, 9):
+        sp = space_of_dim(n)
+        stack = cgauss(rng, (5, n, n))
+        got = rkhs.berezin_symbols(sp, stack)
+        assert got.shape == (5, n)
+        for row, a in zip(got, stack):
+            assert np.array_equal(row, rkhs.berezin_symbols(sp, a))
+        with pytest.raises(DimensionMismatch):
+            rkhs.berezin_symbols(sp, np.zeros((5, n + 1, n + 1)))
+        with pytest.raises(ValueError):
+            rkhs.berezin_number(sp, stack)  # one operator only
 
 
 def test_rotations_grid_minimum():
