@@ -22,7 +22,6 @@ from .harness import (
 from .numlin import (
     HermitianEigen,
     PolarParts,
-    adjoint,
     apply_spectral_function,
     hermitian_eig,
     matrix_abs,
@@ -46,7 +45,7 @@ from .theorems import Certificate, check_block, check_scalar, check_single
 
 __all__ = [
     "BlockOperator", "CampaignConfig", "Certificate", "HermitianEigen",
-    "KernelFamily", "KernelSpace", "PolarParts", "Report", "adjoint",
+    "KernelFamily", "KernelSpace", "PolarParts", "Report",
     "aluthge_general", "aluthge_offdiag", "apply_spectral_function",
     "assemble", "ber_block", "ber_via_rotations", "berezin_number",
     "berezin_peak", "berezin_symbol", "build_space", "check_block",

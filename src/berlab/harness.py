@@ -43,6 +43,9 @@ DEFAULT_PARAM_GRID = {
 
 GATING = theorems.GATING
 
+SPACE_ATTEMPTS = 5     # point draws per space before IllConditioned
+EXPLORE_RESTARTS = 10  # hill-climb restarts from the best draw so far
+
 ALL_CHECKERS = tuple(theorems.CHECKERS)
 
 
@@ -143,10 +146,10 @@ def _draw_rect(rng, kind, rows, cols):
     return np.ascontiguousarray(big[:rows, :cols])
 
 
-def draw_space(rng, family, n, attempts=5):
+def draw_space(rng, family, n):
     """Sample a kernel space; ill-conditioned point draws are retried."""
     last = None
-    for _ in range(attempts):
+    for _ in range(SPACE_ATTEMPTS):
         try:
             if family.tag == "identity":
                 return rkhs.identity_space(n)
@@ -159,7 +162,7 @@ def draw_space(rng, family, n, attempts=5):
             return rkhs.build_space(family, [float(x) for x in points])
         except BerlabError as exc:
             last = exc
-    raise IllConditioned(f"space draw failed after {attempts} attempts: {last}")
+    raise IllConditioned(f"space draw failed after {SPACE_ATTEMPTS} attempts: {last}")
 
 
 # ---------------------------------------------------------------------------
@@ -309,56 +312,59 @@ class Report:
         }
 
 
+def _trials(config, theorem_id):
+    """Each campaign trial of a checker as (draw, certificates), in trial order.
+
+    A trial whose draw or evaluation raises a BerlabError yields None.
+    """
+    for i in range(config.trials_per_checker):
+        seed = derive_trial_seed(config.master_seed, theorem_id, i)
+        try:
+            draw = draw_trial(theorem_id, seed, config)
+            trial = draw, evaluate_draw(draw, config)
+        except BerlabError:
+            trial = None
+        yield trial
+
+
 def run_campaign(config):
     """Run every selected checker for the configured number of trials."""
     config.validate()
     started = time.monotonic()
-    aggregates = {}
+    rows = {}
     anomalies = {}
     for tid in config.checkers():
         anomalies[tid] = 0
-        for i in range(config.trials_per_checker):
-            seed = derive_trial_seed(config.master_seed, tid, i)
-            try:
-                draw = draw_trial(tid, seed, config)
-                certs = evaluate_draw(draw, config)
-            except BerlabError:
+        for trial in _trials(config, tid):
+            if trial is None:
                 anomalies[tid] += 1
                 continue
-            for cert in certs:
+            for cert in trial[1]:
                 key = _agg_key(cert)
-                agg = aggregates.get(key)
-                if agg is None:
-                    agg = {"theorem_id": cert.theorem_id,
-                           "convention": cert.convention,
-                           "link": cert.params.get("link", 0),
-                           "reading": cert.params.get("reading", ""),
-                           "mode": cert.mode, "trials": 0, "failures": 0,
-                           "slack_sum": 0.0, "min_slack": None, "witness": None}
-                    aggregates[key] = agg
-                agg["trials"] += 1
-                agg["slack_sum"] += cert.slack
+                row = rows.get(key)
+                if row is None:
+                    # mean_slack holds the slack sum and witness the
+                    # least-slack certificate until every trial is in
+                    row = rows[key] = {
+                        "theorem_id": cert.theorem_id,
+                        "convention": cert.convention,
+                        "link": cert.params.get("link", 0),
+                        "reading": cert.params.get("reading", ""),
+                        "mode": cert.mode, "trials": 0, "failures": 0,
+                        "anomalies": 0, "min_slack": None, "mean_slack": 0.0,
+                        "witness": None}
+                row["trials"] += 1
+                row["mean_slack"] += cert.slack
                 if not cert.holds and cert.mode == GATING:
-                    agg["failures"] += 1
-                if agg["min_slack"] is None or cert.slack < agg["min_slack"]:
-                    agg["min_slack"] = cert.slack
-                    agg["witness"] = cert
-    results = []
-    for key in sorted(aggregates):
-        agg = aggregates[key]
-        results.append({
-            "theorem_id": agg["theorem_id"],
-            "convention": agg["convention"],
-            "link": agg["link"],
-            "reading": agg["reading"],
-            "mode": agg["mode"],
-            "trials": agg["trials"],
-            "failures": agg["failures"],
-            "anomalies": anomalies.get(agg["theorem_id"], 0),
-            "min_slack": agg["min_slack"],
-            "mean_slack": agg["slack_sum"] / agg["trials"],
-            "witness": agg["witness"].to_dict(),
-        })
+                    row["failures"] += 1
+                if row["min_slack"] is None or cert.slack < row["min_slack"]:
+                    row["min_slack"] = cert.slack
+                    row["witness"] = cert
+    results = [rows[key] for key in sorted(rows)]
+    for row in results:
+        row["anomalies"] = anomalies.get(row["theorem_id"], 0)
+        row["mean_slack"] /= row["trials"]
+        row["witness"] = row["witness"].to_dict()
     wall = int((time.monotonic() - started) * 1000.0)
     return Report(config=config.echo(), results=results, wall_time_ms=wall)
 
@@ -366,14 +372,8 @@ def run_campaign(config):
 # ---------------------------------------------------------------------------
 # adversarial tightness search
 
-def _min_gating_slack(certs):
-    slacks = [c.slack for c in certs if c.mode == GATING]
-    if not slacks:
-        slacks = [c.slack for c in certs]
-    return min(slacks)
-
-
 def _worst_cert(certs):
+    """The least-slack gating certificate, or the least-slack one if none gates."""
     target = [c for c in certs if c.mode == GATING] or list(certs)
     return min(target, key=lambda c: c.slack)
 
@@ -396,7 +396,7 @@ def _perturb(draw, rng, step):
     return out
 
 
-def explore(config, theorem_id, budget, restarts=10):
+def explore(config, theorem_id, budget):
     """Coordinate-wise hill climb minimizing the gating slack of a checker.
 
     Starts from the minimum-slack random witness of a short campaign and
@@ -407,44 +407,38 @@ def explore(config, theorem_id, budget, restarts=10):
         raise BadParams(f"unknown checker id {theorem_id!r}")
     if budget < 0:
         raise BadParams("budget must be >= 0")
-    best_draw, best_slack, best_cert = None, None, None
-    for i in range(config.trials_per_checker):
-        seed = derive_trial_seed(config.master_seed, theorem_id, i)
-        try:
-            draw = draw_trial(theorem_id, seed, config)
-            certs = evaluate_draw(draw, config)
-        except BerlabError:
+    best_draw, best_cert = None, None
+    for trial in _trials(config, theorem_id):
+        if trial is None:
             continue
-        slack = _min_gating_slack(certs)
-        if best_slack is None or slack < best_slack:
-            best_draw, best_slack, best_cert = draw, slack, _worst_cert(certs)
+        cert = _worst_cert(trial[1])
+        if best_cert is None or cert.slack < best_cert.slack:
+            best_draw, best_cert = trial[0], cert
     if best_draw is None:
         raise BadParams(f"no evaluable random witness for {theorem_id!r}")
     if budget == 0:
         return best_cert
     rng = np.random.default_rng(derive_trial_seed(config.master_seed,
                                                   theorem_id + "/explore", 0))
-    per_restart = max(1, budget // max(restarts, 1))
+    per_restart = max(1, budget // EXPLORE_RESTARTS)
     rounds_left = budget
-    for _ in range(restarts):
+    for _ in range(EXPLORE_RESTARTS):
         if rounds_left <= 0:
             break
-        current, current_slack = best_draw, best_slack
+        current, current_slack = best_draw, best_cert.slack
         step = 0.5
         for _ in range(min(per_restart, rounds_left)):
             rounds_left -= 1
             candidate = _perturb(current, rng, step)
             try:
-                certs = evaluate_draw(candidate, config)
-                slack = _min_gating_slack(certs)
+                cert = _worst_cert(evaluate_draw(candidate, config))
             except BerlabError:
                 step /= 2.0
                 continue
-            if slack < current_slack:
-                current, current_slack = candidate, slack
-                if slack < best_slack:
-                    best_draw, best_slack = candidate, slack
-                    best_cert = _worst_cert(certs)
+            if cert.slack < current_slack:
+                current, current_slack = candidate, cert.slack
+                if cert.slack < best_cert.slack:
+                    best_draw, best_cert = candidate, cert
             else:
                 step /= 2.0
     return best_cert

@@ -31,11 +31,6 @@ def as_matrix(a, stack=False):
     return m
 
 
-def adjoint(a):
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
 def operator_norm(a):
     """Largest singular value."""
     m = as_matrix(a)
@@ -56,10 +51,10 @@ class HermitianEigen:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(a, herm_tol=HERM_TOL):
+def hermitian_eig(a):
     """Eigendecomposition of a (numerically) Hermitian matrix.
 
-    Raises NotHermitian when ||A - A*|| > herm_tol * ||A||.
+    Raises NotHermitian when ||A - A*|| > HERM_TOL * ||A||.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
@@ -67,7 +62,7 @@ def hermitian_eig(a, herm_tol=HERM_TOL):
     # an exactly Hermitian matrix has defect 0, which no tolerance rejects
     if not np.array_equal(m, m.conj().T):
         scale = operator_norm(m)
-        tol = herm_tol * scale if scale > 0 else ABS_FLOOR
+        tol = HERM_TOL * scale if scale > 0 else ABS_FLOOR
         defect = operator_norm(m - m.conj().T)
         if defect > tol:
             raise NotHermitian(
@@ -80,42 +75,49 @@ def matrix_abs(t):
     """|T| = (T*T)^(1/2); for rectangular T the result is cols x cols."""
     m = as_matrix(t)
     gram = m.conj().T @ m
-    gram = (gram + gram.conj().T) / 2.0
-    eig = hermitian_eig(gram)
-    w = np.clip(eig.eigenvalues, 0.0, None)
-    q = eig.eigenvectors
-    out = (q * np.sqrt(w)) @ q.conj().T
-    return (out + out.conj().T) / 2.0
+    return apply_spectral_function((gram + gram.conj().T) / 2.0, np.sqrt)
 
 
-def apply_spectral_function(a, phi, psd_tol=PSD_TOL):
+def apply_spectral_function(a, phi):
     """phi(A) for positive semidefinite A via eigendecomposition.
 
-    Eigenvalues in [-psd_tol*||A||, 0) are clipped to zero before applying
-    phi; anything more negative raises NotPSD.
+    Eigenvalues in [-PSD_TOL*||A||, 0) are clipped to zero, then ``phi``
+    maps the ascending array of eigenvalues to the array of new ones;
+    anything more negative raises NotPSD.
     """
-    m = as_matrix(a)
-    eig = hermitian_eig(m)
+    eig = hermitian_eig(a)
     w = eig.eigenvalues
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    floor = -psd_tol * scale if scale > 0 else -ABS_FLOOR
-    if w.size and float(np.min(w)) < floor:
-        raise NotPSD(f"eigenvalue {float(np.min(w)):.3e} below {floor:.3e}")
-    w = np.clip(w, 0.0, None)
-    vals = np.asarray([phi(x) for x in w], dtype=np.float64)
+    if w.size:
+        # eigh sorts ascending, so the extremes sit at the two ends
+        scale = max(abs(float(w[0])), abs(float(w[-1])))
+        floor = -PSD_TOL * scale if scale > 0 else -ABS_FLOOR
+        if w[0] < floor:
+            raise NotPSD(f"eigenvalue {float(w[0]):.3e} below {floor:.3e}")
+    vals = np.asarray(phi(np.clip(w, 0.0, None)), dtype=np.float64)
     q = eig.eigenvectors
     out = (q * vals) @ q.conj().T
     return (out + out.conj().T) / 2.0
 
 
-def power_function(p):
-    """t -> t**p on [0, inf) with the 0**0 = 1 convention (t**0 constant)."""
-    return lambda t: float(t) ** p if not (t == 0.0 and p == 0) else 1.0
+def matrix_power_psd(a, p, support=False):
+    """A**p for PSD A.
 
-
-def matrix_power_psd(a, p, psd_tol=PSD_TOL):
-    """A**p for PSD A, with 0**0 = 1 (A**0 is the identity)."""
-    return apply_spectral_function(a, power_function(p), psd_tol=psd_tol)
+    A**0 is the identity. With ``support``, eigenvalues <= RANK_TOL times
+    the largest count as 0, so A**0 is the projection onto range(A), the
+    initial space of the polar isometry.
+    """
+    # the support power takes numpy's array power and the full power
+    # Python's pow per eigenvalue; the two differ in the last bit on some
+    # inputs, and the pinned reports were computed this way
+    if support:
+        def phi(w):
+            wmax = float(w[-1]) if w.size else 0.0
+            keep = w > RANK_TOL * wmax if wmax > 0 else np.zeros_like(w, dtype=bool)
+            return np.where(keep, np.where(keep, w, 1.0) ** p, 0.0)
+    else:
+        def phi(w):
+            return [float(x) ** p for x in w]
+    return apply_spectral_function(a, phi)
 
 
 @dataclass(frozen=True)
@@ -126,10 +128,10 @@ class PolarParts:
     modulus: np.ndarray
 
 
-def polar_decompose(t, rank_tol=RANK_TOL):
+def polar_decompose(t):
     """Polar decomposition of a square matrix from its SVD.
 
-    Singular directions with sigma <= rank_tol * sigma_max are dropped from
+    Singular directions with sigma <= RANK_TOL * sigma_max are dropped from
     U, so ker U = ker |T| and U*U is the projection onto range(|T|).
     """
     m = as_matrix(t)
@@ -137,7 +139,7 @@ def polar_decompose(t, rank_tol=RANK_TOL):
         raise ValueError("polar_decompose requires a square matrix")
     u, s, vh = np.linalg.svd(m)
     smax = s[0] if s.size else 0.0
-    keep = s > rank_tol * smax if smax > 0 else np.zeros_like(s, dtype=bool)
+    keep = s > RANK_TOL * smax if smax > 0 else np.zeros_like(s, dtype=bool)
     iso = u[:, keep] @ vh[keep, :]
     modulus = (vh.conj().T * s) @ vh
     modulus = (modulus + modulus.conj().T) / 2.0

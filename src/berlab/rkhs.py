@@ -97,7 +97,7 @@ class KernelSpace:
         return a
 
 
-def build_space(family, points, cond_floor=COND_FLOOR):
+def build_space(family, points):
     """Construct a KernelSpace for a family over distinct sample points."""
     points = tuple(points)
     if len(points) == 0:
@@ -114,7 +114,7 @@ def build_space(family, points, cond_floor=COND_FLOOR):
             gram[i, j] = family.evaluate(points[i], points[j])
     gram = (gram + gram.conj().T) / 2.0
     w, q = np.linalg.eigh(gram)
-    if w[-1] <= 0 or w[0] < cond_floor * w[-1]:
+    if w[-1] <= 0 or w[0] < COND_FLOOR * w[-1]:
         raise IllConditioned(
             f"gram spectrum [{w[0]:.3e}, {w[-1]:.3e}] below cond floor"
         )

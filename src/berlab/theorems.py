@@ -145,8 +145,7 @@ def _young2(tid, cert, params, inputs):
     _require(a >= 0 and b >= 0, "YOUNG2 needs a, b >= 0")
     _require(int(m) == m and m >= 1, "YOUNG2 needs positive integer m")
     m = int(m)
-    pw = numlin.power_function
-    lhs = pw(m)(math.sqrt(a * b)) + 0.5**m * (pw(m / 2.0)(a) - pw(m / 2.0)(b)) ** 2
+    lhs = math.sqrt(a * b) ** m + 0.5**m * (a ** (m / 2.0) - b ** (m / 2.0)) ** 2
     rhs = 2.0**-m * (a + b) ** m
     return [cert(lhs, rhs, params={"m": m}, witness={"a": a, "b": b},
                  digest=digest_inputs(a, b, m))]
@@ -158,10 +157,9 @@ def _i37(tid, cert, params, inputs):
     _require(a >= 0 and b >= 0, "I37 needs a, b >= 0")
     _require(0.0 <= nu <= 1.0, "I37 needs nu in [0, 1]")
     _require(r >= 1.0, "I37 needs r >= 1")
-    pw = numlin.power_function
-    geo = pw(nu)(a) * pw(1.0 - nu)(b)
+    geo = a**nu * b ** (1.0 - nu)
     ari = nu * a + (1.0 - nu) * b
-    pow_mean = pw(1.0 / r)(nu * a**r + (1.0 - nu) * b**r)
+    pow_mean = (nu * a**r + (1.0 - nu) * b**r) ** (1.0 / r)
     return _chain(cert, (geo, ari, pow_mean), {"nu": nu, "r": r},
                   witness={"a": a, "b": b}, digest=digest_inputs(a, b, nu, r))
 
@@ -173,7 +171,7 @@ def _i38(tid, cert, params, inputs):
     _conjugate_pair(p, q)
     _require(r >= 1.0, "I38 needs r >= 1")
     young = a**p / p + b**q / q
-    outer = numlin.power_function(1.0 / r)(a ** (p * r) / p + b ** (q * r) / q)
+    outer = (a ** (p * r) / p + b ** (q * r) / q) ** (1.0 / r)
     return _chain(cert, (a * b, young, outer), {"p": p, "q": q, "r": r},
                   witness={"a": a, "b": b}, digest=digest_inputs(a, b, p, q, r))
 
@@ -275,8 +273,8 @@ def _t32(tid, cert, space, t_mat, params, extras):
     _require(0.0 <= t <= 1.0, "T32 needs t in [0, 1]")
     parts = numlin.polar_decompose(t_mat)
     ber, j = rkhs.berezin_peak(space, t_mat)
-    p2t = blockops._support_power(parts.modulus, 2.0 * t)
-    p2s = blockops._support_power(parts.modulus, 2.0 * (1.0 - t))
+    p2t = numlin.matrix_power_psd(parts.modulus, 2.0 * t, support=True)
+    p2s = numlin.matrix_power_psd(parts.modulus, 2.0 * (1.0 - t), support=True)
     rhs = (0.25 * numlin.operator_norm(p2t + p2s)
            + 0.5 * rkhs.berezin_number(space, blockops.aluthge_general(t_mat, t)))
     return [cert(ber, rhs, params={"t": t}, witness={"j": j})]
@@ -485,11 +483,9 @@ def _t31(tid, cert, block, conv, params):
     abs_y = numlin.matrix_abs(block.Y)
     abs_xs = numlin.matrix_abs(block.X.conj().T)
     abs_ys = numlin.matrix_abs(block.Y.conj().T)
-    cross = 0.5 * (
-        numlin.operator_norm(blockops._support_power(abs_y, t)
-                             @ blockops._support_power(abs_xs, 1.0 - t))
-        + numlin.operator_norm(blockops._support_power(abs_x, t)
-                               @ blockops._support_power(abs_ys, 1.0 - t)))
+    spow = functools.partial(numlin.matrix_power_psd, support=True)
+    cross = 0.5 * (numlin.operator_norm(spow(abs_y, t) @ spow(abs_xs, 1.0 - t))
+                   + numlin.operator_norm(spow(abs_x, t) @ spow(abs_ys, 1.0 - t)))
     if tid == "T31":
         tilted = blockops.aluthge_offdiag(block.X, block.Y, t,
                                           space1=block.space1, space2=block.space2)
@@ -504,10 +500,11 @@ def _t31(tid, cert, block, conv, params):
 def _c35(tid, cert, block, conv, params):
     _require_offdiag(block)
     _require_square(block)
-    half_x = blockops._support_power(numlin.matrix_abs(block.X), 0.5)
-    half_y = blockops._support_power(numlin.matrix_abs(block.Y), 0.5)
-    half_xs = blockops._support_power(numlin.matrix_abs(block.X.conj().T), 0.5)
-    half_ys = blockops._support_power(numlin.matrix_abs(block.Y.conj().T), 0.5)
+    spow = functools.partial(numlin.matrix_power_psd, support=True)
+    half_x = spow(numlin.matrix_abs(block.X), 0.5)
+    half_y = spow(numlin.matrix_abs(block.Y), 0.5)
+    half_xs = spow(numlin.matrix_abs(block.X.conj().T), 0.5)
+    half_ys = spow(numlin.matrix_abs(block.Y.conj().T), 0.5)
     rhs = (max(numlin.operator_norm(block.X), numlin.operator_norm(block.Y))
            + 0.5 * (numlin.operator_norm(half_x @ half_y)
                     + numlin.operator_norm(half_xs @ half_ys)))

@@ -40,7 +40,7 @@ def test_assemble_blockwise_adjoint():
     swapped = blockops.BlockOperator(
         S=blk.S.conj().T, X=blk.Y.conj().T, Y=blk.X.conj().T, R=blk.R.conj().T,
         space1=blk.space1, space2=blk.space2)
-    assert np.array_equal(numlin.adjoint(blockops.assemble(blk)),
+    assert np.array_equal(blockops.assemble(blk).conj().T,
                           blockops.assemble(swapped))
 
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from berlab import numlin
+from berlab import harness, numlin, theorems
 from berlab.errors import NotHermitian, NotPSD
 
 
@@ -52,18 +52,7 @@ def newton_schulz_sqrt(a, iters=60):
 
 
 # ---------------------------------------------------------------------------
-# adjoint / operator_norm
-
-
-def test_adjoint_identity_and_shift():
-    assert np.array_equal(numlin.adjoint(np.eye(2)), np.eye(2))
-    assert np.array_equal(numlin.adjoint([[0, 1], [0, 0]]), [[0, 0], [1, 0]])
-
-
-def test_adjoint_involution():
-    rng = np.random.default_rng(7)
-    a = cgauss(rng, (3, 2))
-    assert np.array_equal(numlin.adjoint(numlin.adjoint(a)), a)
+# operator_norm
 
 
 def test_operator_norm_examples():
@@ -203,7 +192,7 @@ def test_apply_spectral_function_examples():
     assert numlin.operator_norm(
         numlin.apply_spectral_function(a, lambda t: t) - a) <= 1e-12 * numlin.operator_norm(a)
     assert np.allclose(
-        numlin.apply_spectral_function(np.diag([4.0, 9.0]), math.sqrt), np.diag([2.0, 3.0]))
+        numlin.apply_spectral_function(np.diag([4.0, 9.0]), np.sqrt), np.diag([2.0, 3.0]))
 
 
 def test_apply_spectral_function_square_oracle():
@@ -217,7 +206,7 @@ def test_apply_spectral_function_square_oracle():
 
 def test_apply_spectral_function_rejects_negative():
     with pytest.raises(NotPSD):
-        numlin.apply_spectral_function(np.diag([1.0, -0.5]), math.sqrt)
+        numlin.apply_spectral_function(np.diag([1.0, -0.5]), np.sqrt)
 
 
 def test_spectral_power_pair_contract():
@@ -231,10 +220,70 @@ def test_spectral_power_pair_contract():
 
 
 def test_power_function_zero_conventions():
-    f = numlin.power_function(0.0)
-    assert f(0.0) == 1.0 and f(2.0) == 1.0
+    a = np.diag([0.0, 3.0])
     # A^0 is the full identity under the general convention
-    assert np.allclose(numlin.matrix_power_psd(np.diag([0.0, 3.0]), 0.0), np.eye(2))
+    assert np.array_equal(numlin.matrix_power_psd(a, 0.0), np.eye(2))
+    # and the projection onto range(A) on the support only
+    assert np.array_equal(numlin.matrix_power_psd(a, 0.0, support=True), np.diag([0.0, 1.0]))
+
+
+# Reference copies of the two power kernels the pinned reports were computed
+# with. The full power applies Python's pow to each eigenvalue and the
+# support power numpy's array power; the two differ in the last bit on some
+# inputs, so each kernel is compared to its own formula with ==.
+
+def full_power_formula(a, p):
+    w, q = np.linalg.eigh(a)
+    w = np.clip(w, 0.0, None)
+    vals = np.asarray([float(x) ** p if not (x == 0.0 and p == 0) else 1.0 for x in w],
+                      dtype=np.float64)
+    out = (q * vals) @ q.conj().T
+    return (out + out.conj().T) / 2.0
+
+
+def support_power_formula(a, t):
+    w, q = np.linalg.eigh(a)
+    w = np.clip(w, 0.0, None)
+    wmax = float(np.max(w)) if w.size else 0.0
+    support = w > 1e-12 * wmax if wmax > 0 else np.zeros_like(w, dtype=bool)
+    vals = np.where(support, np.where(support, w, 1.0) ** t, 0.0)
+    out = (q * vals) @ q.conj().T
+    return (out + out.conj().T) / 2.0
+
+
+def grid_exponents():
+    """Every exponent the checkers raise a modulus to on the default grid."""
+    unit = harness.DEFAULT_PARAM_GRID["p"]  # also the t, nu and e grid
+    rs = harness.DEFAULT_PARAM_GRID["r"]
+    out = {x for u in unit for x in (u, 1.0 - u, 2.0 * u, 2.0 * (1.0 - u))}
+    out |= {x for r in rs for x in (r, 1.0 / r)}
+    out |= {2.0 * r * u for r in rs for u in unit}
+    out |= {e * s * r for e in unit for pair in theorems.CONJUGATE_PAIRS for s in pair
+            for r in rs}
+    return sorted(out)
+
+
+def psd_inputs(rng, n):
+    """Moduli of full-rank and rank-deficient operators, plus a diagonal with zeros."""
+    g = cgauss(rng, (n, n))
+    cut = g.copy()
+    cut[:, : max(1, n // 2)] = 0.0  # kernel of dimension max(1, n/2)
+    rank_one = np.outer(cgauss(rng, n), cgauss(rng, n).conj())
+    diag = np.diag(np.where(np.arange(n) % 2 == 0, 0.0, rng.random(n) * 4.0))
+    return [numlin.matrix_abs(g), numlin.matrix_abs(cut), numlin.matrix_abs(rank_one),
+            numlin.polar_decompose(cut).modulus, numlin.polar_decompose(np.triu(g, 1)).modulus,
+            g.conj().T @ g, diag.astype(np.complex128)]
+
+
+def test_matrix_power_kernels_bit_for_bit():
+    rng = np.random.default_rng(67)
+    exponents = grid_exponents()
+    for n in range(1, 9):
+        for a in psd_inputs(rng, n):
+            for p in exponents:
+                assert np.array_equal(numlin.matrix_power_psd(a, p), full_power_formula(a, p))
+                assert np.array_equal(numlin.matrix_power_psd(a, p, support=True),
+                                      support_power_formula(a, p))
 
 
 # ---------------------------------------------------------------------------
