@@ -114,10 +114,14 @@ def cmd_verify(args):
     for result in report.results:
         label = reporting.result_label(result)
         conv = result["convention"] or "-"
-        status = "FAIL" if result["failures"] else "ok"
+        least = result["min_slack"]
+        if least is None:  # no evaluated trial: neither held nor failed
+            status, least = "n/a", "n/a"
+        else:
+            status, least = "FAIL" if result["failures"] else "ok", f"{least:+.3e}"
         print(f"{label:12s} {conv:6s} {result['mode']:13s} "
               f"trials={result['trials']:4d} failures={result['failures']:3d} "
-              f"min_slack={result['min_slack']:+.3e} [{status}]")
+              f"min_slack={least} [{status}]")
     print(f"gating failures: {report.gating_failures} "
           f"(wall time {report.wall_time_ms} ms)")
     if config.out:

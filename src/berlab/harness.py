@@ -275,9 +275,8 @@ def evaluate_draw(draw, config):
                                       extras=extras, check_tol=tol)
     else:
         block = _build_block(draw, checker.shape)
-        certs = [cert for conv, mode in checker.runs
-                 for cert in theorems.check_block(tid, block, conv, draw.params,
-                                                  mode=mode, check_tol=tol)]
+        certs = theorems.check_block_runs(tid, block, draw.params, checker.runs,
+                                          check_tol=tol)
     return [dataclasses.replace(
         c, witness={**c.witness, "trial_seed": draw.trial_seed}) for c in certs]
 
@@ -327,6 +326,14 @@ def _trials(config, theorem_id):
         yield trial
 
 
+def _new_row(theorem_id, convention, link, reading, mode):
+    """A report row that no certificate has been aggregated into yet."""
+    return {"theorem_id": theorem_id, "convention": convention, "link": link,
+            "reading": reading, "mode": mode, "trials": 0, "failures": 0,
+            "anomalies": 0, "min_slack": None, "mean_slack": 0.0,
+            "witness": None}
+
+
 def run_campaign(config):
     """Run every selected checker for the configured number of trials."""
     config.validate()
@@ -345,14 +352,10 @@ def run_campaign(config):
                 if row is None:
                     # mean_slack holds the slack sum and witness the
                     # least-slack certificate until every trial is in
-                    row = rows[key] = {
-                        "theorem_id": cert.theorem_id,
-                        "convention": cert.convention,
-                        "link": cert.params.get("link", 0),
-                        "reading": cert.params.get("reading", ""),
-                        "mode": cert.mode, "trials": 0, "failures": 0,
-                        "anomalies": 0, "min_slack": None, "mean_slack": 0.0,
-                        "witness": None}
+                    row = rows[key] = _new_row(
+                        cert.theorem_id, cert.convention,
+                        cert.params.get("link", 0),
+                        cert.params.get("reading", ""), cert.mode)
                 row["trials"] += 1
                 row["mean_slack"] += cert.slack
                 if not cert.holds and cert.mode == GATING:
@@ -360,11 +363,19 @@ def run_campaign(config):
                 if row["min_slack"] is None or cert.slack < row["min_slack"]:
                     row["min_slack"] = cert.slack
                     row["witness"] = cert
+        if anomalies[tid] == config.trials_per_checker:
+            # nothing was evaluated; one empty row per run still shows the
+            # checker and its anomalies in the report
+            for conv, mode in theorems.CHECKERS[tid].runs:
+                rows[(tid, conv or "", 0, "", mode)] = _new_row(tid, conv, 0, "", mode)
     results = [rows[key] for key in sorted(rows)]
     for row in results:
         row["anomalies"] = anomalies.get(row["theorem_id"], 0)
-        row["mean_slack"] /= row["trials"]
-        row["witness"] = row["witness"].to_dict()
+        if row["trials"]:
+            row["mean_slack"] /= row["trials"]
+            row["witness"] = row["witness"].to_dict()
+        else:
+            row["mean_slack"] = None
     wall = int((time.monotonic() - started) * 1000.0)
     return Report(config=config.echo(), results=results, wall_time_ms=wall)
 

@@ -64,6 +64,11 @@ def result_label(result):
     return f"{label}({reading})" if reading else label
 
 
+def _csv_real(x):
+    """A report real for CSV; a row without evaluated trials has none."""
+    return "" if x is None else _format_float(x)
+
+
 def report_csv(report):
     """One row per checker aggregate."""
     lines = ["theorem_id,convention,trials,failures,min_slack,mean_slack,witness_digest"]
@@ -73,9 +78,9 @@ def report_csv(report):
             result["convention"] or "",
             str(result["trials"]),
             str(result["failures"]),
-            _format_float(result["min_slack"]),
-            _format_float(result["mean_slack"]),
-            result["witness"]["input_digest"],
+            _csv_real(result["min_slack"]),
+            _csv_real(result["mean_slack"]),
+            result["witness"]["input_digest"] if result["witness"] else "",
         ]))
     return "\n".join(lines) + "\n"
 

@@ -337,7 +337,12 @@ def _ber_norm(tid, cert, space, t_mat, params, extras):
 
 
 # ---------------------------------------------------------------------------
-# block checkers: evaluate(theorem_id, cert, block, convention, params)
+# block checkers: evaluate(theorem_id, runs, block, params), where runs holds
+# one (convention, certificate factory) pair per run of the draw. Operands
+# and right sides do not depend on the convention, so each evaluate function
+# computes them once per draw and only the Berezin peak once per run. The
+# certificates come back in run order: aggregation and explore break ties
+# by that order.
 
 def _require_offdiag(block):
     _require(np.count_nonzero(block.S) == 0 and np.count_nonzero(block.R) == 0,
@@ -354,9 +359,11 @@ def _require_square(block):
              "checker needs square off-diagonal blocks (n1 = n2)")
 
 
-def _block_peak(block, conv):
-    value, (j1, j2) = blockops.ber_block(block, conv)
-    return value, {"j1": j1, "j2": j2}
+def _peaks(block, runs):
+    """(certificate factory, Berezin value, witness) of each run, in run order."""
+    for conv, cert in runs:
+        value, (j1, j2) = blockops.ber_block(block, conv)
+        yield cert, value, {"j1": j1, "j2": j2}
 
 
 def _t24_operands(block, r, p, variant):
@@ -381,37 +388,37 @@ def _psd_symbols(space, a):
     return np.clip(vals, 0.0, None)
 
 
-def _l21a(tid, cert, block, conv, params):
+def _l21a(tid, runs, block, params):
     _require_diag(block)
-    lhs, wit = _block_peak(block, conv)
     rhs = max(rkhs.berezin_number(block.space1, block.S),
               rkhs.berezin_number(block.space2, block.R))
-    return [cert(lhs, rhs, params=params, witness=wit)]
+    return [cert(lhs, rhs, params=params, witness=wit)
+            for cert, lhs, wit in _peaks(block, runs)]
 
 
-def _l21b(tid, cert, block, conv, params):
+def _l21b(tid, runs, block, params):
     _require_offdiag(block)
-    lhs, wit = _block_peak(block, conv)
     rhs = 0.5 * (numlin.operator_norm(block.X) + numlin.operator_norm(block.Y))
-    return [cert(lhs, rhs, params=params, witness=wit)]
+    return [cert(lhs, rhs, params=params, witness=wit)
+            for cert, lhs, wit in _peaks(block, runs)]
 
 
-def _ineq1(tid, cert, block, conv, params):
+def _ineq1(tid, runs, block, params):
     _require_offdiag(block)
     s = float(params["s"])
     p = float(params["p"])
     _require(s >= 1.0, "INEQ1 needs power h(t) = t^s with s >= 1")
     _require(0.0 <= p <= 1.0, "INEQ1 needs exponent p in [0, 1]")
-    value, wit = _block_peak(block, conv)
     rhs = 0.25 * numlin.operator_norm(
         _abs_power(block.Y, 2 * p * s) + _abs_power(block.Y, 2 * (1 - p) * s)
     ) + 0.25 * numlin.operator_norm(
         _abs_power(block.X, 2 * p * s) + _abs_power(block.X, 2 * (1 - p) * s)
     )
-    return [cert(value**s, rhs, params=params, witness=wit)]
+    return [cert(value**s, rhs, params=params, witness=wit)
+            for cert, value, wit in _peaks(block, runs)]
 
 
-def _t24(tid, cert, block, conv, params):
+def _t24(tid, runs, block, params):
     _require_offdiag(block)
     if tid == "R26":
         r, p = 1.0, 0.5
@@ -421,37 +428,37 @@ def _t24(tid, cert, block, conv, params):
     _require(0.0 <= p <= 1.0, f"{tid} needs p in [0, 1]")
     variant = "ff" if tid in ("T24b", "C25b") else "fg"
     op2, op1 = _t24_operands(block, r, p, variant)
-    value, wit = _block_peak(block, conv)
     rhs = (2.0**r / 2.0
            * math.sqrt(rkhs.berezin_number(block.space2, op2))
            * math.sqrt(rkhs.berezin_number(block.space1, op1)))
-    return [cert(value**r, rhs, params=params, witness=wit)]
+    return [cert(value**r, rhs, params=params, witness=wit)
+            for cert, value, wit in _peaks(block, runs)]
 
 
-def _c27(tid, cert, block, conv, params):
+def _c27(tid, runs, block, params):
     _require_offdiag(block)
     _require_square(block)
     _require(np.array_equal(block.X, block.Y), "C27 needs Y = X")
-    value, wit = _block_peak(block, conv)
     combo = numlin.matrix_abs(block.X) + numlin.matrix_abs(block.X.conj().T)
     mid = 0.5 * rkhs.berezin_number(block.space1, combo)
-    return _chain(cert, (value, mid, numlin.operator_norm(block.X)), params,
-                  witness=wit)
+    top = numlin.operator_norm(block.X)
+    return [link for cert, value, wit in _peaks(block, runs)
+            for link in _chain(cert, (value, mid, top), params, witness=wit)]
 
 
-def _c28(tid, cert, block, conv, params):
+def _c28(tid, runs, block, params):
     _require_offdiag(block)
     op2, op1 = _t24_operands(block, 1.0, 0.5, "fg")
     ber2 = rkhs.berezin_number(block.space2, op2)
     ber1 = rkhs.berezin_number(block.space1, op1)
-    value, wit = _block_peak(block, conv)
     prod = 0.5 * math.sqrt(ber2) * math.sqrt(ber1)
     mean = 0.25 * (ber2 + ber1)
     top = 0.5 * max(ber2, ber1)
-    return _chain(cert, (value, prod, mean, top), params, witness=wit)
+    return [link for cert, value, wit in _peaks(block, runs)
+            for link in _chain(cert, (value, prod, mean, top), params, witness=wit)]
 
 
-def _t29(tid, cert, block, conv, params):
+def _t29(tid, runs, block, params):
     _require_offdiag(block)
     r, p = float(params["r"]), float(params["p"])
     _require(r >= 1.0, f"{tid} needs r >= 1")
@@ -464,17 +471,16 @@ def _t29(tid, cert, block, conv, params):
     bvals = _psd_symbols(block.space1, op1)
     eta = (np.sqrt(avals)[None, :] - np.sqrt(bvals)[:, None]) ** 2
     eta_inf = float(np.min(eta))
-    value, wit = _block_peak(block, conv)
     if tid == "T29":
         head = 2.0 ** (r - 2) * (float(np.max(avals)) + float(np.max(bvals)))
     else:
         head = 2.0 ** (r - 1) * numlin.operator_norm(op2)
     rhs = head - 2.0 ** (r - 2) * eta_inf
-    wit["eta_inf"] = eta_inf
-    return [cert(value**r, rhs, params=params, witness=wit)]
+    return [cert(value**r, rhs, params=params, witness={**wit, "eta_inf": eta_inf})
+            for cert, value, wit in _peaks(block, runs)]
 
 
-def _t31(tid, cert, block, conv, params):
+def _t31(tid, runs, block, params):
     _require_offdiag(block)
     _require_square(block)
     t = float(params["t"])
@@ -489,15 +495,15 @@ def _t31(tid, cert, block, conv, params):
     if tid == "T31":
         tilted = blockops.aluthge_offdiag(block.X, block.Y, t,
                                           space1=block.space1, space2=block.space2)
-        value, wit = _block_peak(tilted, conv)
-        return [cert(value, cross, params=params, witness=wit)]
-    value, wit = _block_peak(block, conv)
+        return [cert(value, cross, params=params, witness=wit)
+                for cert, value, wit in _peaks(tilted, runs)]
     rhs = 0.5 * max(numlin.operator_norm(block.X),
                     numlin.operator_norm(block.Y)) + 0.5 * cross
-    return [cert(value, rhs, params=params, witness=wit)]
+    return [cert(value, rhs, params=params, witness=wit)
+            for cert, value, wit in _peaks(block, runs)]
 
 
-def _c35(tid, cert, block, conv, params):
+def _c35(tid, runs, block, params):
     _require_offdiag(block)
     _require_square(block)
     spow = functools.partial(numlin.matrix_power_psd, support=True)
@@ -508,20 +514,17 @@ def _c35(tid, cert, block, conv, params):
     rhs = (max(numlin.operator_norm(block.X), numlin.operator_norm(block.Y))
            + 0.5 * (numlin.operator_norm(half_x @ half_y)
                     + numlin.operator_norm(half_xs @ half_ys)))
+    readings = (("sum", numlin.operator_norm(block.X + block.Y)),
+                ("adjoint_sum", numlin.operator_norm(block.X + block.Y.conj().T)))
     # both readings of the statement are recorded, never gated
-    kw = dict(witness={}, convention=None, mode=INFORMATIONAL)
-    return [
-        cert(numlin.operator_norm(block.X + block.Y), rhs,
-             params={**params, "reading": "sum"}, **kw),
-        cert(numlin.operator_norm(block.X + block.Y.conj().T), rhs,
-             params={**params, "reading": "adjoint_sum"}, **kw),
-    ]
+    return [cert(lhs, rhs, params={**params, "reading": reading}, witness={},
+                 convention=None, mode=INFORMATIONAL)
+            for _, cert in runs for reading, lhs in readings]
 
 
-def _t36(tid, cert, block, conv, params):
+def _t36(tid, runs, block, params):
     alpha = float(params["alpha"])
     _require(0.0 <= alpha <= 1.0, f"{tid} needs alpha in [0, 1]")
-    value, wit = _block_peak(block, conv)
     ber_s = rkhs.berezin_number(block.space1, block.S)
     ber_r = rkhs.berezin_number(block.space2, block.R)
     nx = numlin.operator_norm(block.X)
@@ -534,7 +537,8 @@ def _t36(tid, cert, block, conv, params):
         rhs = (0.5 * ber_r + ber_s
                + 0.5 * math.sqrt(alpha**2 * ber_r**2 + ny**2)
                + 0.5 * math.sqrt((1.0 - alpha) ** 2 * ber_r**2 + nx**2))
-    return [cert(value, rhs, params=params, witness=wit)]
+    return [cert(value, rhs, params=params, witness=wit)
+            for cert, value, wit in _peaks(block, runs)]
 
 
 # ---------------------------------------------------------------------------
@@ -634,20 +638,25 @@ CHECKERS = {
 SCALAR_IDS = tuple(tid for tid, c in CHECKERS.items() if c.kind == SCALAR)
 
 
-def _lookup(theorem_id, kind, run, digest, check_tol):
-    """The checker of ``kind`` and a certificate factory for one of its runs."""
+def _lookup(theorem_id, kind):
+    """The registry record of checker ``theorem_id``, which must be of ``kind``."""
     checker = CHECKERS.get(theorem_id)
     if checker is None or checker.kind != kind:
         raise BadParams(f"unknown {kind} checker {theorem_id!r}")
-    conv, mode = run or checker.runs[0]
-    cert = functools.partial(make_certificate, theorem_id, convention=conv,
+    return checker
+
+
+def _factory(theorem_id, run, digest, check_tol):
+    """Certificate factory for one (convention, mode) run of a checker."""
+    conv, mode = run
+    return functools.partial(make_certificate, theorem_id, convention=conv,
                              mode=mode, digest=digest, check_tol=check_tol)
-    return checker, cert
 
 
 def check_scalar(theorem_id, params, inputs, check_tol=CHECK_TOL):
     """Scalar / vector inequality checkers. Returns a list of Certificates."""
-    checker, cert = _lookup(theorem_id, SCALAR, None, "", check_tol)
+    checker = _lookup(theorem_id, SCALAR)
+    cert = _factory(theorem_id, checker.runs[0], "", check_tol)
     return checker.evaluate(theorem_id, cert, params, inputs)
 
 
@@ -656,14 +665,27 @@ def check_single(theorem_id, space, t_mat, params, extras=None,
     """Single-operator checkers on one kernel space. Returns Certificates."""
     t_mat = space.check_operator(t_mat)
     digest = digest_inputs(t_mat, space.gram, dict(params))
-    checker, cert = _lookup(theorem_id, SINGLE, None, digest, check_tol)
+    checker = _lookup(theorem_id, SINGLE)
+    cert = _factory(theorem_id, checker.runs[0], digest, check_tol)
     return checker.evaluate(theorem_id, cert, space, t_mat, params, extras or {})
+
+
+def check_block_runs(theorem_id, block, params, runs, check_tol=CHECK_TOL):
+    """Block-operator checkers at each (convention, mode) of ``runs``.
+
+    The input digest and the convention-independent operands are computed
+    once; the certificates of every run come back in ``runs`` order.
+    """
+    checker = _lookup(theorem_id, BLOCK)
+    digest = digest_inputs(block.S, block.X, block.Y, block.R,
+                           block.space1.gram, block.space2.gram, dict(params))
+    factories = tuple((run[0], _factory(theorem_id, run, digest, check_tol))
+                      for run in runs)
+    return checker.evaluate(theorem_id, factories, block, params)
 
 
 def check_block(theorem_id, block, conv, params, mode=GATING,
                 check_tol=CHECK_TOL):
-    """Block-operator checkers at an explicit Berezin convention."""
-    digest = digest_inputs(block.S, block.X, block.Y, block.R,
-                           block.space1.gram, block.space2.gram, dict(params))
-    checker, cert = _lookup(theorem_id, BLOCK, (conv, mode), digest, check_tol)
-    return checker.evaluate(theorem_id, cert, block, conv, params)
+    """Block-operator checkers at one explicit Berezin convention."""
+    return check_block_runs(theorem_id, block, params, ((conv, mode),),
+                            check_tol=check_tol)

@@ -314,10 +314,51 @@ def test_cli_error_exit_codes(tmp_path, capsys):
 
 def test_cli_verify_without_evaluated_trials_exits_2(capsys):
     # every 30-point Gaussian Gram draw is ill-conditioned, so no trial runs
-    code = cli.main(["verify", "--theorems", "T24a", "--kernel", "gaussian",
-                     "--dims", "30x30", "--trials", "3"])
+    argv = ["verify", "--theorems", "T24a", "--kernel", "gaussian",
+            "--dims", "30x30", "--trials", "3"]
+    code = cli.main(argv)
     assert code == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == "error: no evaluated trials for T24a\n"
+    out, err = capsys.readouterr()
+    assert err == "error: no evaluated trials for T24a\n"
+    # the report still holds one empty row per registry run of the checker
+    table, _, body = out.partition("gating failures: 0")
+    assert [line.split()[:3] for line in table.splitlines()] == [
+        ["T24a", "joint", "informational"], ["T24a", "pair", "gating"]]
+    assert all(line.endswith("trials=   0 failures=  0 min_slack=n/a [n/a]")
+               for line in table.splitlines())
+    rows = json.loads(body[body.index("{"):])["results"]
+    assert rows == [
+        {"theorem_id": "T24a", "convention": conv, "link": 0, "reading": "",
+         "mode": mode, "trials": 0, "failures": 0, "anomalies": 3,
+         "min_slack": None, "mean_slack": None, "witness": None}
+        for conv, mode in (("joint", "informational"), ("pair", "gating"))]
+    assert cli.main(argv + ["--format", "csv"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "T24a,joint,0,0,,,", "T24a,pair,0,0,,,"]
+
+
+def test_block_draw_evaluates_shared_operands_once(monkeypatch):
+    # T24a's pair and joint runs share the four moduli of X, Y, X*, Y* and
+    # the input digest; each is computed once per draw, not once per run
+    config = small_config()
+    seed = harness.derive_trial_seed(config.master_seed, "T24a", 0)
+    draw = harness.draw_trial("T24a", seed, config)
+    calls = {"matrix_abs": 0, "digest_inputs": 0}
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(numlin, "matrix_abs")
+    count(theorems, "digest_inputs")
+    certs = harness.evaluate_draw(draw, config)
+    assert [(c.convention, c.mode) for c in certs] == list(
+        theorems.CHECKERS["T24a"].runs)
+    assert calls == {"matrix_abs": 4, "digest_inputs": 1}
 
 
 def test_cli_violation_exit_code(capsys):

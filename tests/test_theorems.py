@@ -9,7 +9,7 @@ finite kernel models (see notes in the acceptance suite).
 import numpy as np
 import pytest
 
-from berlab import blockops, numlin, rkhs, theorems
+from berlab import blockops, harness, numlin, rkhs, theorems
 from berlab.errors import BadParams
 
 
@@ -304,6 +304,31 @@ def test_block_shape_preconditions():
         space1=rkhs.identity_space(2), space2=rkhs.identity_space(2))
     with pytest.raises(BadParams):  # L21b needs an off-diagonal block
         theorems.check_block("L21b", full, "joint", {})
+
+
+TWO_RUN_BLOCK_IDS = ("L21a", "L21b", "INEQ1", "T24a", "T24b", "C25a", "C25b",
+                     "R26", "C27", "C28", "T29", "C210")
+
+
+@pytest.mark.parametrize("tid", TWO_RUN_BLOCK_IDS)
+def test_block_runs_match_per_run_check_block(tid):
+    # evaluating a draw once for all its runs gives the certificates of one
+    # check_block call per run, bit for bit and in run order
+    checker = theorems.CHECKERS[tid]
+    assert checker.kind == theorems.BLOCK and len(checker.runs) == 2
+    config = harness.CampaignConfig(master_seed=11, trials_per_checker=20,
+                                    dims=((1, 1), (2, 2), (3, 2), (4, 3)))
+    for i in range(config.trials_per_checker):
+        seed = harness.derive_trial_seed(config.master_seed, tid, i)
+        draw = harness.draw_trial(tid, seed, config)
+        at_once = [c.to_dict() for c in harness.evaluate_draw(draw, config)]
+        for cert in at_once:
+            assert cert["witness"].pop("trial_seed") == seed
+        block = harness._build_block(draw, checker.shape)
+        per_run = [c.to_dict() for conv, mode in checker.runs
+                   for c in theorems.check_block(tid, block, conv, draw.params,
+                                                 mode=mode)]
+        assert at_once == per_run
 
 
 # ---------------------------------------------------------------------------
