@@ -1,6 +1,6 @@
 """2x2 block operators over a pair of kernel spaces.
 
-Includes the three Berezin conventions for kernel pairs and the
+Includes the two Berezin conventions for kernel pairs and the
 (generalized) Aluthge transform, both directly and through the closed-form
 off-diagonal construction.
 """
@@ -12,7 +12,7 @@ import numpy as np
 from . import numlin, rkhs
 from .errors import BadParams, DimensionMismatch
 
-CONVENTIONS = ("pair", "joint", "directsum")
+CONVENTIONS = ("pair", "joint")
 
 
 @dataclass(frozen=True)
@@ -78,17 +78,10 @@ def _pair_values(block):
 def ber_block(block, conv):
     """Berezin functional of a block operator under a named convention.
 
-    Returns (value, (j1, j2)); for the directsum convention the unused
-    component of the witness is None.
+    Returns (value, (j1, j2)), the peak and the kernel pair attaining it.
     """
     if conv not in CONVENTIONS:
         raise BadParams(f"unknown convention {conv!r}")
-    if conv == "directsum":
-        v1, j1 = rkhs.berezin_peak(block.space1, block.S)
-        v2, j2 = rkhs.berezin_peak(block.space2, block.R)
-        if v1 >= v2:
-            return v1, (j1, None)
-        return v2, (None, j2)
     vals = np.abs(_pair_values(block))
     j1, j2 = np.unravel_index(int(np.argmax(vals)), vals.shape)
     value = float(vals[j1, j2])

@@ -11,35 +11,28 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 
 
+def _entries(text, what):
+    """The non-empty entries of a comma list; an empty list is an error."""
+    entries = [part.strip() for part in text.split(",") if part.strip()]
+    if not entries:
+        raise ConfigInvalid(f"empty {what} list")
+    return entries
+
+
 def _parse_dims(text):
     dims = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in _entries(text, "dims"):
         try:
             n1, n2 = part.lower().split("x")
             dims.append((int(n1), int(n2)))
         except ValueError as exc:
             raise ConfigInvalid(f"bad dims entry {part!r}, expected n1xn2") from exc
-    if not dims:
-        raise ConfigInvalid("empty dims list")
     return tuple(dims)
 
 
 def _parse_families(text):
-    families = []
-    for tag in text.split(","):
-        tag = tag.strip()
-        if not tag:
-            continue
-        if tag == "gaussian":
-            families.append(rkhs.KernelFamily("gaussian", {"sigma": 1.0}))
-        else:
-            families.append(rkhs.KernelFamily(tag))
-    if not families:
-        raise ConfigInvalid("empty kernel family list")
-    return tuple(families)
+    return tuple(rkhs.KernelFamily(tag, {"sigma": 1.0} if tag == "gaussian" else {})
+                 for tag in _entries(text, "kernel family"))
 
 
 def _read_config_file(path):
@@ -62,7 +55,7 @@ def _read_config_file(path):
 
 
 def _parse_ids(text):
-    return tuple(t.strip() for t in text.split(",") if t.strip())
+    return tuple(_entries(text, "checker"))
 
 
 # (config-file key, command-line flag, CampaignConfig field, parser)
@@ -90,7 +83,7 @@ def build_config(args):
                 raise ConfigInvalid(f"bad config value {key} = {values[key]!r}") from exc
     for _, flag, field, parse in _SETTINGS:
         value = getattr(args, flag, None)
-        if value is not None and value != "":
+        if value is not None:
             setattr(config, field, parse(value))
     config.validate()
     return config

@@ -73,6 +73,8 @@ class CampaignConfig:
         for tid in self.checker_filter:
             if tid not in theorems.CHECKERS:
                 raise ConfigInvalid(f"unknown checker id {tid!r}")
+            if self.checker_filter.count(tid) > 1:
+                raise ConfigInvalid(f"checker id {tid!r} is listed twice")
         if self.format not in ("json", "csv"):
             raise ConfigInvalid(f"unknown report format {self.format!r}")
         if not (math.isfinite(self.check_tol) and self.check_tol >= 0):
@@ -303,12 +305,7 @@ class Report:
         return sum(r["failures"] for r in self.results if r["mode"] == GATING)
 
     def to_dict(self):
-        return {
-            "config": self.config,
-            "results": self.results,
-            "wall_time_ms": self.wall_time_ms,
-            "version": self.version,
-        }
+        return dataclasses.asdict(self)
 
 
 def _trials(config, theorem_id):

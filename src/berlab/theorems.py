@@ -10,12 +10,12 @@ how a campaign draws its inputs, which conventions it runs at and which
 function evaluates it.
 """
 
-import functools
 import hashlib
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +28,7 @@ INFORMATIONAL = "informational"
 CHECK_TOL = 1e-9
 TOL_FLOOR = 1e-12
 
-# checker kinds: which check_* function evaluates the checker
+# checker kinds, fixed by the shape: which check_* function evaluates it
 SCALAR = "scalar"
 SINGLE = "single"
 BLOCK = "block"
@@ -42,34 +42,23 @@ def slack_tolerance(rhs, check_tol=CHECK_TOL):
     return max(TOL_FLOOR, check_tol * (1.0 + abs(rhs)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Certificate:
-    """One evaluated inequality instance."""
+    """One evaluated inequality instance; its fields are the witness schema."""
 
     theorem_id: str
+    convention: str = None
+    params: dict = field(default_factory=dict)
     lhs: float
     rhs: float
     slack: float
     holds: bool
     mode: str = GATING
-    convention: str = None
-    params: dict = field(default_factory=dict)
     witness: dict = field(default_factory=dict)
     input_digest: str = ""
 
     def to_dict(self):
-        return {
-            "theorem_id": self.theorem_id,
-            "convention": self.convention,
-            "params": dict(self.params),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "holds": self.holds,
-            "mode": self.mode,
-            "witness": dict(self.witness),
-            "input_digest": self.input_digest,
-        }
+        return asdict(self)
 
 
 def make_certificate(theorem_id, lhs, rhs, *, params=None, witness=None,
@@ -137,9 +126,9 @@ def _tightest(cert, pairs, **kw):
 
 
 # ---------------------------------------------------------------------------
-# scalar checkers: evaluate(theorem_id, cert, params, inputs)
+# scalar checkers: evaluate(cert, params, inputs)
 
-def _young2(tid, cert, params, inputs):
+def _young2(cert, params, inputs):
     a, b = float(inputs[0]), float(inputs[1])
     m = params["m"]
     _require(a >= 0 and b >= 0, "YOUNG2 needs a, b >= 0")
@@ -151,7 +140,7 @@ def _young2(tid, cert, params, inputs):
                  digest=digest_inputs(a, b, m))]
 
 
-def _i37(tid, cert, params, inputs):
+def _i37(cert, params, inputs):
     a, b = float(inputs[0]), float(inputs[1])
     nu, r = float(params["nu"]), float(params["r"])
     _require(a >= 0 and b >= 0, "I37 needs a, b >= 0")
@@ -164,7 +153,7 @@ def _i37(tid, cert, params, inputs):
                   witness={"a": a, "b": b}, digest=digest_inputs(a, b, nu, r))
 
 
-def _i38(tid, cert, params, inputs):
+def _i38(cert, params, inputs):
     a, b = float(inputs[0]), float(inputs[1])
     p, q, r = float(params["p"]), float(params["q"]), float(params["r"])
     _require(a >= 0 and b >= 0, "I38 needs a, b >= 0")
@@ -176,7 +165,7 @@ def _i38(tid, cert, params, inputs):
                   witness={"a": a, "b": b}, digest=digest_inputs(a, b, p, q, r))
 
 
-def _s310(tid, cert, params, inputs):
+def _s310(cert, params, inputs):
     a = np.asarray(inputs[0], dtype=np.complex128)
     b = np.asarray(inputs[1], dtype=np.complex128)
     e = np.asarray(inputs[2], dtype=np.complex128)
@@ -193,7 +182,7 @@ def _s310(tid, cert, params, inputs):
 
 
 # ---------------------------------------------------------------------------
-# single-operator checkers: evaluate(theorem_id, cert, space, T, params, extras)
+# single-operator checkers: evaluate(cert, space, T, params, extras)
 
 def _abs_power(t_mat, p):
     return numlin.matrix_power_psd(numlin.matrix_abs(t_mat), p)
@@ -207,7 +196,7 @@ def _t311_combo(t_mat, r, p, q, e):
     return left / p + right / q
 
 
-def _l21c(tid, cert, space, t_mat, params, extras):
+def _l21c(cert, space, t_mat, params, extras):
     grid = int(params.get("theta_grid", 720))
     _require(grid >= 4, "L21c needs theta_grid >= 4")
     ber, j = rkhs.berezin_peak(space, t_mat)
@@ -217,18 +206,18 @@ def _l21c(tid, cert, space, t_mat, params, extras):
     return [cert(ber, rhs, params={"theta_grid": grid}, witness={"j": j})]
 
 
-def _p39_r310(tid, cert, space, t_mat, params, extras):
+def _p39_r310(cert, space, t_mat, params, extras, *, chain):
     r = float(params["r"])
-    _require(r >= 1.0, f"{tid} needs r >= 1")
+    _require(r >= 1.0, "P39/R310 need r >= 1")
     ber, j = rkhs.berezin_peak(space, t_mat)
     top = numlin.operator_norm(t_mat) ** (2 * r)
     mid = 0.5 * (rkhs.berezin_number(space, t_mat @ t_mat) ** r + top)
-    if tid == "P39":
-        return [cert(ber ** (2 * r), mid, params={"r": r}, witness={"j": j})]
-    return _chain(cert, (ber ** (2 * r), mid, top), {"r": r}, witness={"j": j})
+    if chain:
+        return _chain(cert, (ber ** (2 * r), mid, top), {"r": r}, witness={"j": j})
+    return [cert(ber ** (2 * r), mid, params={"r": r}, witness={"j": j})]
 
 
-def _t311(tid, cert, space, t_mat, params, extras):
+def _t311(cert, space, t_mat, params, extras, *, statement):
     r, p, q = float(params["r"]), float(params["p"]), float(params["q"])
     e = float(params["e"])
     _conjugate_pair(p, q)
@@ -237,7 +226,7 @@ def _t311(tid, cert, space, t_mat, params, extras):
     _require(0.0 <= e <= 1.0, "T311 exponent pair needs e in [0, 1]")
     combo = _t311_combo(t_mat, r, p, q, e)
     pr = {"r": r, "p": p, "q": q, "e": e}
-    if tid == "T311_stmt":
+    if statement:
         ber, j = rkhs.berezin_peak(space, t_mat)
         rhs = 0.5 * (numlin.operator_norm(t_mat) ** (2 * r)
                      + rkhs.berezin_number(space, combo))
@@ -252,7 +241,7 @@ def _t311(tid, cert, space, t_mat, params, extras):
     return _tightest(cert, pairs, params=pr)
 
 
-def _t312(tid, cert, space, t_mat, params, extras):
+def _t312(cert, space, t_mat, params, extras, *, statement):
     nu, tshift = float(params["nu"]), float(params["t"])
     _require(0.0 <= nu <= 1.0, "T312 needs nu in [0, 1]")
     eye = np.eye(space.dim, dtype=np.complex128)
@@ -261,14 +250,14 @@ def _t312(tid, cert, space, t_mat, params, extras):
            + nu * numlin.operator_norm(t_mat - tshift * eye) ** 2
            + (1.0 - nu) * numlin.operator_norm(t_mat - 1j * tshift * eye) ** 2)
     pr = {"nu": nu, "t": tshift}
-    if tid == "T312_stmt":
+    if statement:
         return [cert(numlin.operator_norm(t_mat) ** 2, rhs, params=pr, witness={})]
     norms = np.linalg.norm(t_mat @ space.normalized_chart(), axis=0) ** 2
     j = int(np.argmax(norms))
     return [cert(float(norms[j]), rhs, params=pr, witness={"j": j})]
 
 
-def _t32(tid, cert, space, t_mat, params, extras):
+def _t32(cert, space, t_mat, params, extras):
     t = float(params["t"])
     _require(0.0 <= t <= 1.0, "T32 needs t in [0, 1]")
     parts = numlin.polar_decompose(t_mat)
@@ -280,16 +269,16 @@ def _t32(tid, cert, space, t_mat, params, extras):
     return [cert(ber, rhs, params={"t": t}, witness={"j": j})]
 
 
-def _r33(tid, cert, space, t_mat, params, extras):
+def _r33(cert, space, t_mat, params, extras):
     ber, j = rkhs.berezin_peak(space, t_mat)
     rhs = (0.5 * numlin.operator_norm(t_mat)
            + 0.5 * rkhs.berezin_number(space, blockops.aluthge_general(t_mat, 0.5)))
     return [cert(ber, rhs, params={"t": 0.5}, witness={"j": j})]
 
 
-def _l22(tid, cert, space, t_mat, params, extras):
+def _l22(cert, space, t_mat, params, extras, *, convex):
     r = float(params["r"])
-    if tid == "L22a":
+    if convex:
         _require(r >= 1.0, "L22a needs r >= 1")
     else:
         _require(0.0 < r <= 1.0, "L22b needs 0 < r <= 1")
@@ -298,11 +287,11 @@ def _l22(tid, cert, space, t_mat, params, extras):
     for k in space.normalized_chart().T:
         base = max((np.conj(k) @ (t_mat @ k)).real, 0.0) ** r
         powd = (np.conj(k) @ (tr_pow @ k)).real
-        pairs.append((base, powd) if tid == "L22a" else (powd, base))
+        pairs.append((base, powd) if convex else (powd, base))
     return _tightest(cert, pairs, params={"r": r})
 
 
-def _l23(tid, cert, space, t_mat, params, extras):
+def _l23(cert, space, t_mat, params, extras):
     p = float(params["p"])
     _require(0.0 <= p <= 1.0, "L23 needs exponent p in [0, 1]")
     x = np.asarray(extras["x"], dtype=np.complex128)
@@ -315,7 +304,7 @@ def _l23(tid, cert, space, t_mat, params, extras):
                  digest=digest_inputs(t_mat, x, y, dict(params)))]
 
 
-def _ber_hom(tid, cert, space, t_mat, params, extras):
+def _ber_hom(cert, space, t_mat, params, extras):
     alpha = complex(params.get("alpha_re", 1.0), params.get("alpha_im", 0.0))
     lhs = rkhs.berezin_number(space, alpha * t_mat)
     rhs = abs(alpha) * rkhs.berezin_number(space, t_mat)
@@ -323,7 +312,7 @@ def _ber_hom(tid, cert, space, t_mat, params, extras):
                  witness={}, equality=True)]
 
 
-def _ber_sub(tid, cert, space, t_mat, params, extras):
+def _ber_sub(cert, space, t_mat, params, extras):
     b_mat = space.check_operator(extras["B"])
     lhs = rkhs.berezin_number(space, t_mat + b_mat)
     rhs = rkhs.berezin_number(space, t_mat) + rkhs.berezin_number(space, b_mat)
@@ -331,13 +320,13 @@ def _ber_sub(tid, cert, space, t_mat, params, extras):
                  digest=digest_inputs(t_mat, b_mat, space.gram))]
 
 
-def _ber_norm(tid, cert, space, t_mat, params, extras):
+def _ber_norm(cert, space, t_mat, params, extras):
     ber, j = rkhs.berezin_peak(space, t_mat)
     return [cert(ber, numlin.operator_norm(t_mat), params={}, witness={"j": j})]
 
 
 # ---------------------------------------------------------------------------
-# block checkers: evaluate(theorem_id, runs, block, params), where runs holds
+# block checkers: evaluate(runs, block, params), where runs holds
 # one (convention, certificate factory) pair per run of the draw. Operands
 # and right sides do not depend on the convention, so each evaluate function
 # computes them once per draw and only the Berezin peak once per run. The
@@ -388,7 +377,7 @@ def _psd_symbols(space, a):
     return np.clip(vals, 0.0, None)
 
 
-def _l21a(tid, runs, block, params):
+def _l21a(runs, block, params):
     _require_diag(block)
     rhs = max(rkhs.berezin_number(block.space1, block.S),
               rkhs.berezin_number(block.space2, block.R))
@@ -396,14 +385,14 @@ def _l21a(tid, runs, block, params):
             for cert, lhs, wit in _peaks(block, runs)]
 
 
-def _l21b(tid, runs, block, params):
+def _l21b(runs, block, params):
     _require_offdiag(block)
     rhs = 0.5 * (numlin.operator_norm(block.X) + numlin.operator_norm(block.Y))
     return [cert(lhs, rhs, params=params, witness=wit)
             for cert, lhs, wit in _peaks(block, runs)]
 
 
-def _ineq1(tid, runs, block, params):
+def _ineq1(runs, block, params):
     _require_offdiag(block)
     s = float(params["s"])
     p = float(params["p"])
@@ -418,15 +407,11 @@ def _ineq1(tid, runs, block, params):
             for cert, value, wit in _peaks(block, runs)]
 
 
-def _t24(tid, runs, block, params):
+def _t24(runs, block, params, *, variant="fg", fixed=None):
     _require_offdiag(block)
-    if tid == "R26":
-        r, p = 1.0, 0.5
-    else:
-        r, p = float(params["r"]), float(params["p"])
-    _require(r >= 1.0, f"{tid} needs r >= 1")
-    _require(0.0 <= p <= 1.0, f"{tid} needs p in [0, 1]")
-    variant = "ff" if tid in ("T24b", "C25b") else "fg"
+    r, p = fixed or (float(params["r"]), float(params["p"]))
+    _require(r >= 1.0, "T24/C25/R26 need r >= 1")
+    _require(0.0 <= p <= 1.0, "T24/C25/R26 need p in [0, 1]")
     op2, op1 = _t24_operands(block, r, p, variant)
     rhs = (2.0**r / 2.0
            * math.sqrt(rkhs.berezin_number(block.space2, op2))
@@ -435,7 +420,7 @@ def _t24(tid, runs, block, params):
             for cert, value, wit in _peaks(block, runs)]
 
 
-def _c27(tid, runs, block, params):
+def _c27(runs, block, params):
     _require_offdiag(block)
     _require_square(block)
     _require(np.array_equal(block.X, block.Y), "C27 needs Y = X")
@@ -446,7 +431,7 @@ def _c27(tid, runs, block, params):
             for link in _chain(cert, (value, mid, top), params, witness=wit)]
 
 
-def _c28(tid, runs, block, params):
+def _c28(runs, block, params):
     _require_offdiag(block)
     op2, op1 = _t24_operands(block, 1.0, 0.5, "fg")
     ber2 = rkhs.berezin_number(block.space2, op2)
@@ -458,12 +443,12 @@ def _c28(tid, runs, block, params):
             for link in _chain(cert, (value, prod, mean, top), params, witness=wit)]
 
 
-def _t29(tid, runs, block, params):
+def _t29(runs, block, params, *, tied=False):
     _require_offdiag(block)
     r, p = float(params["r"]), float(params["p"])
-    _require(r >= 1.0, f"{tid} needs r >= 1")
-    _require(0.0 <= p <= 1.0, f"{tid} needs p in [0, 1]")
-    if tid == "C210":
+    _require(r >= 1.0, "T29/C210 need r >= 1")
+    _require(0.0 <= p <= 1.0, "T29/C210 need p in [0, 1]")
+    if tied:
         _require_square(block)
         _require(np.array_equal(block.X, block.Y), "C210 needs Y = X")
     op2, op1 = _t24_operands(block, r, p, "fg")
@@ -471,42 +456,42 @@ def _t29(tid, runs, block, params):
     bvals = _psd_symbols(block.space1, op1)
     eta = (np.sqrt(avals)[None, :] - np.sqrt(bvals)[:, None]) ** 2
     eta_inf = float(np.min(eta))
-    if tid == "T29":
-        head = 2.0 ** (r - 2) * (float(np.max(avals)) + float(np.max(bvals)))
-    else:
+    if tied:
         head = 2.0 ** (r - 1) * numlin.operator_norm(op2)
+    else:
+        head = 2.0 ** (r - 2) * (float(np.max(avals)) + float(np.max(bvals)))
     rhs = head - 2.0 ** (r - 2) * eta_inf
     return [cert(value**r, rhs, params=params, witness={**wit, "eta_inf": eta_inf})
             for cert, value, wit in _peaks(block, runs)]
 
 
-def _t31(tid, runs, block, params):
+def _t31(runs, block, params, *, tilted):
     _require_offdiag(block)
     _require_square(block)
     t = float(params["t"])
-    _require(0.0 <= t <= 1.0, f"{tid} needs t in [0, 1]")
+    _require(0.0 <= t <= 1.0, "T31/C34 need t in [0, 1]")
     abs_x = numlin.matrix_abs(block.X)
     abs_y = numlin.matrix_abs(block.Y)
     abs_xs = numlin.matrix_abs(block.X.conj().T)
     abs_ys = numlin.matrix_abs(block.Y.conj().T)
-    spow = functools.partial(numlin.matrix_power_psd, support=True)
+    spow = partial(numlin.matrix_power_psd, support=True)
     cross = 0.5 * (numlin.operator_norm(spow(abs_y, t) @ spow(abs_xs, 1.0 - t))
                    + numlin.operator_norm(spow(abs_x, t) @ spow(abs_ys, 1.0 - t)))
-    if tid == "T31":
-        tilted = blockops.aluthge_offdiag(block.X, block.Y, t,
-                                          space1=block.space1, space2=block.space2)
+    if tilted:
+        transform = blockops.aluthge_offdiag(block.X, block.Y, t,
+                                             space1=block.space1, space2=block.space2)
         return [cert(value, cross, params=params, witness=wit)
-                for cert, value, wit in _peaks(tilted, runs)]
+                for cert, value, wit in _peaks(transform, runs)]
     rhs = 0.5 * max(numlin.operator_norm(block.X),
                     numlin.operator_norm(block.Y)) + 0.5 * cross
     return [cert(value, rhs, params=params, witness=wit)
             for cert, value, wit in _peaks(block, runs)]
 
 
-def _c35(tid, runs, block, params):
+def _c35(runs, block, params):
     _require_offdiag(block)
     _require_square(block)
-    spow = functools.partial(numlin.matrix_power_psd, support=True)
+    spow = partial(numlin.matrix_power_psd, support=True)
     half_x = spow(numlin.matrix_abs(block.X), 0.5)
     half_y = spow(numlin.matrix_abs(block.Y), 0.5)
     half_xs = spow(numlin.matrix_abs(block.X.conj().T), 0.5)
@@ -522,21 +507,18 @@ def _c35(tid, runs, block, params):
             for _, cert in runs for reading, lhs in readings]
 
 
-def _t36(tid, runs, block, params):
+def _t36(runs, block, params, *, swap=False):
     alpha = float(params["alpha"])
-    _require(0.0 <= alpha <= 1.0, f"{tid} needs alpha in [0, 1]")
+    _require(0.0 <= alpha <= 1.0, "T36/T37 need alpha in [0, 1]")
     ber_s = rkhs.berezin_number(block.space1, block.S)
     ber_r = rkhs.berezin_number(block.space2, block.R)
     nx = numlin.operator_norm(block.X)
     ny = numlin.operator_norm(block.Y)
-    if tid == "T36":
-        rhs = (0.5 * ber_s + ber_r
-               + 0.5 * math.sqrt(alpha**2 * ber_s**2 + nx**2)
-               + 0.5 * math.sqrt((1.0 - alpha) ** 2 * ber_s**2 + ny**2))
-    else:
-        rhs = (0.5 * ber_r + ber_s
-               + 0.5 * math.sqrt(alpha**2 * ber_r**2 + ny**2)
-               + 0.5 * math.sqrt((1.0 - alpha) ** 2 * ber_r**2 + nx**2))
+    if swap:  # T37 is T36 with the roles of S, X and R, Y exchanged
+        ber_s, ber_r, nx, ny = ber_r, ber_s, ny, nx
+    rhs = (0.5 * ber_s + ber_r
+           + 0.5 * math.sqrt(alpha**2 * ber_s**2 + nx**2)
+           + 0.5 * math.sqrt((1.0 - alpha) ** 2 * ber_s**2 + ny**2))
     return [cert(value, rhs, params=params, witness=wit)
             for cert, value, wit in _peaks(block, runs)]
 
@@ -577,14 +559,20 @@ class Checker:
     operands drawn after T; a complex one becomes params name_re, name_im.
     ``sample(rng, param_grid)`` draws the params before any operand.
     ``runs`` holds the (convention, mode) of each evaluation of a draw.
+    ``evaluate`` has any variant keywords of its function already bound.
     """
 
-    kind: str
     shape: str
     evaluate: Callable
     sample: Callable = _grid()
     runs: tuple = ((None, GATING),)
     extras: tuple = ()
+
+    @property
+    def kind(self):
+        if self.shape in ("pair", "vectors"):
+            return SCALAR
+        return SINGLE if self.shape in ("operator", "psd") else BLOCK
 
 
 _INFO = ((None, INFORMATIONAL),)
@@ -593,46 +581,52 @@ _PAIR_GATED = (("pair", GATING), ("joint", INFORMATIONAL))
 _JOINT_GATED = (("joint", GATING), ("pair", INFORMATIONAL))
 
 CHECKERS = {
-    "YOUNG2": Checker(SCALAR, "pair", _young2,
+    "YOUNG2": Checker("pair", _young2,
                       lambda rng, grid: {"m": int(choice(rng, grid["m"]))}),
-    "I37": Checker(SCALAR, "pair", _i37, _grid("nu", "r")),
-    "I38": Checker(SCALAR, "pair", _i38, _sample_i38),
-    "S310": Checker(SCALAR, "vectors", _s310),
-    "L21c": Checker(SINGLE, "operator", _l21c,
+    "I37": Checker("pair", _i37, _grid("nu", "r")),
+    "I38": Checker("pair", _i38, _sample_i38),
+    "S310": Checker("vectors", _s310),
+    "L21c": Checker("operator", _l21c,
                     lambda rng, grid: {"theta_grid": int(grid["theta_grid"])}),
-    "P39": Checker(SINGLE, "operator", _p39_r310, _grid("r")),
-    "R310": Checker(SINGLE, "operator", _p39_r310, _grid("r")),
-    "T311_proof": Checker(SINGLE, "operator", _t311, _sample_t311),
-    "T311_stmt": Checker(SINGLE, "operator", _t311, _sample_t311, _INFO),
-    "T312_proof": Checker(SINGLE, "operator", _t312, _grid("nu", "t")),
-    "T312_stmt": Checker(SINGLE, "operator", _t312, _grid("nu", "t"), _INFO),
-    "T32": Checker(SINGLE, "operator", _t32, _grid("t")),
-    "R33": Checker(SINGLE, "operator", _r33),
-    "L22a": Checker(SINGLE, "psd", _l22, _grid("r")),
-    "L22b": Checker(SINGLE, "psd", _l22,
+    "P39": Checker("operator", partial(_p39_r310, chain=False), _grid("r")),
+    "R310": Checker("operator", partial(_p39_r310, chain=True), _grid("r")),
+    "T311_proof": Checker("operator", partial(_t311, statement=False), _sample_t311),
+    "T311_stmt": Checker("operator", partial(_t311, statement=True), _sample_t311,
+                         _INFO),
+    "T312_proof": Checker("operator", partial(_t312, statement=False),
+                          _grid("nu", "t")),
+    "T312_stmt": Checker("operator", partial(_t312, statement=True),
+                         _grid("nu", "t"), _INFO),
+    "T32": Checker("operator", _t32, _grid("t")),
+    "R33": Checker("operator", _r33),
+    "L22a": Checker("psd", partial(_l22, convex=True), _grid("r")),
+    "L22b": Checker("psd", partial(_l22, convex=False),
                     lambda rng, grid: {"r": 1.0 / choice(rng, grid["r"])}),
-    "L23": Checker(SINGLE, "operator", _l23, _grid("p"),
+    "L23": Checker("operator", _l23, _grid("p"),
                    extras=(("x", "vector"), ("y", "vector"))),
-    "BER_HOM": Checker(SINGLE, "operator", _ber_hom, extras=(("alpha", "complex"),)),
-    "BER_SUB": Checker(SINGLE, "operator", _ber_sub, extras=(("B", "operator"),)),
-    "BER_NORM": Checker(SINGLE, "operator", _ber_norm),
-    "L21a": Checker(BLOCK, "diag", _l21a, runs=_JOINT_GATED),
-    "L21b": Checker(BLOCK, "offdiag", _l21b, runs=_JOINT_GATED),
-    "INEQ1": Checker(BLOCK, "offdiag", _ineq1, _grid("s", "p"), _JOINT_GATED),
-    "T24a": Checker(BLOCK, "offdiag", _t24, _grid("r", "p"), _PAIR_GATED),
-    "T24b": Checker(BLOCK, "offdiag", _t24, _grid("r", "p"), _PAIR_GATED),
-    "C25a": Checker(BLOCK, "offdiag", _t24, _grid("r", "p"), _PAIR_GATED),
-    "C25b": Checker(BLOCK, "offdiag", _t24, _grid("r", "p"), _PAIR_GATED),
-    "R26": Checker(BLOCK, "offdiag", _t24, runs=_JOINT_GATED),
-    "C27": Checker(BLOCK, "tied_square", _c27, runs=_JOINT_GATED),
-    "C28": Checker(BLOCK, "offdiag", _c28, runs=_JOINT_GATED),
-    "T29": Checker(BLOCK, "offdiag", _t29, _grid("r", "p"), _PAIR_GATED),
-    "C210": Checker(BLOCK, "tied_square", _t29, _grid("r", "p"), _PAIR_GATED),
-    "T31": Checker(BLOCK, "offdiag_square", _t31, _grid("t"), _JOINT),
-    "C34": Checker(BLOCK, "offdiag_square", _t31, _grid("t"), _JOINT),
-    "C35": Checker(BLOCK, "offdiag_square", _c35, runs=_INFO),
-    "T36": Checker(BLOCK, "full", _t36, _grid("alpha"), _JOINT),
-    "T37": Checker(BLOCK, "full", _t36, _grid("alpha"), _JOINT),
+    "BER_HOM": Checker("operator", _ber_hom, extras=(("alpha", "complex"),)),
+    "BER_SUB": Checker("operator", _ber_sub, extras=(("B", "operator"),)),
+    "BER_NORM": Checker("operator", _ber_norm),
+    "L21a": Checker("diag", _l21a, runs=_JOINT_GATED),
+    "L21b": Checker("offdiag", _l21b, runs=_JOINT_GATED),
+    "INEQ1": Checker("offdiag", _ineq1, _grid("s", "p"), _JOINT_GATED),
+    "T24a": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED),
+    "T24b": Checker("offdiag", partial(_t24, variant="ff"), _grid("r", "p"),
+                    _PAIR_GATED),
+    "C25a": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED),
+    "C25b": Checker("offdiag", partial(_t24, variant="ff"), _grid("r", "p"),
+                    _PAIR_GATED),
+    "R26": Checker("offdiag", partial(_t24, fixed=(1.0, 0.5)), runs=_JOINT_GATED),
+    "C27": Checker("tied_square", _c27, runs=_JOINT_GATED),
+    "C28": Checker("offdiag", _c28, runs=_JOINT_GATED),
+    "T29": Checker("offdiag", _t29, _grid("r", "p"), _PAIR_GATED),
+    "C210": Checker("tied_square", partial(_t29, tied=True), _grid("r", "p"),
+                    _PAIR_GATED),
+    "T31": Checker("offdiag_square", partial(_t31, tilted=True), _grid("t"), _JOINT),
+    "C34": Checker("offdiag_square", partial(_t31, tilted=False), _grid("t"), _JOINT),
+    "C35": Checker("offdiag_square", _c35, runs=_INFO),
+    "T36": Checker("full", _t36, _grid("alpha"), _JOINT),
+    "T37": Checker("full", partial(_t36, swap=True), _grid("alpha"), _JOINT),
 }
 
 SCALAR_IDS = tuple(tid for tid, c in CHECKERS.items() if c.kind == SCALAR)
@@ -649,15 +643,15 @@ def _lookup(theorem_id, kind):
 def _factory(theorem_id, run, digest, check_tol):
     """Certificate factory for one (convention, mode) run of a checker."""
     conv, mode = run
-    return functools.partial(make_certificate, theorem_id, convention=conv,
-                             mode=mode, digest=digest, check_tol=check_tol)
+    return partial(make_certificate, theorem_id, convention=conv,
+                   mode=mode, digest=digest, check_tol=check_tol)
 
 
 def check_scalar(theorem_id, params, inputs, check_tol=CHECK_TOL):
     """Scalar / vector inequality checkers. Returns a list of Certificates."""
     checker = _lookup(theorem_id, SCALAR)
     cert = _factory(theorem_id, checker.runs[0], "", check_tol)
-    return checker.evaluate(theorem_id, cert, params, inputs)
+    return checker.evaluate(cert, params, inputs)
 
 
 def check_single(theorem_id, space, t_mat, params, extras=None,
@@ -667,7 +661,7 @@ def check_single(theorem_id, space, t_mat, params, extras=None,
     digest = digest_inputs(t_mat, space.gram, dict(params))
     checker = _lookup(theorem_id, SINGLE)
     cert = _factory(theorem_id, checker.runs[0], digest, check_tol)
-    return checker.evaluate(theorem_id, cert, space, t_mat, params, extras or {})
+    return checker.evaluate(cert, space, t_mat, params, extras or {})
 
 
 def check_block_runs(theorem_id, block, params, runs, check_tol=CHECK_TOL):
@@ -681,7 +675,7 @@ def check_block_runs(theorem_id, block, params, runs, check_tol=CHECK_TOL):
                            block.space1.gram, block.space2.gram, dict(params))
     factories = tuple((run[0], _factory(theorem_id, run, digest, check_tol))
                       for run in runs)
-    return checker.evaluate(theorem_id, factories, block, params)
+    return checker.evaluate(factories, block, params)
 
 
 def check_block(theorem_id, block, conv, params, mode=GATING,

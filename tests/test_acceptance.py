@@ -25,8 +25,10 @@ The analytic counterexample family (rank-one u v*) is pinned in
 tests/test_theorems.py.
 """
 
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +50,16 @@ def cgauss(rng, shape):
 def criterion1_config():
     # master_seed=42, 500 trials, default dims/families/grids
     return harness.CampaignConfig()
+
+
+GOLDEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+def golden_sha256():
+    """The pinned hash of the 500-trial default report (wall_time_ms zeroed)."""
+    entries = json.loads(GOLDEN_PATH.read_text())["entries"]
+    [slow] = [e for e in entries if e.get("slow")]
+    return slow["sha256"]
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +268,9 @@ def test_criterion_7_determinism(campaign):
     # wall_time_ms is the one report field that cannot be bit-stable
     d1["wall_time_ms"] = d2["wall_time_ms"] = 0
     ok = report.dumps_json(d1) == report.dumps_json(d2)
+    # and both are the pinned 500-trial golden report
+    digest = hashlib.sha256(report.dumps_json(d1).encode()).hexdigest()
+    ok = ok and digest == golden_sha256()
 
     # every min-slack witness reproduces from its recorded per-trial seed
     checked = 0
@@ -270,7 +285,7 @@ def test_criterion_7_determinism(campaign):
                  and c.params.get("reading") == wit["params"].get("reading")]
         ok = ok and len(match) == 1 and match[0].to_dict() == wit
         checked += 1
-    announce(7, ok, f"byte-identical reports modulo wall_time_ms; "
+    announce(7, ok, f"byte-identical reports modulo wall_time_ms, at the golden hash; "
                     f"{checked} witnesses replayed from recorded seeds")
 
 

@@ -78,21 +78,6 @@ def test_joint_is_half_pair_bitwise():
         assert jp == jj
 
 
-def test_directsum_annihilates_offdiagonal():
-    rng = np.random.default_rng(5)
-    blk = blockops.offdiag_block(cgauss(rng, (2, 3)), cgauss(rng, (3, 2)))
-    value, _ = blockops.ber_block(blk, "directsum")
-    assert value == 0.0
-
-
-def test_directsum_bounded_by_norm():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        blk = random_block(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-        value, _ = blockops.ber_block(blk, "directsum")
-        assert value <= numlin.operator_norm(blockops.assemble(blk)) + 1e-10
-
-
 def test_diagonal_joint_bounded_by_component_max():
     # the L21a shape at the joint convention
     rng = np.random.default_rng(9)
@@ -124,8 +109,9 @@ def test_offdiagonal_joint_bounded_by_norm_mean():
 
 def test_unknown_convention():
     blk = blockops.offdiag_block(np.eye(1, dtype=complex), np.eye(1, dtype=complex))
-    with pytest.raises(BadParams):
-        blockops.ber_block(blk, "diag")
+    for conv in ("diag", "directsum"):
+        with pytest.raises(BadParams):
+            blockops.ber_block(blk, conv)
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,8 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     binary.write_bytes(b"\xff\xfe master_seed = 1\n")
     nan_tol = tmp_path / "nan_tol.cfg"
     nan_tol.write_text("check_tol = nan\n")
+    no_ids = tmp_path / "no_ids.cfg"
+    no_ids.write_text("theorems =\n")
     assert cli.main(["verify", "--theorems", "NOPE"]) == cli.EXIT_CONFIG
     assert cli.main(["verify", "--dims", "bogus"]) == cli.EXIT_CONFIG
     assert cli.main(["case", "--theorem", "L21b"]) == cli.EXIT_CONFIG  # no seed
@@ -305,6 +307,12 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         assert cli.main(["verify", "--theorems", "YOUNG2", "--trials", "2",
                          "--tol", tol]) == cli.EXIT_CONFIG
     assert cli.main(["verify", "--config", str(nan_tol)]) == cli.EXIT_CONFIG
+    # a repeated id would count its trials twice; an empty list is not "all"
+    assert cli.main(["verify", "--theorems", "T24a,T24a", "--trials", "2",
+                     "--dims", "2x2"]) == cli.EXIT_CONFIG
+    assert cli.main(["verify", "--theorems", ","]) == cli.EXIT_CONFIG
+    assert cli.main(["verify", "--theorems", ""]) == cli.EXIT_CONFIG
+    assert cli.main(["verify", "--config", str(no_ids)]) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""  # rejected before any trial ran or report printed
     err = captured.err

@@ -6,6 +6,8 @@ pins the analytic counterexample showing that the T32/R33 bounds fail on
 finite kernel models (see notes in the acceptance suite).
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,26 @@ def test_t36_t37_checkers():
             assert cert.holds
 
 
+def test_t37_is_t36_of_the_swapped_block():
+    # T37 on [[S, X], [Y, R]] over (space1, space2) is T36 on [[R, Y], [X, S]]
+    # over (space2, space1): the same rhs formula with the roles exchanged
+    rng = np.random.default_rng(59)
+    for _ in range(20):
+        n1, n2 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        family = harness.DEFAULT_FAMILIES[int(rng.integers(3))]
+        sp1 = harness.draw_space(rng, family, n1)
+        sp2 = harness.draw_space(rng, family, n2)
+        s, x = cgauss(rng, (n1, n1)), cgauss(rng, (n1, n2))
+        y, r = cgauss(rng, (n2, n1)), cgauss(rng, (n2, n2))
+        params = {"alpha": float(rng.choice([0.0, 0.25, 0.5, 1.0]))}
+        blk = blockops.BlockOperator(S=s, X=x, Y=y, R=r, space1=sp1, space2=sp2)
+        swapped = blockops.BlockOperator(S=r, X=y, Y=x, R=s, space1=sp2, space2=sp1)
+        t37 = theorems.check_block("T37", blk, "joint", params)[0]
+        t36 = theorems.check_block("T36", swapped, "joint", params)[0]
+        assert t37.rhs == t36.rhs
+        assert abs(t37.lhs - t36.lhs) <= 1e-12 * (1.0 + abs(t37.lhs))
+
+
 def test_c35_informational_readings():
     rng = np.random.default_rng(43)
     blk = offdiag(cgauss(rng, (3, 3)), cgauss(rng, (3, 3)))
@@ -344,6 +366,13 @@ def test_certificate_fields_and_reproducibility():
     assert first.slack == first.rhs - first.lhs
     assert first.holds == (first.slack >= -theorems.slack_tolerance(first.rhs))
     assert first.input_digest and first.input_digest == second.input_digest
+
+
+def test_evaluate_functions_never_see_the_checker_id():
+    # a checker's variant is bound into its registry record, not read off its id
+    for tid, checker in theorems.CHECKERS.items():
+        names = inspect.signature(checker.evaluate).parameters
+        assert "tid" not in names and "theorem_id" not in names, tid
 
 
 def test_nonfinite_inputs_rejected():
