@@ -279,8 +279,10 @@ def evaluate_draw(draw, config):
         block = _build_block(draw, checker.shape)
         certs = theorems.check_block_runs(tid, block, draw.params, checker.runs,
                                           check_tol=tol)
-    return [dataclasses.replace(
-        c, witness={**c.witness, "trial_seed": draw.trial_seed}) for c in certs]
+    # each certificate owns its witness dict; trial_seed stays the last key
+    for c in certs:
+        c.witness["trial_seed"] = draw.trial_seed
+    return certs
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +307,9 @@ class Report:
         return sum(r["failures"] for r in self.results if r["mode"] == GATING)
 
     def to_dict(self):
-        return dataclasses.asdict(self)
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        d["config"], d["results"] = dict(self.config), [dict(r) for r in self.results]
+        return d
 
 
 def _trials(config, theorem_id):

@@ -5,6 +5,7 @@ validated to be finite on entry; all tolerances are relative to the input
 norm, falling back to an absolute 1e-14 when the norm vanishes.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +42,10 @@ def operator_norm(a):
 
 @dataclass(frozen=True)
 class HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of a stack of them.
 
     ``eigenvalues`` ascending, ``eigenvectors`` unitary with column j the
-    eigenvector of eigenvalue j.
+    eigenvector of eigenvalue j; a stack carries its leading axes on both.
     """
 
     eigenvalues: np.ndarray
@@ -52,71 +53,84 @@ class HermitianEigen:
 
 
 def hermitian_eig(a):
-    """Eigendecomposition of a (numerically) Hermitian matrix.
+    """Eigendecomposition of a (numerically) Hermitian matrix or stack, in one eigh.
 
-    Raises NotHermitian when ||A - A*|| > HERM_TOL * ||A||.
+    Raises NotHermitian when a slice has ||A - A*|| > HERM_TOL * ||A||.
     """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise NotHermitian(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
+    m = as_matrix(a, stack=True)
+    if m.shape[-2] != m.shape[-1]:
+        raise NotHermitian(f"matrix is {m.shape[-2]}x{m.shape[-1]}, not square")
     # an exactly Hermitian matrix has defect 0, which no tolerance rejects
-    if not np.array_equal(m, m.conj().T):
-        scale = operator_norm(m)
-        tol = HERM_TOL * scale if scale > 0 else ABS_FLOOR
-        defect = operator_norm(m - m.conj().T)
-        if defect > tol:
-            raise NotHermitian(
-                f"Hermitian defect {defect:.3e} exceeds tolerance {tol:.3e}")
+    if not np.array_equal(m, m.conj().mT):
+        for s in m.reshape((-1,) + m.shape[-2:]):
+            scale = operator_norm(s)
+            tol = HERM_TOL * scale if scale > 0 else ABS_FLOOR
+            defect = operator_norm(s - s.conj().T)
+            if defect > tol:
+                raise NotHermitian(
+                    f"Hermitian defect {defect:.3e} exceeds tolerance {tol:.3e}")
     w, q = np.linalg.eigh(m)
     return HermitianEigen(eigenvalues=w, eigenvectors=q)
 
 
 def matrix_abs(t):
-    """|T| = (T*T)^(1/2); for rectangular T the result is cols x cols."""
-    m = as_matrix(t)
-    gram = m.conj().T @ m
-    return apply_spectral_function((gram + gram.conj().T) / 2.0, np.sqrt)
+    """|T| = (T*T)^(1/2), cols x cols for rectangular T; also per slice of a stack."""
+    m = as_matrix(t, stack=True)
+    gram = m.conj().mT @ m
+    return apply_spectral_function((gram + gram.conj().mT) / 2.0, np.sqrt)
 
 
 def apply_spectral_function(a, phi):
-    """phi(A) for positive semidefinite A via eigendecomposition.
+    """phi(A) for positive semidefinite A, or a stack of them, via eigh.
 
     Eigenvalues in [-PSD_TOL*||A||, 0) are clipped to zero, then ``phi``
-    maps the ascending array of eigenvalues to the array of new ones;
+    maps the ascending eigenvalues, shape (..., n), to the new ones;
     anything more negative raises NotPSD.
     """
     eig = hermitian_eig(a)
     w = eig.eigenvalues
     if w.size:
         # eigh sorts ascending, so the extremes sit at the two ends
-        scale = max(abs(float(w[0])), abs(float(w[-1])))
-        floor = -PSD_TOL * scale if scale > 0 else -ABS_FLOOR
-        if w[0] < floor:
-            raise NotPSD(f"eigenvalue {float(w[0]):.3e} below {floor:.3e}")
+        ends = w.reshape(-1, w.shape[-1])
+        for lo, hi in zip(ends[:, 0].tolist(), ends[:, -1].tolist()):
+            scale = max(abs(lo), abs(hi))
+            floor = -PSD_TOL * scale if scale > 0 else -ABS_FLOOR
+            if lo < floor:
+                raise NotPSD(f"eigenvalue {lo:.3e} below {floor:.3e}")
     vals = np.asarray(phi(np.clip(w, 0.0, None)), dtype=np.float64)
     q = eig.eigenvectors
-    out = (q * vals) @ q.conj().T
-    return (out + out.conj().T) / 2.0
+    out = (q * vals[..., None, :]) @ q.conj().mT
+    return (out + out.conj().mT) / 2.0
 
 
 def matrix_power_psd(a, p, support=False):
-    """A**p for PSD A.
+    """A**p for PSD A, or for each slice of a stack.
 
-    A**0 is the identity. With ``support``, eigenvalues <= RANK_TOL times
-    the largest count as 0, so A**0 is the projection onto range(A), the
-    initial space of the polar isometry.
+    ``p`` is one exponent, or one per slice in an array shaped like the
+    stack's leading axes. A**0 is the identity. With ``support``,
+    eigenvalues <= RANK_TOL times the largest count as 0, so A**0 is the
+    projection onto range(A), the initial space of the polar isometry.
     """
-    # the support power takes numpy's array power and the full power
-    # Python's pow per eigenvalue; the two differ in the last bit on some
-    # inputs, and the pinned reports were computed this way
-    if support:
-        def phi(w):
-            wmax = float(w[-1]) if w.size else 0.0
-            keep = w > RANK_TOL * wmax if wmax > 0 else np.zeros_like(w, dtype=bool)
-            return np.where(keep, np.where(keep, w, 1.0) ** p, 0.0)
-    else:
-        def phi(w):
-            return [float(x) ** p for x in w]
+    lead = np.shape(a)[:-2]
+    exps = np.asarray(p, dtype=np.float64)
+    if exps.shape not in ((), lead):
+        raise ValueError(f"exponents of shape {exps.shape} for a stack of {lead}")
+    exps = exps.ravel().tolist() if exps.ndim else [float(exps)] * math.prod(lead)
+    # the support power takes numpy's array power and the full power Python's
+    # pow per eigenvalue, each with a Python-float exponent per slice, as the
+    # pinned reports did: the two kernels differ in the last bit on some
+    # inputs, and an exponent array would skip numpy's scalar fast paths
+    def phi(w):
+        rows = w.reshape(len(exps), w.shape[-1])
+        if not support:
+            return np.array([x ** e for row, e in zip(rows.tolist(), exps)
+                             for x in row]).reshape(w.shape)
+        vals = np.empty_like(rows)
+        for row, e, out in zip(rows, exps, vals):
+            wmax = float(row[-1]) if row.size else 0.0
+            keep = row > RANK_TOL * wmax if wmax > 0 else np.zeros_like(row, dtype=bool)
+            out[...] = np.where(keep, np.where(keep, row, 1.0) ** e, 0.0)
+        return vals.reshape(w.shape)
     return apply_spectral_function(a, phi)
 
 

@@ -41,16 +41,33 @@ class KernelFamily:
             if not sigma > 0:
                 raise BadParams("gaussian kernel needs sigma > 0")
 
-    def evaluate(self, z, w):
-        """k(z, w) for a pair of sample points."""
+    def gram(self, points):
+        """The matrix k(p_i, p_j) over a sequence of sample points.
+
+        Each entry keeps the bits of the scalar formula k(z, w): complex array
+        ``*``/``**`` and ``np.exp`` round differently, so products are spelled
+        out in real arithmetic and the exponential stays ``math.exp``.
+        """
+        n = len(points)
         if self.tag == "identity":
-            return 1.0 if z == w else 0.0
-        if self.tag == "szego":
-            return 1.0 / (1.0 - z * np.conj(w))
+            return np.eye(n, dtype=np.complex128)
+        if self.tag == "gaussian":
+            x = np.asarray(points, dtype=np.float64)
+            den = 2.0 * self.params.get("sigma", 1.0) ** 2
+            vals = [math.exp(-(v ** 2) / den)
+                    for v in np.subtract.outer(x, x).ravel().tolist()]
+            return np.array(vals, dtype=np.complex128).reshape(n, n)
+        # d = 1 - z conj(w), with zi the imaginary part of z and wi that of conj(w)
+        z = np.asarray(points, dtype=np.complex128)
+        zr, zi = z.real[:, None], z.imag[:, None]
+        wr, wi = z.real[None, :], -z.imag[None, :]
+        re = 1.0 - (zr * wr - zi * wi)
+        im = 0.0 - (zr * wi + zi * wr)
         if self.tag == "bergman":
-            return 1.0 / (1.0 - z * np.conj(w)) ** 2
-        sigma = self.params.get("sigma", 1.0)
-        return math.exp(-((z - w) ** 2) / (2.0 * sigma**2))
+            re, im = re * re - im * im, re * im + im * re
+        d = np.empty((n, n), dtype=np.complex128)
+        d.real, d.imag = re, im
+        return np.divide(1.0, d)
 
 
 @dataclass(frozen=True)
@@ -107,11 +124,7 @@ def build_space(family, points):
     if family.tag in ("szego", "bergman"):
         if any(abs(p) >= 1.0 for p in points):
             raise BadParams(f"{family.tag} points must satisfy |p| < 1")
-    n = len(points)
-    gram = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            gram[i, j] = family.evaluate(points[i], points[j])
+    gram = family.gram(points)
     gram = (gram + gram.conj().T) / 2.0
     w, q = np.linalg.eigh(gram)
     if w[-1] <= 0 or w[0] < COND_FLOOR * w[-1]:

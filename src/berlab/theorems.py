@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -58,7 +58,10 @@ class Certificate:
     input_digest: str = ""
 
     def to_dict(self):
-        return asdict(self)
+        # params and witness hold only scalars, so shallow copies suffice
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["params"], d["witness"] = dict(self.params), dict(self.witness)
+        return d
 
 
 def make_certificate(theorem_id, lhs, rhs, *, params=None, witness=None,
@@ -184,15 +187,15 @@ def _s310(cert, params, inputs):
 # ---------------------------------------------------------------------------
 # single-operator checkers: evaluate(cert, space, T, params, extras)
 
-def _abs_power(t_mat, p):
-    return numlin.matrix_power_psd(numlin.matrix_abs(t_mat), p)
+def _abs_powers(ops, exps):
+    """|A_k|^{p_k} for each operator A_k of a list of equally shaped ones."""
+    return numlin.matrix_power_psd(numlin.matrix_abs(np.stack(ops)), exps)
 
 
 def _t311_combo(t_mat, r, p, q, e):
     """(1/p) f^{pr}(|T^2|) + (1/q) g^{qr}(|(T^2)*|) with f = s^e, g = s^(1-e)."""
     t2 = t_mat @ t_mat
-    left = _abs_power(t2, e * p * r)
-    right = _abs_power(t2.conj().T, (1.0 - e) * q * r)
+    left, right = _abs_powers([t2, t2.conj().T], [e * p * r, (1.0 - e) * q * r])
     return left / p + right / q
 
 
@@ -260,10 +263,10 @@ def _t312(cert, space, t_mat, params, extras, *, statement):
 def _t32(cert, space, t_mat, params, extras):
     t = float(params["t"])
     _require(0.0 <= t <= 1.0, "T32 needs t in [0, 1]")
-    parts = numlin.polar_decompose(t_mat)
+    modulus = numlin.polar_decompose(t_mat).modulus
     ber, j = rkhs.berezin_peak(space, t_mat)
-    p2t = numlin.matrix_power_psd(parts.modulus, 2.0 * t, support=True)
-    p2s = numlin.matrix_power_psd(parts.modulus, 2.0 * (1.0 - t), support=True)
+    p2t, p2s = numlin.matrix_power_psd(np.stack([modulus, modulus]),
+                                       [2.0 * t, 2.0 * (1.0 - t)], support=True)
     rhs = (0.25 * numlin.operator_norm(p2t + p2s)
            + 0.5 * rkhs.berezin_number(space, blockops.aluthge_general(t_mat, t)))
     return [cert(ber, rhs, params={"t": t}, witness={"j": j})]
@@ -297,8 +300,7 @@ def _l23(cert, space, t_mat, params, extras):
     x = np.asarray(extras["x"], dtype=np.complex128)
     y = np.asarray(extras["y"], dtype=np.complex128)
     lhs = abs(_inner(t_mat @ x, y)) ** 2
-    f2 = _abs_power(t_mat, 2.0 * p)
-    g2 = _abs_power(t_mat.conj().T, 2.0 * (1.0 - p))
+    f2, g2 = _abs_powers([t_mat, t_mat.conj().T], [2.0 * p, 2.0 * (1.0 - p)])
     rhs = ((np.conj(x) @ (f2 @ x)).real * (np.conj(y) @ (g2 @ y)).real)
     return [cert(lhs, rhs, params={"p": p}, witness={},
                  digest=digest_inputs(t_mat, x, y, dict(params)))]
@@ -363,13 +365,11 @@ def _t24_operands(block, r, p, variant):
     First operand acts on space2, second on space1.
     """
     fe, ge = 2.0 * r * p, 2.0 * r * (1.0 - p)
-    if variant == "fg":
-        op2 = _abs_power(block.X, fe) + _abs_power(block.Y.conj().T, ge)
-        op1 = _abs_power(block.Y, fe) + _abs_power(block.X.conj().T, ge)
-    else:
-        op2 = _abs_power(block.X, fe) + _abs_power(block.Y.conj().T, fe)
-        op1 = _abs_power(block.Y, ge) + _abs_power(block.X.conj().T, ge)
-    return op2, op1
+    # X and Y* are both n1 x n2, Y and X* both n2 x n1: one stack each
+    exps2, exps1 = ([fe, ge], [fe, ge]) if variant == "fg" else ([fe, fe], [ge, ge])
+    x2, ys2 = _abs_powers([block.X, block.Y.conj().T], exps2)
+    y1, xs1 = _abs_powers([block.Y, block.X.conj().T], exps1)
+    return x2 + ys2, y1 + xs1
 
 
 def _psd_symbols(space, a):
@@ -398,11 +398,10 @@ def _ineq1(runs, block, params):
     p = float(params["p"])
     _require(s >= 1.0, "INEQ1 needs power h(t) = t^s with s >= 1")
     _require(0.0 <= p <= 1.0, "INEQ1 needs exponent p in [0, 1]")
-    rhs = 0.25 * numlin.operator_norm(
-        _abs_power(block.Y, 2 * p * s) + _abs_power(block.Y, 2 * (1 - p) * s)
-    ) + 0.25 * numlin.operator_norm(
-        _abs_power(block.X, 2 * p * s) + _abs_power(block.X, 2 * (1 - p) * s)
-    )
+    exps = [2 * p * s, 2 * (1 - p) * s]
+    y_f, y_g = _abs_powers([block.Y] * 2, exps)
+    x_f, x_g = _abs_powers([block.X] * 2, exps)
+    rhs = 0.25 * numlin.operator_norm(y_f + y_g) + 0.25 * numlin.operator_norm(x_f + x_g)
     return [cert(value**s, rhs, params=params, witness=wit)
             for cert, value, wit in _peaks(block, runs)]
 
@@ -424,7 +423,8 @@ def _c27(runs, block, params):
     _require_offdiag(block)
     _require_square(block)
     _require(np.array_equal(block.X, block.Y), "C27 needs Y = X")
-    combo = numlin.matrix_abs(block.X) + numlin.matrix_abs(block.X.conj().T)
+    abs_x, abs_xs = numlin.matrix_abs(np.stack([block.X, block.X.conj().T]))
+    combo = abs_x + abs_xs
     mid = 0.5 * rkhs.berezin_number(block.space1, combo)
     top = numlin.operator_norm(block.X)
     return [link for cert, value, wit in _peaks(block, runs)
@@ -465,18 +465,21 @@ def _t29(runs, block, params, *, tied=False):
             for cert, value, wit in _peaks(block, runs)]
 
 
+def _moduli(block):
+    """The stack |Y|, |X*|, |X|, |Y*| of a block with square X, Y."""
+    return numlin.matrix_abs(np.stack([block.Y, block.X.conj().T, block.X,
+                                       block.Y.conj().T]))
+
+
 def _t31(runs, block, params, *, tilted):
     _require_offdiag(block)
     _require_square(block)
     t = float(params["t"])
     _require(0.0 <= t <= 1.0, "T31/C34 need t in [0, 1]")
-    abs_x = numlin.matrix_abs(block.X)
-    abs_y = numlin.matrix_abs(block.Y)
-    abs_xs = numlin.matrix_abs(block.X.conj().T)
-    abs_ys = numlin.matrix_abs(block.Y.conj().T)
-    spow = partial(numlin.matrix_power_psd, support=True)
-    cross = 0.5 * (numlin.operator_norm(spow(abs_y, t) @ spow(abs_xs, 1.0 - t))
-                   + numlin.operator_norm(spow(abs_x, t) @ spow(abs_ys, 1.0 - t)))
+    y_t, xs_s, x_t, ys_s = numlin.matrix_power_psd(
+        _moduli(block), [t, 1.0 - t, t, 1.0 - t], support=True)
+    cross = 0.5 * (numlin.operator_norm(y_t @ xs_s)
+                   + numlin.operator_norm(x_t @ ys_s))
     if tilted:
         transform = blockops.aluthge_offdiag(block.X, block.Y, t,
                                              space1=block.space1, space2=block.space2)
@@ -491,11 +494,8 @@ def _t31(runs, block, params, *, tilted):
 def _c35(runs, block, params):
     _require_offdiag(block)
     _require_square(block)
-    spow = partial(numlin.matrix_power_psd, support=True)
-    half_x = spow(numlin.matrix_abs(block.X), 0.5)
-    half_y = spow(numlin.matrix_abs(block.Y), 0.5)
-    half_xs = spow(numlin.matrix_abs(block.X.conj().T), 0.5)
-    half_ys = spow(numlin.matrix_abs(block.Y.conj().T), 0.5)
+    half_y, half_xs, half_x, half_ys = numlin.matrix_power_psd(
+        _moduli(block), 0.5, support=True)
     rhs = (max(numlin.operator_norm(block.X), numlin.operator_norm(block.Y))
            + 0.5 * (numlin.operator_norm(half_x @ half_y)
                     + numlin.operator_norm(half_xs @ half_ys)))

@@ -286,6 +286,74 @@ def test_matrix_power_kernels_bit_for_bit():
                                       support_power_formula(a, p))
 
 
+def abs_formula(t):
+    """|T| written out for one matrix, as the pinned reports computed it."""
+    gram = t.conj().T @ t
+    w, q = np.linalg.eigh((gram + gram.conj().T) / 2.0)
+    out = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.conj().T
+    return (out + out.conj().T) / 2.0
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_spectral_stack_matches_per_slice_bit_for_bit():
+    # callers stack X with Y* and Y with X*; the adjoints are strided views
+    # when called one at a time and C-contiguous slices in a stack
+    rng = np.random.default_rng(71)
+    exponents = sorted({0.0, 0.5, 1.0, 2.0, *grid_exponents()})
+    shapes = [(n, n) for n in range(1, 17)] + [(1, 4), (3, 2), (5, 8), (12, 10)]
+    for n1, n2 in shapes:
+        x = cgauss(rng, (n1, n2))
+        y = np.outer(cgauss(rng, n2), cgauss(rng, n1).conj())  # rank one
+        ops = [x, y.conj().T, np.zeros((n1, n2), dtype=np.complex128)]
+        moduli = numlin.matrix_abs(np.stack(ops))
+        assert moduli.shape == (3, n2, n2)
+        for op, mod in zip(ops, moduli):
+            assert same_bits(mod, numlin.matrix_abs(op))
+            assert same_bits(mod, abs_formula(op))
+        for p in exponents:
+            mixed = [p, 0.5 * p, 2.0 * p]
+            for support, formula in ((False, full_power_formula),
+                                     (True, support_power_formula)):
+                for exps in ([p] * 3, mixed, p):
+                    powers = numlin.matrix_power_psd(moduli, exps, support=support)
+                    for mod, e, got in zip(moduli, np.broadcast_to(exps, 3), powers):
+                        e = float(e)
+                        assert same_bits(got, numlin.matrix_power_psd(mod, e, support=support))
+                        assert same_bits(got, formula(mod, e))
+
+
+def test_spectral_stack_error_paths():
+    good = np.diag([1.0, 2.0]).astype(np.complex128)
+    not_psd = np.diag([1.0, -1.0]).astype(np.complex128)
+    not_herm = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=np.complex128)
+    # a bad slice raises the error and message of the lone matrix
+    with pytest.raises(NotPSD) as lone:
+        numlin.matrix_power_psd(not_psd, 0.5)
+    with pytest.raises(NotPSD) as stacked:
+        numlin.matrix_power_psd(np.stack([good, not_psd, good]), 0.5)
+    assert str(stacked.value) == str(lone.value)
+    with pytest.raises(NotHermitian) as lone:
+        numlin.hermitian_eig(not_herm)
+    with pytest.raises(NotHermitian) as stacked:
+        numlin.hermitian_eig(np.stack([good, not_herm]))
+    assert str(stacked.value) == str(lone.value)
+    # a 2-d input is an unstacked call and gives 2-d results
+    assert numlin.hermitian_eig(good).eigenvalues.shape == (2,)
+    assert numlin.matrix_abs(good).shape == (2, 2)
+    assert numlin.apply_spectral_function(good, np.sqrt).shape == (2, 2)
+    assert numlin.matrix_power_psd(good, 0.5, support=True).shape == (2, 2)
+    # an exponent per slice, never broadcast from a wrong-length sequence
+    stack = np.stack([good, good, good])
+    for exps in ([0.5, 1.0], [0.5] * 4, [[0.5, 1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            numlin.matrix_power_psd(stack, exps)
+    with pytest.raises(ValueError):
+        numlin.matrix_power_psd(good, [0.5])
+
+
 # ---------------------------------------------------------------------------
 # polar decomposition
 

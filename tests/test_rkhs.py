@@ -84,6 +84,45 @@ def test_normalized_kernels_unit_norm():
             assert np.allclose(rkhs.normalized_kernel(sp, j), khat[:, j])
 
 
+def gram_by_pairs(family, points):
+    """The Gram matrix from the per-pair scalar kernel formula, one entry at
+    a time, as the pinned reports computed it."""
+    n = len(points)
+    sigma = family.params.get("sigma", 1.0)
+    gram = np.empty((n, n), dtype=np.complex128)
+    for i, z in enumerate(points):
+        for j, w in enumerate(points):
+            if family.tag == "identity":
+                gram[i, j] = 1.0 if z == w else 0.0
+            elif family.tag == "szego":
+                gram[i, j] = 1.0 / (1.0 - z * np.conj(w))
+            elif family.tag == "bergman":
+                gram[i, j] = 1.0 / (1.0 - z * np.conj(w)) ** 2
+            else:
+                gram[i, j] = math.exp(-((z - w) ** 2) / (2.0 * sigma**2))
+    return gram
+
+
+def test_gram_matches_per_pair_formula_bit_for_bit():
+    # 240 seeded draws; complex * and ** on arrays and np.exp each move
+    # last bits here
+    rng = np.random.default_rng(73)
+    families = (rkhs.KernelFamily("identity"), rkhs.KernelFamily("szego"),
+                rkhs.KernelFamily("bergman"), rkhs.KernelFamily("gaussian", {"sigma": 1.0}),
+                rkhs.KernelFamily("gaussian", {"sigma": 0.7}))
+    for n in range(1, 17):
+        for family in families:
+            for _ in range(3):
+                if family.tag == "gaussian":
+                    points = [float(x) for x in rng.normal(0.0, 2.0, n)]
+                else:  # the campaign's disk draw; identity ignores the values
+                    pts = 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+                    points = [complex(z) for z in pts]
+                got = family.gram(points)
+                want = gram_by_pairs(family, points)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_build_space_errors():
     fam = rkhs.KernelFamily("szego")
     with pytest.raises(DuplicatePoints):
