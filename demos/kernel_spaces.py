@@ -13,7 +13,7 @@ from berlab import (
     KernelFamily,
     ber_via_rotations,
     berezin_number,
-    berezin_symbol,
+    berezin_symbols,
     build_space,
     identity_space,
     operator_norm,
@@ -26,8 +26,8 @@ def main():
     print("== identity family: orthonormal kernels ==")
     sp = identity_space(3)
     a = np.diag([1.0, -2.0, 0.5])
-    for j in range(3):
-        print(f"  symbol at index {j}: {berezin_symbol(sp, a, j):.3f}")
+    for j, symbol in enumerate(berezin_symbols(sp, a)):
+        print(f"  symbol at index {j}: {symbol:.3f}")
     print(f"  ber = {berezin_number(sp, a):.3f}  (max diagonal modulus)")
 
     print("\n== szego kernel on two disk points ==")

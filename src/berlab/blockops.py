@@ -44,8 +44,6 @@ def offdiag_block(x, y, space1=None, space2=None):
     x = numlin.as_matrix(x)
     y = numlin.as_matrix(y)
     n1, n2 = x.shape
-    if y.shape != (n2, n1):
-        raise DimensionMismatch(f"Y is {y.shape}, expected {(n2, n1)}")
     space1 = space1 if space1 is not None else rkhs.identity_space(n1)
     space2 = space2 if space2 is not None else rkhs.identity_space(n2)
     zero1 = np.zeros((n1, n1), dtype=np.complex128)
@@ -103,9 +101,9 @@ def aluthge_general(t_mat, t):
     """Generalized Aluthge transform |T|^t U |T|^(1-t)."""
     if not 0.0 <= t <= 1.0:
         raise BadParams("aluthge exponent must lie in [0, 1]")
-    parts = numlin.polar_decompose(t_mat)
-    left, right = _support_power([parts.modulus] * 2, [t, 1.0 - t])
-    return left @ parts.isometry @ right
+    iso, modulus = numlin.polar_decompose(t_mat)
+    left, right = _support_power([modulus] * 2, [t, 1.0 - t])
+    return left @ iso @ right
 
 
 def aluthge_offdiag(x, y, t, space1=None, space2=None):
@@ -120,10 +118,10 @@ def aluthge_offdiag(x, y, t, space1=None, space2=None):
         raise DimensionMismatch("aluthge_offdiag needs square X, Y of equal size")
     if not 0.0 <= t <= 1.0:
         raise BadParams("aluthge exponent must lie in [0, 1]")
-    px = numlin.polar_decompose(x)
-    py = numlin.polar_decompose(y)
+    u, abs_x = numlin.polar_decompose(x)
+    v, abs_y = numlin.polar_decompose(y)
     y_t, x_s, x_t, y_s = _support_power(
-        [py.modulus, px.modulus, px.modulus, py.modulus], [t, 1.0 - t, t, 1.0 - t])
-    top = y_t @ px.isometry @ x_s
-    bottom = x_t @ py.isometry @ y_s
+        [abs_y, abs_x, abs_x, abs_y], [t, 1.0 - t, t, 1.0 - t])
+    top = y_t @ u @ x_s
+    bottom = x_t @ v @ y_s
     return offdiag_block(top, bottom, space1=space1, space2=space2)

@@ -77,10 +77,13 @@ def build_config(args):
     values = _read_config_file(args.config) if getattr(args, "config", None) else {}
     for key, _, field, parse in _SETTINGS:
         if key in values:
+            text = values.pop(key)
             try:
-                setattr(config, field, parse(values[key]))
+                setattr(config, field, parse(text))
             except ValueError as exc:
-                raise ConfigInvalid(f"bad config value {key} = {values[key]!r}") from exc
+                raise ConfigInvalid(f"bad config value {key} = {text!r}") from exc
+    if values:  # the first key no setting reads, in file order
+        raise ConfigInvalid(f"unknown config key {next(iter(values))!r}")
     for _, flag, field, parse in _SETTINGS:
         value = getattr(args, flag, None)
         if value is not None:
@@ -117,13 +120,13 @@ def cmd_verify(args):
               f"min_slack={least} [{status}]")
     print(f"gating failures: {report.gating_failures} "
           f"(wall time {report.wall_time_ms} ms)")
+    text = reporting.render(report, config.format)
     if config.out:
-        reporting.emit_report(report, config.format, config.out)
+        with open(config.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
         print(f"report written to {config.out}")
     else:
-        sys.stdout.write(reporting.dumps_json(report.to_dict())
-                         if config.format == "json"
-                         else reporting.report_csv(report))
+        sys.stdout.write(text)
     # a gating checker that evaluated no trial must not pass as green
     evaluated = {r["theorem_id"] for r in report.results if r["trials"] > 0}
     empty = [tid for tid in config.checkers() if tid not in evaluated and any(

@@ -10,7 +10,7 @@ import dataclasses
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,17 +30,6 @@ DEFAULT_FAMILIES = (
     rkhs.KernelFamily("gaussian", {"sigma": 1.0}),
 )
 
-DEFAULT_PARAM_GRID = {
-    "r": (1.0, 1.5, 2.0, 3.0),
-    "p": (0.0, 0.25, 0.5, 0.75, 1.0),
-    "t": (0.0, 0.25, 0.5, 0.75, 1.0),
-    "alpha": (0.0, 0.5, 1.0),
-    "nu": (0.0, 0.25, 0.5, 0.75, 1.0),
-    "m": (1, 2, 3),
-    "s": (1.0, 2.0),
-    "theta_grid": 720,
-}
-
 GATING = theorems.GATING
 
 SPACE_ATTEMPTS = 5     # point draws per space before IllConditioned
@@ -57,7 +46,6 @@ class CampaignConfig:
     trials_per_checker: int = 500
     dims: tuple = DEFAULT_DIMS
     kernel_families: tuple = DEFAULT_FAMILIES
-    param_grid: dict = field(default_factory=lambda: dict(DEFAULT_PARAM_GRID))
     checker_filter: tuple = ()
     check_tol: float = theorems.CHECK_TOL
     out: str = None
@@ -92,7 +80,7 @@ class CampaignConfig:
                 {"tag": f.tag, "params": dict(f.params)} for f in self.kernel_families
             ],
             "param_grid": {k: list(v) if isinstance(v, (tuple, list)) else v
-                           for k, v in sorted(self.param_grid.items())},
+                           for k, v in sorted(theorems.PARAM_GRID.items())},
             "checker_filter": list(self.checker_filter),
             "check_tol": self.check_tol,
             # a report field; every checker runs at check_tol
@@ -122,9 +110,9 @@ def _draw_operator(rng, kind, dim):
     if kind == "psd":
         return g.conj().T @ g
     if kind == "unitary":
-        return numlin.polar_decompose(g).isometry
+        return numlin.polar_decompose(g)[0]
     if kind == "partial_isometry":
-        u = numlin.polar_decompose(g).isometry
+        u = numlin.polar_decompose(g)[0]
         mask = rng.integers(0, 2, size=dim).astype(np.complex128)
         return u @ np.diag(mask)
     if kind == "contraction":
@@ -133,13 +121,6 @@ def _draw_operator(rng, kind, dim):
     if kind == "nilpotent":
         return np.triu(g, 1)
     raise BadParams(f"unknown operator kind {kind!r}")
-
-
-def generate_operator(kind, dim, seed):
-    """Deterministic random operator of a named ensemble."""
-    if dim < 1:
-        raise BadParams("dim must be >= 1")
-    return _draw_operator(np.random.default_rng(int(seed)), kind, dim)
 
 
 def _draw_rect(rng, kind, rows, cols):
@@ -201,7 +182,7 @@ def draw_trial(theorem_id, trial_seed, config):
         raise BadParams(f"unknown checker id {theorem_id!r}")
     shape = checker.shape
     rng = np.random.default_rng(int(trial_seed))
-    params = checker.sample(rng, config.param_grid)
+    params = checker.sample(rng)
     arrays, scalars, spaces = {}, {}, {}
 
     if shape == "pair":

@@ -6,7 +6,6 @@ norm, falling back to an absolute 1e-14 when the norm vanishes.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,22 +39,11 @@ def operator_norm(a):
     return float(np.linalg.norm(m, 2))
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix, or of a stack of them.
-
-    ``eigenvalues`` ascending, ``eigenvectors`` unitary with column j the
-    eigenvector of eigenvalue j; a stack carries its leading axes on both.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def hermitian_eig(a):
-    """Eigendecomposition of a (numerically) Hermitian matrix or stack, in one eigh.
+    """(w, q): ascending eigenvalues and unitary eigenvector columns of Hermitian A.
 
-    Raises NotHermitian when a slice has ||A - A*|| > HERM_TOL * ||A||.
+    One eigh for a matrix or a stack (..., n, n). Raises NotHermitian when
+    a slice has ||A - A*|| > HERM_TOL * ||A||.
     """
     m = as_matrix(a, stack=True)
     if m.shape[-2] != m.shape[-1]:
@@ -70,7 +58,7 @@ def hermitian_eig(a):
                 raise NotHermitian(
                     f"Hermitian defect {defect:.3e} exceeds tolerance {tol:.3e}")
     w, q = np.linalg.eigh(m)
-    return HermitianEigen(eigenvalues=w, eigenvectors=q)
+    return w, q
 
 
 def matrix_abs(t):
@@ -87,8 +75,7 @@ def apply_spectral_function(a, phi):
     maps the ascending eigenvalues, shape (..., n), to the new ones;
     anything more negative raises NotPSD.
     """
-    eig = hermitian_eig(a)
-    w = eig.eigenvalues
+    w, q = hermitian_eig(a)
     if w.size:
         # eigh sorts ascending, so the extremes sit at the two ends
         ends = w.reshape(-1, w.shape[-1])
@@ -98,7 +85,6 @@ def apply_spectral_function(a, phi):
             if lo < floor:
                 raise NotPSD(f"eigenvalue {lo:.3e} below {floor:.3e}")
     vals = np.asarray(phi(np.clip(w, 0.0, None)), dtype=np.float64)
-    q = eig.eigenvectors
     out = (q * vals[..., None, :]) @ q.conj().mT
     return (out + out.conj().mT) / 2.0
 
@@ -134,16 +120,8 @@ def matrix_power_psd(a, p, support=False):
     return apply_spectral_function(a, phi)
 
 
-@dataclass(frozen=True)
-class PolarParts:
-    """Polar factors T = U |T| with U a partial isometry."""
-
-    isometry: np.ndarray
-    modulus: np.ndarray
-
-
 def polar_decompose(t):
-    """Polar decomposition of a square matrix from its SVD.
+    """Polar factors (U, |T|) of a square matrix T = U |T|, from its SVD.
 
     Singular directions with sigma <= RANK_TOL * sigma_max are dropped from
     U, so ker U = ker |T| and U*U is the projection onto range(|T|).
@@ -157,7 +135,7 @@ def polar_decompose(t):
     iso = u[:, keep] @ vh[keep, :]
     modulus = (vh.conj().T * s) @ vh
     modulus = (modulus + modulus.conj().T) / 2.0
-    return PolarParts(isometry=iso, modulus=modulus)
+    return iso, modulus
 
 
 def re_rotation(a, theta):

@@ -85,13 +85,10 @@ def report_csv(report):
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report, fmt, path):
-    """Write a campaign report as JSON or CSV."""
+def render(report, fmt):
+    """A campaign report as JSON or CSV text."""
     if fmt == "json":
-        text = dumps_json(report.to_dict())
-    elif fmt == "csv":
-        text = report_csv(report)
-    else:
-        raise BadParams(f"unknown report format {fmt!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        return dumps_json(report.to_dict())
+    if fmt == "csv":
+        return report_csv(report)
+    raise BadParams(f"unknown report format {fmt!r}")

@@ -140,19 +140,6 @@ def identity_space(n):
     return build_space(KernelFamily("identity"), range(n))
 
 
-def normalized_kernel(space, j):
-    """Unit vector proportional to the kernel at point j."""
-    col = space.kernel_column(j)
-    return col / np.linalg.norm(col)
-
-
-def berezin_symbol(space, a, j):
-    """<A k_j, k_j> for the normalized kernel at point j."""
-    a = space.check_operator(a)
-    k = normalized_kernel(space, j)
-    return complex(k.conj() @ (a @ k))
-
-
 def berezin_symbols(space, a):
     """All Berezin symbols of A at once, as a length-dim complex array.
 

@@ -200,7 +200,7 @@ def _t311_combo(t_mat, r, p, q, e):
 
 
 def _l21c(cert, space, t_mat, params, extras):
-    grid = int(params.get("theta_grid", 720))
+    grid = int(params.get("theta_grid", PARAM_GRID["theta_grid"]))
     _require(grid >= 4, "L21c needs theta_grid >= 4")
     ber, j = rkhs.berezin_peak(space, t_mat)
     grid_sup = rkhs.ber_via_rotations(space, t_mat, grid)
@@ -263,7 +263,7 @@ def _t312(cert, space, t_mat, params, extras, *, statement):
 def _t32(cert, space, t_mat, params, extras):
     t = float(params["t"])
     _require(0.0 <= t <= 1.0, "T32 needs t in [0, 1]")
-    modulus = numlin.polar_decompose(t_mat).modulus
+    _, modulus = numlin.polar_decompose(t_mat)
     ber, j = rkhs.berezin_peak(space, t_mat)
     p2t, p2s = numlin.matrix_power_psd(np.stack([modulus, modulus]),
                                        [2.0 * t, 2.0 * (1.0 - t)], support=True)
@@ -526,6 +526,19 @@ def _t36(runs, block, params, *, swap=False):
 # ---------------------------------------------------------------------------
 # the registry
 
+# the values each sampled parameter is drawn from; a report echoes them
+PARAM_GRID = {
+    "r": (1.0, 1.5, 2.0, 3.0),
+    "p": (0.0, 0.25, 0.5, 0.75, 1.0),
+    "t": (0.0, 0.25, 0.5, 0.75, 1.0),
+    "alpha": (0.0, 0.5, 1.0),
+    "nu": (0.0, 0.25, 0.5, 0.75, 1.0),
+    "m": (1, 2, 3),
+    "s": (1.0, 2.0),
+    "theta_grid": 720,
+}
+
+
 def choice(rng, seq):
     """One uniformly drawn element of ``seq``."""
     return seq[int(rng.integers(len(seq)))]
@@ -533,18 +546,19 @@ def choice(rng, seq):
 
 def _grid(*names):
     """Sampler drawing each named parameter from its grid, in this order."""
-    return lambda rng, grid: {name: choice(rng, grid[name]) for name in names}
+    return lambda rng: {name: choice(rng, PARAM_GRID[name]) for name in names}
 
 
-def _sample_i38(rng, grid):
+def _sample_i38(rng):
     p, q = choice(rng, CONJUGATE_PAIRS)
-    return {"p": p, "q": q, "r": choice(rng, grid["r"])}
+    return {"p": p, "q": q, "r": choice(rng, PARAM_GRID["r"])}
 
 
-def _sample_t311(rng, grid):
+def _sample_t311(rng):
     p, q = choice(rng, CONJUGATE_PAIRS)
-    valid_r = [r for r in grid["r"] if q * r >= 2.0 - 1e-12]
-    return {"p": p, "q": q, "r": choice(rng, valid_r), "e": choice(rng, grid["p"])}
+    valid_r = [r for r in PARAM_GRID["r"] if q * r >= 2.0 - 1e-12]
+    return {"p": p, "q": q, "r": choice(rng, valid_r),
+            "e": choice(rng, PARAM_GRID["p"])}
 
 
 @dataclass(frozen=True)
@@ -557,7 +571,7 @@ class Checker:
     ("diag", "offdiag", "tied_square", "offdiag_square", "full").
     ``extras`` are further (name, "vector" | "operator" | "complex")
     operands drawn after T; a complex one becomes params name_re, name_im.
-    ``sample(rng, param_grid)`` draws the params before any operand.
+    ``sample(rng)`` draws the params from ``PARAM_GRID`` before any operand.
     ``runs`` holds the (convention, mode) of each evaluation of a draw.
     ``evaluate`` has any variant keywords of its function already bound.
     """
@@ -582,12 +596,12 @@ _JOINT_GATED = (("joint", GATING), ("pair", INFORMATIONAL))
 
 CHECKERS = {
     "YOUNG2": Checker("pair", _young2,
-                      lambda rng, grid: {"m": int(choice(rng, grid["m"]))}),
+                      lambda rng: {"m": int(choice(rng, PARAM_GRID["m"]))}),
     "I37": Checker("pair", _i37, _grid("nu", "r")),
     "I38": Checker("pair", _i38, _sample_i38),
     "S310": Checker("vectors", _s310),
     "L21c": Checker("operator", _l21c,
-                    lambda rng, grid: {"theta_grid": int(grid["theta_grid"])}),
+                    lambda rng: {"theta_grid": PARAM_GRID["theta_grid"]}),
     "P39": Checker("operator", partial(_p39_r310, chain=False), _grid("r")),
     "R310": Checker("operator", partial(_p39_r310, chain=True), _grid("r")),
     "T311_proof": Checker("operator", partial(_t311, statement=False), _sample_t311),
@@ -601,7 +615,7 @@ CHECKERS = {
     "R33": Checker("operator", _r33),
     "L22a": Checker("psd", partial(_l22, convex=True), _grid("r")),
     "L22b": Checker("psd", partial(_l22, convex=False),
-                    lambda rng, grid: {"r": 1.0 / choice(rng, grid["r"])}),
+                    lambda rng: {"r": 1.0 / choice(rng, PARAM_GRID["r"])}),
     "L23": Checker("operator", _l23, _grid("p"),
                    extras=(("x", "vector"), ("y", "vector"))),
     "BER_HOM": Checker("operator", _ber_hom, extras=(("alpha", "complex"),)),

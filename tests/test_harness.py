@@ -25,39 +25,41 @@ def small_config(**kw):
 # operator ensembles
 
 
-def test_generate_operator_deterministic():
-    a = harness.generate_operator("ginibre", 4, 99)
-    b = harness.generate_operator("ginibre", 4, 99)
+def draw_operator(kind, dim, seed):
+    return harness._draw_operator(np.random.default_rng(seed), kind, dim)
+
+
+def test_draw_operator_deterministic():
+    a = draw_operator("ginibre", 4, 99)
+    b = draw_operator("ginibre", 4, 99)
     assert np.array_equal(a, b)
-    c = harness.generate_operator("ginibre", 4, 100)
+    c = draw_operator("ginibre", 4, 100)
     assert not np.array_equal(a, c)
 
 
 def test_ensemble_contracts():
     for seed in range(8):
-        psd = harness.generate_operator("psd", 4, seed)
+        psd = draw_operator("psd", 4, seed)
         w = np.linalg.eigvalsh((psd + psd.conj().T) / 2.0)
         assert w.min() >= -1e-12 * max(1.0, w.max())
 
-        u = harness.generate_operator("unitary", 4, seed)
+        u = draw_operator("unitary", 4, seed)
         assert numlin.operator_norm(u.conj().T @ u - np.eye(4)) <= 1e-10
 
-        v = harness.generate_operator("partial_isometry", 4, seed)
+        v = draw_operator("partial_isometry", 4, seed)
         assert numlin.operator_norm(v @ v.conj().T @ v - v) <= 1e-9
 
-        k = harness.generate_operator("contraction", 4, seed)
+        k = draw_operator("contraction", 4, seed)
         assert numlin.operator_norm(k) <= 1.0 + 1e-12
 
-        n = harness.generate_operator("nilpotent", 4, seed)
+        n = draw_operator("nilpotent", 4, seed)
         assert np.count_nonzero(np.tril(n)) == 0
 
-        h = harness.generate_operator("hermitian", 4, seed)
+        h = draw_operator("hermitian", 4, seed)
         assert numlin.operator_norm(h - h.conj().T) <= 1e-14
 
     with pytest.raises(BadParams):
-        harness.generate_operator("cauchy", 3, 0)
-    with pytest.raises(BadParams):
-        harness.generate_operator("ginibre", 0, 0)
+        draw_operator("cauchy", 3, 0)
 
 
 def test_trial_seed_derivation():
@@ -222,15 +224,12 @@ def test_csv_shape():
     assert any(row.startswith("C27#2,") for row in lines[1:])
 
 
-def test_emit_report_files(tmp_path):
+def test_render_formats():
     rep = harness.run_campaign(small_config(checker_filter=("YOUNG2",)))
-    jpath, cpath = tmp_path / "r.json", tmp_path / "r.csv"
-    report.emit_report(rep, "json", str(jpath))
-    report.emit_report(rep, "csv", str(cpath))
-    assert json.loads(jpath.read_text())["version"] == rep.version
-    assert cpath.read_text().count("\n") >= 2
+    assert json.loads(report.render(rep, "json"))["version"] == rep.version
+    assert report.render(rep, "csv").count("\n") >= 2
     with pytest.raises(BadParams):
-        report.emit_report(rep, "yaml", str(tmp_path / "r.yaml"))
+        report.render(rep, "yaml")
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +295,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     nan_tol.write_text("check_tol = nan\n")
     no_ids = tmp_path / "no_ids.cfg"
     no_ids.write_text("theorems =\n")
+    # "trials" is a flag name, not a config key: it must not be ignored
+    unknown_key = tmp_path / "unknown_key.cfg"
+    unknown_key.write_text("trials = 2\ntheorems = YOUNG2\n")
     assert cli.main(["verify", "--theorems", "NOPE"]) == cli.EXIT_CONFIG
     assert cli.main(["verify", "--dims", "bogus"]) == cli.EXIT_CONFIG
     assert cli.main(["case", "--theorem", "L21b"]) == cli.EXIT_CONFIG  # no seed
@@ -313,11 +315,13 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert cli.main(["verify", "--theorems", ","]) == cli.EXIT_CONFIG
     assert cli.main(["verify", "--theorems", ""]) == cli.EXIT_CONFIG
     assert cli.main(["verify", "--config", str(no_ids)]) == cli.EXIT_CONFIG
+    assert cli.main(["verify", "--config", str(unknown_key)]) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""  # rejected before any trial ran or report printed
     err = captured.err
     assert "Traceback" not in err
     assert all(line.startswith("error: ") for line in err.splitlines())
+    assert err.splitlines()[-1] == "error: unknown config key 'trials'"
 
 
 def test_cli_verify_without_evaluated_trials_exits_2(capsys):
