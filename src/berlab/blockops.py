@@ -77,15 +77,20 @@ def ber_block(block, conv):
     """Berezin functional of a block operator under a named convention.
 
     Returns (value, (j1, j2)), the peak and the kernel pair attaining it.
+    For a tuple of conventions it returns one such pair per convention, in
+    order, all read off one kernel-pair grid.
     """
-    if conv not in CONVENTIONS:
-        raise BadParams(f"unknown convention {conv!r}")
+    convs = conv if isinstance(conv, tuple) else (conv,)
+    for c in convs:
+        if c not in CONVENTIONS:
+            raise BadParams(f"unknown convention {c!r}")
     vals = np.abs(_pair_values(block))
     j1, j2 = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    value = float(vals[j1, j2])
-    if conv == "joint":
-        value = value / 2.0
-    return value, (int(j1), int(j2))
+    pair = float(vals[j1, j2])
+    # the joint convention halves the pair peak at the same kernel pair
+    peaks = [(pair / 2.0 if c == "joint" else pair, (int(j1), int(j2)))
+             for c in convs]
+    return peaks if isinstance(conv, tuple) else peaks[0]
 
 
 def _support_power(moduli, exps):

@@ -1,6 +1,7 @@
 """Command line interface: verify / explore / case."""
 
 import argparse
+import contextlib
 import sys
 
 from . import harness, report as reporting, rkhs, theorems
@@ -106,27 +107,26 @@ def _add_common(parser):
 
 def cmd_verify(args):
     config = build_config(args)
-    report = harness.run_campaign(config)
-    for result in report.results:
-        label = reporting.result_label(result)
-        conv = result["convention"] or "-"
-        least = result["min_slack"]
-        if least is None:  # no evaluated trial: neither held nor failed
-            status, least = "n/a", "n/a"
-        else:
-            status, least = "FAIL" if result["failures"] else "ok", f"{least:+.3e}"
-        print(f"{label:12s} {conv:6s} {result['mode']:13s} "
-              f"trials={result['trials']:4d} failures={result['failures']:3d} "
-              f"min_slack={least} [{status}]")
-    print(f"gating failures: {report.gating_failures} "
-          f"(wall time {report.wall_time_ms} ms)")
-    text = reporting.render(report, config.format)
+    # --out is opened first, so an unwritable path fails before the campaign
+    with (open(config.out, "w", encoding="utf-8") if config.out
+          else contextlib.nullcontext(sys.stdout)) as out:
+        report = harness.run_campaign(config)
+        for result in report.results:
+            label = reporting.result_label(result)
+            conv = result["convention"] or "-"
+            least = result["min_slack"]
+            if least is None:  # no evaluated trial: neither held nor failed
+                status, least = "n/a", "n/a"
+            else:
+                status, least = "FAIL" if result["failures"] else "ok", f"{least:+.3e}"
+            print(f"{label:12s} {conv:6s} {result['mode']:13s} "
+                  f"trials={result['trials']:4d} failures={result['failures']:3d} "
+                  f"min_slack={least} [{status}]")
+        print(f"gating failures: {report.gating_failures} "
+              f"(wall time {report.wall_time_ms} ms)")
+        out.write(reporting.render(report, config.format))
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
         print(f"report written to {config.out}")
-    else:
-        sys.stdout.write(text)
     # a gating checker that evaluated no trial must not pass as green
     evaluated = {r["theorem_id"] for r in report.results if r["trials"] > 0}
     empty = [tid for tid in config.checkers() if tid not in evaluated and any(

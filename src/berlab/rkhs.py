@@ -7,6 +7,7 @@ exact maximum over the finite point set, which is the whole index set of
 the model by construction.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -85,6 +86,9 @@ class KernelSpace:
     _khat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # read-only arrays, so that a shared space cannot be mutated
+        self.gram.flags.writeable = False
+        self.chart.flags.writeable = False
         norms = np.sqrt(np.einsum("ij,ij->j", self.chart.conj(), self.chart).real)
         khat = self.chart / norms[None, :]
         khat.flags.writeable = False
@@ -135,8 +139,9 @@ def build_space(family, points):
     return KernelSpace(points=points, gram=gram, chart=chart)
 
 
+@functools.lru_cache(maxsize=32)
 def identity_space(n):
-    """Orthonormal-kernel space on n abstract indices."""
+    """Orthonormal-kernel space on n abstract indices, built once per n."""
     return build_space(KernelFamily("identity"), range(n))
 
 

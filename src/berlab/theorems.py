@@ -188,8 +188,26 @@ def _s310(cert, params, inputs):
 # single-operator checkers: evaluate(cert, space, T, params, extras)
 
 def _abs_powers(ops, exps):
-    """|A_k|^{p_k} for each operator A_k of a list of equally shaped ones."""
-    return numlin.matrix_power_psd(numlin.matrix_abs(np.stack(ops)), exps)
+    """|A_k|^{p_k} for each operator A_k, in input order.
+
+    Operands of one shape share one modulus stack and one power stack; an
+    operand listed more than once (the same object) has its modulus taken once.
+    """
+    out = [None] * len(ops)
+    by_shape = {}
+    for k, op in enumerate(ops):
+        by_shape.setdefault(op.shape, []).append(k)
+    for ks in by_shape.values():
+        distinct = []
+        for k in ks:
+            if not any(op is ops[k] for op in distinct):
+                distinct.append(ops[k])
+        slots = [next(i for i, op in enumerate(distinct) if op is ops[k]) for k in ks]
+        moduli = numlin.matrix_abs(np.stack(distinct))
+        powers = numlin.matrix_power_psd(moduli[slots], [exps[k] for k in ks])
+        for k, power in zip(ks, powers):
+            out[k] = power
+    return out
 
 
 def _t311_combo(t_mat, r, p, q, e):
@@ -331,9 +349,9 @@ def _ber_norm(cert, space, t_mat, params, extras):
 # block checkers: evaluate(runs, block, params), where runs holds
 # one (convention, certificate factory) pair per run of the draw. Operands
 # and right sides do not depend on the convention, so each evaluate function
-# computes them once per draw and only the Berezin peak once per run. The
-# certificates come back in run order: aggregation and explore break ties
-# by that order.
+# computes them once per draw, and one kernel-pair grid gives every run its
+# Berezin peak. The certificates come back in run order: aggregation and
+# explore break ties by that order.
 
 def _require_offdiag(block):
     _require(np.count_nonzero(block.S) == 0 and np.count_nonzero(block.R) == 0,
@@ -351,9 +369,12 @@ def _require_square(block):
 
 
 def _peaks(block, runs):
-    """(certificate factory, Berezin value, witness) of each run, in run order."""
-    for conv, cert in runs:
-        value, (j1, j2) = blockops.ber_block(block, conv)
+    """(certificate factory, Berezin value, witness) of each run, in run order.
+
+    One kernel-pair grid serves every run's convention.
+    """
+    peaks = blockops.ber_block(block, tuple(conv for conv, _ in runs))
+    for (_, cert), (value, (j1, j2)) in zip(runs, peaks):
         yield cert, value, {"j1": j1, "j2": j2}
 
 
@@ -365,10 +386,11 @@ def _t24_operands(block, r, p, variant):
     First operand acts on space2, second on space1.
     """
     fe, ge = 2.0 * r * p, 2.0 * r * (1.0 - p)
-    # X and Y* are both n1 x n2, Y and X* both n2 x n1: one stack each
-    exps2, exps1 = ([fe, ge], [fe, ge]) if variant == "fg" else ([fe, fe], [ge, ge])
-    x2, ys2 = _abs_powers([block.X, block.Y.conj().T], exps2)
-    y1, xs1 = _abs_powers([block.Y, block.X.conj().T], exps1)
+    # X and Y* are both n1 x n2, Y and X* both n2 x n1: one stack for all
+    # four when n1 = n2, else one per pair
+    exps = [fe, ge, fe, ge] if variant == "fg" else [fe, fe, ge, ge]
+    x2, ys2, y1, xs1 = _abs_powers(
+        [block.X, block.Y.conj().T, block.Y, block.X.conj().T], exps)
     return x2 + ys2, y1 + xs1
 
 
@@ -399,8 +421,7 @@ def _ineq1(runs, block, params):
     _require(s >= 1.0, "INEQ1 needs power h(t) = t^s with s >= 1")
     _require(0.0 <= p <= 1.0, "INEQ1 needs exponent p in [0, 1]")
     exps = [2 * p * s, 2 * (1 - p) * s]
-    y_f, y_g = _abs_powers([block.Y] * 2, exps)
-    x_f, x_g = _abs_powers([block.X] * 2, exps)
+    y_f, y_g, x_f, x_g = _abs_powers([block.Y, block.Y, block.X, block.X], exps + exps)
     rhs = 0.25 * numlin.operator_norm(y_f + y_g) + 0.25 * numlin.operator_norm(x_f + x_g)
     return [cert(value**s, rhs, params=params, witness=wit)
             for cert, value, wit in _peaks(block, runs)]

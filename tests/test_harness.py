@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from berlab import cli, harness, numlin, report, theorems
+from berlab import blockops, cli, harness, numlin, report, theorems
 from berlab.errors import BadParams, ConfigInvalid
 
 
@@ -286,7 +286,18 @@ def test_cli_explore_and_case(capsys):
     assert certs and certs[0]["theorem_id"] == "L21b"
 
 
-def test_cli_error_exit_codes(tmp_path, capsys):
+def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
+    campaigns = []
+    run_campaign = harness.run_campaign
+    monkeypatch.setattr(harness, "run_campaign",
+                        lambda config: campaigns.append(config) or run_campaign(config))
+    # an unwritable --out fails before any trial runs, not after the campaign
+    unwritable = tmp_path / "no_such_dir" / "r.json"
+    assert cli.main(["verify", "--theorems", "YOUNG2", "--trials", "2",
+                     "--out", str(unwritable)]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
     bad_seed = tmp_path / "bad.cfg"
     bad_seed.write_text("master_seed = abc\n")
     binary = tmp_path / "binary.cfg"
@@ -322,6 +333,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert "Traceback" not in err
     assert all(line.startswith("error: ") for line in err.splitlines())
     assert err.splitlines()[-1] == "error: unknown config key 'trials'"
+    assert campaigns == []
 
 
 def test_cli_verify_without_evaluated_trials_exits_2(capsys):
@@ -349,14 +361,21 @@ def test_cli_verify_without_evaluated_trials_exits_2(capsys):
         "T24a,joint,0,0,,,", "T24a,pair,0,0,,,"]
 
 
+# (checker, trial index under small_config(), X shape, calls per draw): one
+# modulus stack per operand shape, one kernel-pair grid and one input digest
+# for all of a draw's runs
+BLOCK_DRAW_CALLS = (
+    ("T24a", 0, (2, 2), {"matrix_abs": 1, "ber_block": 1, "digest_inputs": 1}),
+    ("T24a", 3, (3, 2), {"matrix_abs": 2, "ber_block": 1, "digest_inputs": 1}),
+    ("INEQ1", 0, (2, 2), {"matrix_abs": 1, "ber_block": 1, "digest_inputs": 1}),
+)
+
+
 def test_block_draw_evaluates_shared_operands_once(monkeypatch):
-    # T24a's pair and joint runs share the four moduli of X, Y, X*, Y* and
-    # the input digest; each is computed once per draw, not once per run,
-    # and the moduli in two stacks: X with Y*, Y with X*
+    # the pair and joint runs share the moduli of X, Y*, Y, X* (INEQ1: of
+    # Y and X, each listed twice), the Berezin grid and the input digest
     config = small_config()
-    seed = harness.derive_trial_seed(config.master_seed, "T24a", 0)
-    draw = harness.draw_trial("T24a", seed, config)
-    calls = {"matrix_abs": 0, "digest_inputs": 0}
+    calls = {}
 
     def count(module, name):
         inner = getattr(module, name)
@@ -367,11 +386,17 @@ def test_block_draw_evaluates_shared_operands_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(numlin, "matrix_abs")
+    count(blockops, "ber_block")
     count(theorems, "digest_inputs")
-    certs = harness.evaluate_draw(draw, config)
-    assert [(c.convention, c.mode) for c in certs] == list(
-        theorems.CHECKERS["T24a"].runs)
-    assert calls == {"matrix_abs": 2, "digest_inputs": 1}
+    for tid, index, x_shape, expected in BLOCK_DRAW_CALLS:
+        seed = harness.derive_trial_seed(config.master_seed, tid, index)
+        draw = harness.draw_trial(tid, seed, config)
+        assert draw.arrays["X"].shape == x_shape
+        calls.update(dict.fromkeys(expected, 0))
+        certs = harness.evaluate_draw(draw, config)
+        assert [(c.convention, c.mode) for c in certs] == list(
+            theorems.CHECKERS[tid].runs)
+        assert calls == expected, (tid, index)
 
 
 def test_cli_violation_exit_code(capsys):

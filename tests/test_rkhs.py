@@ -53,6 +53,11 @@ def test_identity_space():
     sp = rkhs.identity_space(3)
     assert np.allclose(sp.gram, np.eye(3))
     assert np.allclose(sp.chart.conj().T @ sp.chart, np.eye(3))
+    # built once per n and shared, so none of its arrays can be written
+    assert rkhs.identity_space(3) is sp
+    for arr in (sp.gram, sp.chart, sp.normalized_chart()):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 2.0
 
 
 def test_szego_gram_by_hand():

@@ -353,6 +353,53 @@ def test_block_runs_match_per_run_check_block(tid):
         assert at_once == per_run
 
 
+def test_block_runs_read_each_convention_off_ber_block():
+    # each run's peak and witness are ber_block's under that run's own
+    # convention, whatever the run order, on square and rectangular blocks
+    rng = np.random.default_rng(61)
+    orders = ((("pair", theorems.GATING), ("joint", theorems.INFORMATIONAL)),
+              (("joint", theorems.GATING), ("pair", theorems.INFORMATIONAL)))
+    for i in range(20):
+        n1 = int(rng.integers(1, 5))
+        n2 = n1 if i % 2 == 0 else n1 % 4 + 1
+        family = harness.DEFAULT_FAMILIES[int(rng.integers(3))]
+        blk = blockops.offdiag_block(cgauss(rng, (n1, n2)), cgauss(rng, (n2, n1)),
+                                     space1=harness.draw_space(rng, family, n1),
+                                     space2=harness.draw_space(rng, family, n2))
+        for runs in orders:
+            certs = theorems.check_block_runs("L21b", blk, {}, runs)
+            assert [c.convention for c in certs] == [conv for conv, _ in runs]
+            for (conv, _), cert in zip(runs, certs):
+                value, (j1, j2) = blockops.ber_block(blk, conv)
+                assert cert.lhs == value
+                assert cert.witness == {"j1": j1, "j2": j2}
+
+
+def test_check_block_rejects_unknown_convention():
+    blk = offdiag(np.eye(2), np.eye(2))
+    for conv in ("directsum", "diag", None):
+        with pytest.raises(BadParams):
+            theorems.check_block("T24a", blk, conv, {"r": 1.0, "p": 0.5})
+
+
+def test_abs_powers_match_per_operand_bit_for_bit():
+    # one modulus stack per operand shape and one modulus per repeated
+    # operand give the bits of one matrix_abs and one power per operand
+    rng = np.random.default_rng(67)
+    exponents = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 0.75, 4.0 / 3.0)
+    for n1, n2 in ((1, 1), (2, 2), (3, 2), (2, 3), (4, 4), (1, 4)):
+        x = cgauss(rng, (n1, n2))
+        y = np.outer(cgauss(rng, n2), cgauss(rng, n1).conj())  # rank one
+        zero = np.zeros((n1, n2), dtype=np.complex128)
+        ops = [x, y.conj().T, y, x.conj().T, zero, x, y, x]
+        exps = [exponents[(k + n1) % len(exponents)] for k in range(len(ops))]
+        got = theorems._abs_powers(ops, exps)
+        assert len(got) == len(ops)
+        for op, e, power in zip(ops, exps, got):
+            want = numlin.matrix_power_psd(numlin.matrix_abs(op), e)
+            assert power.shape == want.shape and power.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # certificates
 
