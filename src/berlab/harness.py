@@ -224,6 +224,8 @@ def draw_trial(theorem_id, trial_seed, config):
         elif shape != "diag":
             arrays["X"] = _draw_rect(rng, kind, n1, n2)
             arrays["Y"] = _draw_rect(rng, _choice(rng, OPERATOR_KINDS), n2, n1)
+    for a in arrays.values():  # certificates digest them when first read
+        a.flags.writeable = False
     return TrialDraw(theorem_id=theorem_id, trial_seed=int(trial_seed),
                      params=params, arrays=arrays, scalars=scalars,
                      spaces=spaces)
@@ -372,21 +374,17 @@ def _worst_cert(certs):
 
 
 def _perturb(draw, rng, step):
-    """Gaussian bump of one coordinate of one free operand."""
-    out = dataclasses.replace(
-        draw,
-        arrays={k: v.copy() for k, v in draw.arrays.items()},
-        scalars=dict(draw.scalars),
-    )
-    names = sorted(out.arrays) + sorted(out.scalars)
-    name = _choice(rng, names)
-    if name in out.arrays:
-        arr = out.arrays[name]
+    """Gaussian bump of one coordinate of one free operand, in a read-only copy."""
+    arrays, scalars = dict(draw.arrays), dict(draw.scalars)
+    name = _choice(rng, sorted(arrays) + sorted(scalars))
+    if name in arrays:
+        arr = arrays[name] = arrays[name].copy()
         idx = tuple(int(rng.integers(s)) for s in arr.shape)
         arr[idx] += step * complex(_complex_gaussian(rng, ()))
+        arr.flags.writeable = False
     else:
-        out.scalars[name] = abs(out.scalars[name] + step * rng.standard_normal())
-    return out
+        scalars[name] = abs(scalars[name] + step * rng.standard_normal())
+    return dataclasses.replace(draw, arrays=arrays, scalars=scalars)
 
 
 def explore(config, theorem_id, budget):

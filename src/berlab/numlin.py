@@ -36,7 +36,8 @@ def operator_norm(a):
     m = as_matrix(a)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    # np.linalg.norm(m, 2) without its wrapping: the same singular values
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def hermitian_eig(a):

@@ -55,17 +55,24 @@ class Certificate:
     holds: bool
     mode: str = GATING
     witness: dict = field(default_factory=dict)
-    input_digest: str = ""
+    # last field: a draw's shared _bound_digest, which to_dict writes as input_digest
+    digest: Callable = field(default=None, repr=False, compare=False)
+
+    @property
+    def input_digest(self):
+        """Hex digest of the inputs, computed on its first read."""
+        return self.digest() if self.digest else ""
 
     def to_dict(self):
         # params and witness hold only scalars, so shallow copies suffice
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d = {f.name: getattr(self, f.name) for f in fields(self)[:-1]}
         d["params"], d["witness"] = dict(self.params), dict(self.witness)
+        d["input_digest"] = self.input_digest
         return d
 
 
 def make_certificate(theorem_id, lhs, rhs, *, params=None, witness=None,
-                     convention=None, mode=GATING, digest="",
+                     convention=None, mode=GATING, digest=None,
                      check_tol=CHECK_TOL, equality=False):
     """Certificate of lhs <= rhs, or of lhs == rhs when ``equality`` is set."""
     lhs = float(lhs)
@@ -84,7 +91,7 @@ def make_certificate(theorem_id, lhs, rhs, *, params=None, witness=None,
         convention=convention,
         params=dict(params or {}),
         witness=dict(witness or {}),
-        input_digest=digest,
+        digest=digest,
     )
 
 
@@ -99,6 +106,16 @@ def digest_inputs(*items):
         else:
             h.update(json.dumps(item, sort_keys=True, default=str).encode())
     return h.hexdigest()
+
+
+def _bound_digest(*items):
+    """digest_inputs(*items), hashed on the first call only: keep arrays unchanged."""
+    memo = []
+    def digest():
+        if not memo:
+            memo.append(digest_inputs(*items))
+        return memo[0]
+    return digest
 
 
 def _inner(u, v):
@@ -140,7 +157,7 @@ def _young2(cert, params, inputs):
     lhs = math.sqrt(a * b) ** m + 0.5**m * (a ** (m / 2.0) - b ** (m / 2.0)) ** 2
     rhs = 2.0**-m * (a + b) ** m
     return [cert(lhs, rhs, params={"m": m}, witness={"a": a, "b": b},
-                 digest=digest_inputs(a, b, m))]
+                 digest=_bound_digest(a, b, m))]
 
 
 def _i37(cert, params, inputs):
@@ -153,7 +170,7 @@ def _i37(cert, params, inputs):
     ari = nu * a + (1.0 - nu) * b
     pow_mean = (nu * a**r + (1.0 - nu) * b**r) ** (1.0 / r)
     return _chain(cert, (geo, ari, pow_mean), {"nu": nu, "r": r},
-                  witness={"a": a, "b": b}, digest=digest_inputs(a, b, nu, r))
+                  witness={"a": a, "b": b}, digest=_bound_digest(a, b, nu, r))
 
 
 def _i38(cert, params, inputs):
@@ -165,7 +182,7 @@ def _i38(cert, params, inputs):
     young = a**p / p + b**q / q
     outer = (a ** (p * r) / p + b ** (q * r) / q) ** (1.0 / r)
     return _chain(cert, (a * b, young, outer), {"p": p, "q": q, "r": r},
-                  witness={"a": a, "b": b}, digest=digest_inputs(a, b, p, q, r))
+                  witness={"a": a, "b": b}, digest=_bound_digest(a, b, p, q, r))
 
 
 def _s310(cert, params, inputs):
@@ -181,7 +198,7 @@ def _s310(cert, params, inputs):
     lhs = abs(ab - ae * eb) + abs(ae * eb)
     rhs = float(np.linalg.norm(a) * np.linalg.norm(b))
     return [cert(lhs, rhs, params={}, witness={"dim": int(a.shape[0])},
-                 digest=digest_inputs(a, b, e))]
+                 digest=_bound_digest(a, b, e))]
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +338,7 @@ def _l23(cert, space, t_mat, params, extras):
     f2, g2 = _abs_powers([t_mat, t_mat.conj().T], [2.0 * p, 2.0 * (1.0 - p)])
     rhs = ((np.conj(x) @ (f2 @ x)).real * (np.conj(y) @ (g2 @ y)).real)
     return [cert(lhs, rhs, params={"p": p}, witness={},
-                 digest=digest_inputs(t_mat, x, y, dict(params)))]
+                 digest=_bound_digest(t_mat, x, y, dict(params)))]
 
 
 def _ber_hom(cert, space, t_mat, params, extras):
@@ -337,7 +354,7 @@ def _ber_sub(cert, space, t_mat, params, extras):
     lhs = rkhs.berezin_number(space, t_mat + b_mat)
     rhs = rkhs.berezin_number(space, t_mat) + rkhs.berezin_number(space, b_mat)
     return [cert(lhs, rhs, params={}, witness={},
-                 digest=digest_inputs(t_mat, b_mat, space.gram))]
+                 digest=_bound_digest(t_mat, b_mat, space.gram))]
 
 
 def _ber_norm(cert, space, t_mat, params, extras):
@@ -685,7 +702,7 @@ def _factory(theorem_id, run, digest, check_tol):
 def check_scalar(theorem_id, params, inputs, check_tol=CHECK_TOL):
     """Scalar / vector inequality checkers. Returns a list of Certificates."""
     checker = _lookup(theorem_id, SCALAR)
-    cert = _factory(theorem_id, checker.runs[0], "", check_tol)
+    cert = _factory(theorem_id, checker.runs[0], None, check_tol)
     return checker.evaluate(cert, params, inputs)
 
 
@@ -693,7 +710,7 @@ def check_single(theorem_id, space, t_mat, params, extras=None,
                  check_tol=CHECK_TOL):
     """Single-operator checkers on one kernel space. Returns Certificates."""
     t_mat = space.check_operator(t_mat)
-    digest = digest_inputs(t_mat, space.gram, dict(params))
+    digest = _bound_digest(t_mat, space.gram, dict(params))
     checker = _lookup(theorem_id, SINGLE)
     cert = _factory(theorem_id, checker.runs[0], digest, check_tol)
     return checker.evaluate(cert, space, t_mat, params, extras or {})
@@ -702,12 +719,12 @@ def check_single(theorem_id, space, t_mat, params, extras=None,
 def check_block_runs(theorem_id, block, params, runs, check_tol=CHECK_TOL):
     """Block-operator checkers at each (convention, mode) of ``runs``.
 
-    The input digest and the convention-independent operands are computed
-    once; the certificates of every run come back in ``runs`` order.
+    The certificates of every run share one input digest and the
+    convention-independent operands, and come back in ``runs`` order.
     """
     checker = _lookup(theorem_id, BLOCK)
-    digest = digest_inputs(block.S, block.X, block.Y, block.R,
-                           block.space1.gram, block.space2.gram, dict(params))
+    digest = _bound_digest(block.S, block.X, block.Y, block.R,
+                            block.space1.gram, block.space2.gram, dict(params))
     factories = tuple((run[0], _factory(theorem_id, run, digest, check_tol))
                       for run in runs)
     return checker.evaluate(factories, block, params)

@@ -336,6 +336,27 @@ def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
     assert campaigns == []
 
 
+def test_cli_failed_verify_keeps_the_previous_report(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--theorems", "YOUNG2", "--trials", "2",
+                     "--out", str(out)]) == cli.EXIT_OK
+    previous = out.read_bytes()
+    assert previous.startswith(b"{")
+
+    def broken(config):
+        raise BadParams("checker bug")
+    monkeypatch.setattr(harness, "run_campaign", broken)
+    capsys.readouterr()
+    assert cli.main(["verify", "--theorems", "YOUNG2", "--trials", "3",
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: checker bug\n"
+    assert out.read_bytes() == previous
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+    # a directory is not a report path: rejected before any trial
+    assert cli.main(["verify", "--theorems", "YOUNG2", "--out", str(tmp_path)]) \
+        == cli.EXIT_CONFIG
+
+
 def test_cli_verify_without_evaluated_trials_exits_2(capsys):
     # every 30-point Gaussian Gram draw is ill-conditioned, so no trial runs
     argv = ["verify", "--theorems", "T24a", "--kernel", "gaussian",
@@ -362,18 +383,19 @@ def test_cli_verify_without_evaluated_trials_exits_2(capsys):
 
 
 # (checker, trial index under small_config(), X shape, calls per draw): one
-# modulus stack per operand shape, one kernel-pair grid and one input digest
-# for all of a draw's runs
+# modulus stack per operand shape and one kernel-pair grid for all of a
+# draw's runs, and no input digest until a certificate is serialized
 BLOCK_DRAW_CALLS = (
-    ("T24a", 0, (2, 2), {"matrix_abs": 1, "ber_block": 1, "digest_inputs": 1}),
-    ("T24a", 3, (3, 2), {"matrix_abs": 2, "ber_block": 1, "digest_inputs": 1}),
-    ("INEQ1", 0, (2, 2), {"matrix_abs": 1, "ber_block": 1, "digest_inputs": 1}),
+    ("T24a", 0, (2, 2), {"matrix_abs": 1, "ber_block": 1, "digest_inputs": 0}),
+    ("T24a", 3, (3, 2), {"matrix_abs": 2, "ber_block": 1, "digest_inputs": 0}),
+    ("INEQ1", 0, (2, 2), {"matrix_abs": 1, "ber_block": 1, "digest_inputs": 0}),
 )
 
 
 def test_block_draw_evaluates_shared_operands_once(monkeypatch):
     # the pair and joint runs share the moduli of X, Y*, Y, X* (INEQ1: of
-    # Y and X, each listed twice), the Berezin grid and the input digest
+    # Y and X, each listed twice), the Berezin grid and the input digest,
+    # which is hashed once, when the first certificate is serialized
     config = small_config()
     calls = {}
 
@@ -397,6 +419,51 @@ def test_block_draw_evaluates_shared_operands_once(monkeypatch):
         assert [(c.convention, c.mode) for c in certs] == list(
             theorems.CHECKERS[tid].runs)
         assert calls == expected, (tid, index)
+        dicts = [c.to_dict() for c in certs + certs]
+        assert calls["digest_inputs"] == 1, (tid, index)
+        assert len({d["input_digest"] for d in dicts}) == 1
+
+
+def test_drawn_operands_are_read_only():
+    # a certificate hashes its inputs when first read, so the operands it
+    # was evaluated on must not change under it
+    config = small_config()
+    rng = np.random.default_rng(5)
+    for tid, checker in theorems.CHECKERS.items():
+        draw = harness.draw_trial(tid, harness.derive_trial_seed(7, tid, 0), config)
+        bumped = [harness._perturb(draw, rng, 0.5) for _ in range(6)]
+        for d in [draw] + bumped:
+            assert (d.arrays == {}) == (checker.shape == "pair"), tid
+            for arr in d.arrays.values():
+                with pytest.raises(ValueError):
+                    arr[(0,) * arr.ndim] = 1.0
+                with pytest.raises(ValueError):
+                    arr += 1.0
+    # a bump leaves the operand it copied from as it was
+    tid = "T24a"
+    draw = harness.draw_trial(tid, harness.derive_trial_seed(7, tid, 0), config)
+    before = {k: v.copy() for k, v in draw.arrays.items()}
+    for _ in range(20):
+        harness._perturb(draw, rng, 0.5)
+    assert all(np.array_equal(draw.arrays[k], v) for k, v in before.items())
+
+
+def test_lazy_digests_equal_eager_ones(monkeypatch):
+    # every certificate of 5 draws per checker, serialized after all of them
+    # were evaluated, carries the digest an eager hash of its inputs gives
+    config = small_config()
+    draws = [harness.draw_trial(tid, harness.derive_trial_seed(11, tid, i), config)
+             for tid in theorems.CHECKERS for i in range(5)]
+    lazy = [harness.evaluate_draw(d, config) for d in draws]
+
+    def hashed_now(*items):
+        hexdigest = theorems.digest_inputs(*items)
+        return lambda: hexdigest
+    monkeypatch.setattr(theorems, "_bound_digest", hashed_now)
+    eager = [harness.evaluate_draw(d, config) for d in draws]
+    for draw, mine, theirs in zip(reversed(draws), reversed(lazy), reversed(eager)):
+        assert [c.to_dict() for c in mine] == [c.to_dict() for c in theirs]
+        assert all(len(c.input_digest) == 32 for c in mine), draw.theorem_id
 
 
 def test_cli_violation_exit_code(capsys):

@@ -77,6 +77,21 @@ def test_operator_norm_adjoint_invariant():
         assert abs(na - nb) <= 1e-12 * max(1.0, na)
 
 
+def test_operator_norm_is_numpys_two_norm_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for n in range(17):
+        cols = sorted({n, max(n - 1, 0), min(n + 2, 16), 16 - n})
+        for m in cols:
+            g = cgauss(rng, (n, m))
+            u, v = cgauss(rng, (n, 1)), cgauss(rng, (1, m))
+            big = cgauss(rng, (2 * m + 1, 2 * n + 1))
+            # plain, rank-one, zero and two strided adjoint views
+            for a in (g, u @ v, np.zeros((n, m), dtype=np.complex128),
+                      big.conj().T[::2, 1::2][:n, :m], cgauss(rng, (m, n)).conj().T):
+                assert a.shape == (n, m)
+                assert numlin.operator_norm(a) == np.linalg.norm(a, 2), (n, m)
+
+
 def test_as_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):
         numlin.as_matrix([[np.nan, 0.0], [0.0, 1.0]])

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from berlab import harness, numlin, rkhs
+from berlab import blockops, harness, numlin, rkhs
 from berlab.errors import IllConditioned
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
@@ -80,3 +80,24 @@ def test_berezin_number_of_the_adjoint(family, kind, n, seed):
     a = operator(kind, n, seed)
     got = rkhs.berezin_number(space, a.conj().T)
     assert abs(got - rkhs.berezin_number(space, a)) <= 1e-12 * scale_of(a)
+
+
+@PROPERTY_SETTINGS
+@given(family=families, kind=kinds, n=dims, seed=seeds)
+def test_berezin_number_is_at_most_the_norm(family, kind, n, seed):
+    space = draw_space(family, n, seed)
+    a = operator(kind, n, seed)
+    assert rkhs.berezin_number(space, a) <= numlin.operator_norm(a) * (1.0 + 1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(kind=kinds, n=dims, seed=seeds, t=st.floats(min_value=0.0, max_value=1.0))
+def test_aluthge_transform_keeps_the_spectrum(kind, n, seed, t):
+    # the traces of all powers up to n fix the spectrum, and unlike the
+    # eigenvalues of a non-normal T they are well conditioned
+    a = operator(kind, n, seed)
+    tilde = blockops.aluthge_general(a, t)
+    for k in range(1, n + 1):
+        want = np.trace(np.linalg.matrix_power(a, k))
+        got = np.trace(np.linalg.matrix_power(tilde, k))
+        assert abs(got - want) <= 1e-9 * (1.0 + numlin.operator_norm(a) ** k)
