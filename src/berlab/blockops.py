@@ -62,15 +62,19 @@ def _pair_values(block):
     """Component-normalized kernel-pair evaluations, as an n1 x n2 array.
 
     Entry (j1, j2) is <S k1, k1> + <X k2, k1> + <Y k1, k2> + <R k2, k2>
-    with each kernel individually normalized.
+    with each kernel individually normalized. A zero S or R block is not
+    summed: its terms are signed zeros, which the caller's abs drops.
     """
     k1 = block.space1.normalized_chart()
     k2 = block.space2.normalized_chart()
-    s = np.einsum("ji,jk,ki->i", k1.conj(), block.S, k1)
-    r = np.einsum("ji,jk,ki->i", k2.conj(), block.R, k2)
-    x = k1.conj().T @ block.X @ k2
-    y = k2.conj().T @ block.Y @ k1
-    return s[:, None] + x + y.T + r[None, :]
+    # the terms keep the order (s + x) + y.T + r: another order moves bits
+    vals = k1.conj().T @ block.X @ k2
+    if block.S.any():
+        vals = np.einsum("ji,jk,ki->i", k1.conj(), block.S, k1)[:, None] + vals
+    vals = vals + (k2.conj().T @ block.Y @ k1).T
+    if block.R.any():
+        vals = vals + np.einsum("ji,jk,ki->i", k2.conj(), block.R, k2)[None, :]
+    return vals
 
 
 def ber_block(block, conv):

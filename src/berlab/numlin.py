@@ -62,11 +62,36 @@ def hermitian_eig(a):
     return w, q
 
 
-def matrix_abs(t):
-    """|T| = (T*T)^(1/2), cols x cols for rectangular T; also per slice of a stack."""
+def matrix_abs(t, p=None, support=False):
+    """|T| = (T*T)^(1/2), cols x cols for rectangular T; also per slice of a stack.
+
+    With ``p`` it returns ``matrix_power_psd(matrix_abs(t), p, support)``,
+    bit for bit, from one check of T: T*T and |T| are Hermitian by
+    construction, so they go straight to eigh.
+    """
     m = as_matrix(t, stack=True)
+    phi = None if p is None else _power(m.shape[:-2], p, support)
     gram = m.conj().mT @ m
-    return apply_spectral_function((gram + gram.conj().mT) / 2.0, np.sqrt)
+    gram = (gram + gram.conj().mT) / 2.0
+    if not np.isfinite(gram).all():  # T*T can overflow where T does not
+        raise ValueError("matrix has non-finite entries")
+    modulus = _spectral(*np.linalg.eigh(gram), np.sqrt)
+    return modulus if phi is None else _spectral(*np.linalg.eigh(modulus), phi)
+
+
+def _spectral(w, q, phi):
+    """phi(A) from the eigh ``(w, q)`` of a Hermitian A or stack; A is not checked."""
+    if w.size:
+        # eigh sorts ascending, so the extremes sit at the two ends
+        ends = w.reshape(-1, w.shape[-1])
+        for lo, hi in zip(ends[:, 0].tolist(), ends[:, -1].tolist()):
+            scale = max(abs(lo), abs(hi))
+            floor = -PSD_TOL * scale if scale > 0 else -ABS_FLOOR
+            if lo < floor:
+                raise NotPSD(f"eigenvalue {lo:.3e} below {floor:.3e}")
+    vals = np.asarray(phi(np.maximum(w, 0.0)), dtype=np.float64)
+    out = (q * vals[..., None, :]) @ q.conj().mT
+    return (out + out.conj().mT) / 2.0
 
 
 def apply_spectral_function(a, phi):
@@ -76,29 +101,11 @@ def apply_spectral_function(a, phi):
     maps the ascending eigenvalues, shape (..., n), to the new ones;
     anything more negative raises NotPSD.
     """
-    w, q = hermitian_eig(a)
-    if w.size:
-        # eigh sorts ascending, so the extremes sit at the two ends
-        ends = w.reshape(-1, w.shape[-1])
-        for lo, hi in zip(ends[:, 0].tolist(), ends[:, -1].tolist()):
-            scale = max(abs(lo), abs(hi))
-            floor = -PSD_TOL * scale if scale > 0 else -ABS_FLOOR
-            if lo < floor:
-                raise NotPSD(f"eigenvalue {lo:.3e} below {floor:.3e}")
-    vals = np.asarray(phi(np.clip(w, 0.0, None)), dtype=np.float64)
-    out = (q * vals[..., None, :]) @ q.conj().mT
-    return (out + out.conj().mT) / 2.0
+    return _spectral(*hermitian_eig(a), phi)
 
 
-def matrix_power_psd(a, p, support=False):
-    """A**p for PSD A, or for each slice of a stack.
-
-    ``p`` is one exponent, or one per slice in an array shaped like the
-    stack's leading axes. A**0 is the identity. With ``support``,
-    eigenvalues <= RANK_TOL times the largest count as 0, so A**0 is the
-    projection onto range(A), the initial space of the polar isometry.
-    """
-    lead = np.shape(a)[:-2]
+def _power(lead, p, support):
+    """The ``phi`` of ``matrix_power_psd`` for a stack with leading axes ``lead``."""
     exps = np.asarray(p, dtype=np.float64)
     if exps.shape not in ((), lead):
         raise ValueError(f"exponents of shape {exps.shape} for a stack of {lead}")
@@ -118,7 +125,18 @@ def matrix_power_psd(a, p, support=False):
             keep = row > RANK_TOL * wmax if wmax > 0 else np.zeros_like(row, dtype=bool)
             out[...] = np.where(keep, np.where(keep, row, 1.0) ** e, 0.0)
         return vals.reshape(w.shape)
-    return apply_spectral_function(a, phi)
+    return phi
+
+
+def matrix_power_psd(a, p, support=False):
+    """A**p for PSD A, or for each slice of a stack.
+
+    ``p`` is one exponent, or one per slice in an array shaped like the
+    stack's leading axes. A**0 is the identity. With ``support``,
+    eigenvalues <= RANK_TOL times the largest count as 0, so A**0 is the
+    projection onto range(A), the initial space of the polar isometry.
+    """
+    return apply_spectral_function(a, _power(np.shape(a)[:-2], p, support))
 
 
 def polar_decompose(t):

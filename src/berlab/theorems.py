@@ -207,21 +207,15 @@ def _s310(cert, params, inputs):
 def _abs_powers(ops, exps):
     """|A_k|^{p_k} for each operator A_k, in input order.
 
-    Operands of one shape share one modulus stack and one power stack; an
-    operand listed more than once (the same object) has its modulus taken once.
+    Operands of one shape share one stack: one modulus eigh and one power
+    eigh per shape.
     """
     out = [None] * len(ops)
     by_shape = {}
     for k, op in enumerate(ops):
         by_shape.setdefault(op.shape, []).append(k)
     for ks in by_shape.values():
-        distinct = []
-        for k in ks:
-            if not any(op is ops[k] for op in distinct):
-                distinct.append(ops[k])
-        slots = [next(i for i, op in enumerate(distinct) if op is ops[k]) for k in ks]
-        moduli = numlin.matrix_abs(np.stack(distinct))
-        powers = numlin.matrix_power_psd(moduli[slots], [exps[k] for k in ks])
+        powers = numlin.matrix_abs(np.stack([ops[k] for k in ks]), [exps[k] for k in ks])
         for k, power in zip(ks, powers):
             out[k] = power
     return out
@@ -503,10 +497,10 @@ def _t29(runs, block, params, *, tied=False):
             for cert, value, wit in _peaks(block, runs)]
 
 
-def _moduli(block):
-    """The stack |Y|, |X*|, |X|, |Y*| of a block with square X, Y."""
+def _support_powers(block, exps):
+    """Support powers of |Y|, |X*|, |X|, |Y*| for a block with square X, Y."""
     return numlin.matrix_abs(np.stack([block.Y, block.X.conj().T, block.X,
-                                       block.Y.conj().T]))
+                                       block.Y.conj().T]), exps, support=True)
 
 
 def _t31(runs, block, params, *, tilted):
@@ -514,8 +508,7 @@ def _t31(runs, block, params, *, tilted):
     _require_square(block)
     t = float(params["t"])
     _require(0.0 <= t <= 1.0, "T31/C34 need t in [0, 1]")
-    y_t, xs_s, x_t, ys_s = numlin.matrix_power_psd(
-        _moduli(block), [t, 1.0 - t, t, 1.0 - t], support=True)
+    y_t, xs_s, x_t, ys_s = _support_powers(block, [t, 1.0 - t, t, 1.0 - t])
     cross = 0.5 * (numlin.operator_norm(y_t @ xs_s)
                    + numlin.operator_norm(x_t @ ys_s))
     if tilted:
@@ -532,8 +525,7 @@ def _t31(runs, block, params, *, tilted):
 def _c35(runs, block, params):
     _require_offdiag(block)
     _require_square(block)
-    half_y, half_xs, half_x, half_ys = numlin.matrix_power_psd(
-        _moduli(block), 0.5, support=True)
+    half_y, half_xs, half_x, half_ys = _support_powers(block, 0.5)
     rhs = (max(numlin.operator_norm(block.X), numlin.operator_norm(block.Y))
            + 0.5 * (numlin.operator_norm(half_x @ half_y)
                     + numlin.operator_norm(half_xs @ half_ys)))

@@ -4,7 +4,7 @@ generalized Aluthge transform."""
 import numpy as np
 import pytest
 
-from berlab import blockops, numlin, rkhs
+from berlab import blockops, harness, numlin, rkhs
 from berlab.errors import BadParams, DimensionMismatch
 
 
@@ -105,6 +105,42 @@ def test_offdiagonal_joint_bounded_by_norm_mean():
     x = cgauss(rng, (3, 3))
     tied, _ = blockops.ber_block(blockops.offdiag_block(x, x.copy()), "joint")
     assert tied <= numlin.operator_norm(x) + 1e-10
+
+
+def dense_peaks(block):
+    """Pair and joint peaks from all four terms, summed as (s + x) + y.T + r."""
+    k1 = block.space1.normalized_chart()
+    k2 = block.space2.normalized_chart()
+    s = np.einsum("ji,jk,ki->i", k1.conj(), block.S, k1)
+    r = np.einsum("ji,jk,ki->i", k2.conj(), block.R, k2)
+    x = k1.conj().T @ block.X @ k2
+    y = k2.conj().T @ block.Y @ k1
+    vals = np.abs(s[:, None] + x + y.T + r[None, :])
+    j1, j2 = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    pair = float(vals[j1, j2])
+    return [(pair, (int(j1), int(j2))), (pair / 2.0, (int(j1), int(j2)))]
+
+
+def test_ber_block_skips_zero_blocks_without_moving_bits():
+    # a zero S or R block adds only signed zeros, so ber_block leaves its
+    # einsum out; the value and the kernel pair stay those of all four terms
+    config = harness.CampaignConfig()
+    for tid, shape in (("L21a", "diag"), ("T24a", "offdiag"), ("C27", "tied_square"),
+                       ("T31", "offdiag_square"), ("T36", "full")):
+        for index in range(25):
+            seed = harness.derive_trial_seed(config.master_seed, tid, index)
+            block = harness._build_block(harness.draw_trial(tid, seed, config), shape)
+            want = dense_peaks(block)
+            assert blockops.ber_block(block, ("pair", "joint")) == want
+            assert [blockops.ber_block(block, c) for c in ("pair", "joint")] == want
+    # all-negative-zero blocks give a -0.0 grid, which the dense sum turns into +0.0
+    neg = -np.zeros((2, 3), dtype=np.complex128)
+    block = blockops.offdiag_block(neg, neg.T.copy(), rkhs.identity_space(2),
+                                   rkhs.identity_space(3))
+    k1, k2 = block.space1.normalized_chart(), block.space2.normalized_chart()
+    assert np.signbit((k1.conj().T @ block.X @ k2).real).all()
+    assert blockops.ber_block(block, ("pair", "joint")) == dense_peaks(block) \
+        == [(0.0, (0, 0)), (0.0, (0, 0))]
 
 
 def test_unknown_convention():

@@ -357,6 +357,28 @@ def test_cli_failed_verify_keeps_the_previous_report(tmp_path, capsys, monkeypat
         == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("entry, argv", [
+    ("run_campaign", ["verify"]),
+    ("explore", ["explore", "--theorem", "T24a", "--budget", "5"]),
+])
+def test_cli_interrupt_exits_130_with_one_line(tmp_path, capsys, monkeypatch, entry, argv):
+    # Ctrl-C mid-run: one error line and 128 + SIGINT, no traceback, and an
+    # earlier report left as it was
+    out = tmp_path / "r.json"
+    out.write_bytes(b'{"earlier": "report"}\n')
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(harness, entry, interrupted)
+    code = cli.main(argv + ["--theorems", "T24a", "--trials", "2", "--out", str(out)])
+    assert code == cli.EXIT_INTERRUPTED == 130
+    captured = capsys.readouterr()
+    assert captured.err == "error: interrupted\n"
+    assert captured.out == ""
+    assert out.read_bytes() == b'{"earlier": "report"}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+
+
 def test_cli_verify_without_evaluated_trials_exits_2(capsys):
     # every 30-point Gaussian Gram draw is ill-conditioned, so no trial runs
     argv = ["verify", "--theorems", "T24a", "--kernel", "gaussian",
@@ -394,7 +416,8 @@ BLOCK_DRAW_CALLS = (
 
 def test_block_draw_evaluates_shared_operands_once(monkeypatch):
     # the pair and joint runs share the moduli of X, Y*, Y, X* (INEQ1: of
-    # Y and X, each listed twice), the Berezin grid and the input digest,
+    # Y, Y, X, X, one stack for its two powers of each), the Berezin grid
+    # and the input digest,
     # which is hashed once, when the first certificate is serialized
     config = small_config()
     calls = {}

@@ -368,6 +368,52 @@ def test_spectral_stack_error_paths():
         numlin.matrix_power_psd(good, [0.5])
 
 
+def test_fused_abs_power_matches_two_step_bit_for_bit():
+    # matrix_abs(t, p, support) powers the modulus it has just built without
+    # checking it again; the bits are those of the checked two-step call
+    rng = np.random.default_rng(79)
+    exps = [0.0, 0.5, 1.0, 1.5, 2.0]
+    shapes = [(n, n) for n in range(9)] + [(0, 3), (3, 0), (1, 4), (4, 1), (3, 2),
+                                           (2, 3), (8, 5), (5, 8)]
+    for n1, n2 in shapes:
+        ops = np.stack([cgauss(rng, (n1, n2)),
+                        np.outer(cgauss(rng, n1), cgauss(rng, n2).conj()),  # rank one
+                        np.zeros((n1, n2), dtype=np.complex128),
+                        1e-3 * cgauss(rng, (n1, n2)),
+                        cgauss(rng, (n1, n2))])
+        for support in (False, True):
+            for p in exps + [exps]:
+                two_step = numlin.matrix_power_psd(numlin.matrix_abs(ops), p, support)
+                assert same_bits(numlin.matrix_abs(ops, p, support), two_step)
+            for op, e in zip(ops, exps):
+                two_step = numlin.matrix_power_psd(numlin.matrix_abs(op), e, support)
+                assert same_bits(numlin.matrix_abs(op, e, support), two_step)
+
+
+def test_fused_abs_power_error_paths(monkeypatch):
+    # T*T can overflow where T is finite: the same ValueError as today
+    huge = np.full((2, 2), 1e200, dtype=np.complex128)
+    for p in (None, 0.5):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            numlin.matrix_abs(huge, p)
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        numlin.matrix_abs([[np.nan, 0.0]], 0.5)
+    # a wrong exponent shape is rejected before any eigh runs
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a) or eigh(a))
+    stack = np.stack([np.eye(2, dtype=np.complex128)] * 3)
+    for exps in ([0.5, 1.0], [0.5] * 4, [[0.5, 1.0, 2.0]]):
+        with pytest.raises(ValueError, match="^exponents of shape"):
+            numlin.matrix_abs(stack, exps)
+    with pytest.raises(ValueError, match="^exponents of shape"):
+        numlin.matrix_abs(stack[0], [0.5])
+    assert eighs == []
+    assert numlin.matrix_abs(stack, [0.5, 1.0, 2.0]).shape == (3, 2, 2)
+    assert len(eighs) == 2  # one for the moduli, one for the powers
+
+
 # ---------------------------------------------------------------------------
 # polar decomposition
 
