@@ -108,8 +108,11 @@ def _add_common(parser):
 
 def cmd_verify(args):
     config = build_config(args)
-    if config.out:  # an unwritable --out fails before any trial; "a" truncates nothing
-        open(config.out, "a", encoding="utf-8").close()
+    if config.out:  # an unwritable --out fails before any trial, and leaves no file
+        existed = os.path.lexists(config.out)
+        open(config.out, "a", encoding="utf-8").close()  # "a" truncates nothing
+        if not existed:
+            os.remove(config.out)
     report = harness.run_campaign(config)
     for result in report.results:
         label = reporting.result_label(result)
@@ -126,9 +129,14 @@ def cmd_verify(args):
           f"(wall time {report.wall_time_ms} ms)")
     text = reporting.render(report, config.format)
     if config.out:  # one os.replace: a failed or interrupted run keeps the old report
-        with open(f"{config.out}.tmp", "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(f"{config.out}.tmp", config.out)
+        tmp = f"{config.out}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, config.out)
+        finally:  # an interrupt at the rename leaves no <out>.tmp
+            if os.path.lexists(tmp):
+                os.remove(tmp)
         print(f"report written to {config.out}")
     else:
         sys.stdout.write(text)

@@ -167,8 +167,8 @@ def re_rotation(a, theta):
     if m.shape[0] != m.shape[1]:
         raise ValueError("re_rotation requires a square matrix")
     z = np.exp(1j * np.asarray(theta))[..., None, None]
+    # h is Hermitian bit for bit, but the broadcast may leave it F-ordered or
+    # transposed; einsum sums in an order set by operand strides, and C order
+    # keeps each rotation's Berezin symbols bit-identical to a lone matrix's
     h = (z * m + np.conj(z) * m.conj().T) / 2.0
-    h = (h + np.swapaxes(h.conj(), -1, -2)) / 2.0
-    # einsum sums in an order set by operand strides: this layout keeps
-    # each rotation's Berezin symbols bit-identical to a lone 2-d matrix's
     return np.ascontiguousarray(h)

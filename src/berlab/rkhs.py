@@ -128,8 +128,7 @@ def build_space(family, points):
     if family.tag in ("szego", "bergman"):
         if any(abs(p) >= 1.0 for p in points):
             raise BadParams(f"{family.tag} points must satisfy |p| < 1")
-    gram = family.gram(points)
-    gram = (gram + gram.conj().T) / 2.0
+    gram = family.gram(points)  # Hermitian bit for bit: no symmetrizing pass
     w, q = np.linalg.eigh(gram)
     if w[-1] <= 0 or w[0] < COND_FLOOR * w[-1]:
         raise IllConditioned(

@@ -204,18 +204,19 @@ def _s310(cert, params, inputs):
 # ---------------------------------------------------------------------------
 # single-operator checkers: evaluate(cert, space, T, params, extras)
 
-def _abs_powers(ops, exps):
+def _abs_powers(ops, exps, support=False):
     """|A_k|^{p_k} for each operator A_k, in input order.
 
     Operands of one shape share one stack: one modulus eigh and one power
-    eigh per shape.
+    eigh per shape. ``support`` takes ``matrix_power_psd``'s support power.
     """
     out = [None] * len(ops)
     by_shape = {}
     for k, op in enumerate(ops):
         by_shape.setdefault(op.shape, []).append(k)
     for ks in by_shape.values():
-        powers = numlin.matrix_abs(np.stack([ops[k] for k in ks]), [exps[k] for k in ks])
+        powers = numlin.matrix_abs(np.stack([ops[k] for k in ks]),
+                                   [exps[k] for k in ks], support)
         for k, power in zip(ks, powers):
             out[k] = power
     return out
@@ -362,22 +363,8 @@ def _ber_norm(cert, space, t_mat, params, extras):
 # and right sides do not depend on the convention, so each evaluate function
 # computes them once per draw, and one kernel-pair grid gives every run its
 # Berezin peak. The certificates come back in run order: aggregation and
-# explore break ties by that order.
-
-def _require_offdiag(block):
-    _require(np.count_nonzero(block.S) == 0 and np.count_nonzero(block.R) == 0,
-             "checker needs an off-diagonal block (S = R = 0)")
-
-
-def _require_diag(block):
-    _require(np.count_nonzero(block.X) == 0 and np.count_nonzero(block.Y) == 0,
-             "checker needs a diagonal block (X = Y = 0)")
-
-
-def _require_square(block):
-    _require(block.space1.dim == block.space2.dim,
-             "checker needs square off-diagonal blocks (n1 = n2)")
-
+# explore break ties by that order. check_block_runs has already checked the
+# block against its checker's registry shape.
 
 def _peaks(block, runs):
     """(certificate factory, Berezin value, witness) of each run, in run order.
@@ -411,7 +398,6 @@ def _psd_symbols(space, a):
 
 
 def _l21a(runs, block, params):
-    _require_diag(block)
     rhs = max(rkhs.berezin_number(block.space1, block.S),
               rkhs.berezin_number(block.space2, block.R))
     return [cert(lhs, rhs, params=params, witness=wit)
@@ -419,14 +405,12 @@ def _l21a(runs, block, params):
 
 
 def _l21b(runs, block, params):
-    _require_offdiag(block)
     rhs = 0.5 * (numlin.operator_norm(block.X) + numlin.operator_norm(block.Y))
     return [cert(lhs, rhs, params=params, witness=wit)
             for cert, lhs, wit in _peaks(block, runs)]
 
 
 def _ineq1(runs, block, params):
-    _require_offdiag(block)
     s = float(params["s"])
     p = float(params["p"])
     _require(s >= 1.0, "INEQ1 needs power h(t) = t^s with s >= 1")
@@ -439,7 +423,6 @@ def _ineq1(runs, block, params):
 
 
 def _t24(runs, block, params, *, variant="fg", fixed=None):
-    _require_offdiag(block)
     r, p = fixed or (float(params["r"]), float(params["p"]))
     _require(r >= 1.0, "T24/C25/R26 need r >= 1")
     _require(0.0 <= p <= 1.0, "T24/C25/R26 need p in [0, 1]")
@@ -452,9 +435,6 @@ def _t24(runs, block, params, *, variant="fg", fixed=None):
 
 
 def _c27(runs, block, params):
-    _require_offdiag(block)
-    _require_square(block)
-    _require(np.array_equal(block.X, block.Y), "C27 needs Y = X")
     abs_x, abs_xs = numlin.matrix_abs(np.stack([block.X, block.X.conj().T]))
     combo = abs_x + abs_xs
     mid = 0.5 * rkhs.berezin_number(block.space1, combo)
@@ -464,7 +444,6 @@ def _c27(runs, block, params):
 
 
 def _c28(runs, block, params):
-    _require_offdiag(block)
     op2, op1 = _t24_operands(block, 1.0, 0.5, "fg")
     ber2 = rkhs.berezin_number(block.space2, op2)
     ber1 = rkhs.berezin_number(block.space1, op1)
@@ -476,13 +455,9 @@ def _c28(runs, block, params):
 
 
 def _t29(runs, block, params, *, tied=False):
-    _require_offdiag(block)
     r, p = float(params["r"]), float(params["p"])
     _require(r >= 1.0, "T29/C210 need r >= 1")
     _require(0.0 <= p <= 1.0, "T29/C210 need p in [0, 1]")
-    if tied:
-        _require_square(block)
-        _require(np.array_equal(block.X, block.Y), "C210 needs Y = X")
     op2, op1 = _t24_operands(block, r, p, "fg")
     avals = _psd_symbols(block.space2, op2)
     bvals = _psd_symbols(block.space1, op1)
@@ -497,18 +472,12 @@ def _t29(runs, block, params, *, tied=False):
             for cert, value, wit in _peaks(block, runs)]
 
 
-def _support_powers(block, exps):
-    """Support powers of |Y|, |X*|, |X|, |Y*| for a block with square X, Y."""
-    return numlin.matrix_abs(np.stack([block.Y, block.X.conj().T, block.X,
-                                       block.Y.conj().T]), exps, support=True)
-
-
 def _t31(runs, block, params, *, tilted):
-    _require_offdiag(block)
-    _require_square(block)
     t = float(params["t"])
     _require(0.0 <= t <= 1.0, "T31/C34 need t in [0, 1]")
-    y_t, xs_s, x_t, ys_s = _support_powers(block, [t, 1.0 - t, t, 1.0 - t])
+    y_t, xs_s, x_t, ys_s = _abs_powers(
+        [block.Y, block.X.conj().T, block.X, block.Y.conj().T],
+        [t, 1.0 - t, t, 1.0 - t], support=True)
     cross = 0.5 * (numlin.operator_norm(y_t @ xs_s)
                    + numlin.operator_norm(x_t @ ys_s))
     if tilted:
@@ -523,9 +492,8 @@ def _t31(runs, block, params, *, tilted):
 
 
 def _c35(runs, block, params):
-    _require_offdiag(block)
-    _require_square(block)
-    half_y, half_xs, half_x, half_ys = _support_powers(block, 0.5)
+    half_y, half_xs, half_x, half_ys = _abs_powers(
+        [block.Y, block.X.conj().T, block.X, block.Y.conj().T], [0.5] * 4, support=True)
     rhs = (max(numlin.operator_norm(block.X), numlin.operator_norm(block.Y))
            + 0.5 * (numlin.operator_norm(half_x @ half_y)
                     + numlin.operator_norm(half_xs @ half_ys)))
@@ -708,13 +676,30 @@ def check_single(theorem_id, space, t_mat, params, extras=None,
     return checker.evaluate(cert, space, t_mat, params, extras or {})
 
 
+def _check_shape(theorem_id, shape, block):
+    """Raise BadParams unless ``block`` has the structure its registry ``shape`` names.
+
+    "full" needs nothing, "diag" X = Y = 0 and the other shapes S = R = 0;
+    "offdiag_square" also needs n1 = n2, and "tied_square" n1 = n2 and Y = X.
+    """
+    zero = {"full": "", "diag": "XY"}.get(shape, "SR")
+    _require(not any(getattr(block, name).any() for name in zero),
+             f"{theorem_id} needs {' = '.join(zero)} = 0 in its {shape} block")
+    if shape in ("offdiag_square", "tied_square"):
+        _require(block.space1.dim == block.space2.dim, f"{theorem_id} needs n1 = n2")
+    if shape == "tied_square":
+        _require(np.array_equal(block.X, block.Y), f"{theorem_id} needs Y = X")
+
+
 def check_block_runs(theorem_id, block, params, runs, check_tol=CHECK_TOL):
     """Block-operator checkers at each (convention, mode) of ``runs``.
 
-    The certificates of every run share one input digest and the
-    convention-independent operands, and come back in ``runs`` order.
+    The block must have its checker's registry shape. The certificates of
+    every run share one input digest and the convention-independent
+    operands, and come back in ``runs`` order.
     """
     checker = _lookup(theorem_id, BLOCK)
+    _check_shape(theorem_id, checker.shape, block)
     digest = _bound_digest(block.S, block.X, block.Y, block.R,
                             block.space1.gram, block.space2.gram, dict(params))
     factories = tuple((run[0], _factory(theorem_id, run, digest, check_tol))

@@ -357,6 +357,31 @@ def test_cli_failed_verify_keeps_the_previous_report(tmp_path, capsys, monkeypat
         == cli.EXIT_CONFIG
 
 
+def test_cli_verify_leaves_no_debris(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "r.json"
+    # a failed run on a new path leaves no empty report behind
+    def broken(config):
+        raise BadParams("checker bug")
+    with monkeypatch.context() as m:
+        m.setattr(harness, "run_campaign", broken)
+        assert cli.main(["verify", "--theorems", "YOUNG2", "--trials", "2",
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
+    # an interrupt at the final rename leaves no <out>.tmp, on a new path
+    # and over an earlier report
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli.os, "replace", interrupted)
+    argv = ["verify", "--theorems", "YOUNG2", "--trials", "2", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_INTERRUPTED
+    assert list(tmp_path.iterdir()) == []
+    out.write_bytes(b'{"earlier": "report"}\n')
+    assert cli.main(argv) == cli.EXIT_INTERRUPTED
+    assert out.read_bytes() == b'{"earlier": "report"}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+    assert capsys.readouterr().err.splitlines()[-1] == "error: interrupted"
+
+
 @pytest.mark.parametrize("entry, argv", [
     ("run_campaign", ["verify"]),
     ("explore", ["explore", "--theorem", "T24a", "--budget", "5"]),

@@ -127,6 +127,8 @@ def test_gram_matches_per_pair_formula_bit_for_bit():
                 got = family.gram(points)
                 want = gram_by_pairs(family, points)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                # Hermitian bit for bit, so build_space needs no symmetrizing pass
+                assert ((got + got.conj().T) / 2.0).tobytes() == got.tobytes()
 
 
 def test_build_space_errors():

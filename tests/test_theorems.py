@@ -6,6 +6,7 @@ pins the analytic counterexample showing that the T32/R33 bounds fail on
 finite kernel models (see notes in the acceptance suite).
 """
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -317,24 +318,42 @@ def test_c35_informational_readings():
     assert all(c.mode == theorems.INFORMATIONAL for c in certs)
 
 
-def test_block_shape_preconditions():
-    rng = np.random.default_rng(47)
-    rect = offdiag(cgauss(rng, (2, 3)), cgauss(rng, (3, 2)))
-    with pytest.raises(BadParams):
-        theorems.check_block("C27", rect, "joint", {})
-    with pytest.raises(BadParams):
-        theorems.check_block("T31", rect, "joint", {"t": 0.5})
-    sq = offdiag(cgauss(rng, (2, 2)), cgauss(rng, (2, 2)))
-    with pytest.raises(BadParams):  # C27 needs the tied Y = X
-        theorems.check_block("C27", sq, "joint", {})
-    with pytest.raises(BadParams):  # r < 1
-        theorems.check_block("T24a", sq, "pair", {"r": 0.5, "p": 0.5})
-    full = blockops.BlockOperator(
-        S=np.eye(2, dtype=complex), X=np.zeros((2, 2), dtype=complex),
-        Y=np.zeros((2, 2), dtype=complex), R=np.eye(2, dtype=complex),
-        space1=rkhs.identity_space(2), space2=rkhs.identity_space(2))
-    with pytest.raises(BadParams):  # L21b needs an off-diagonal block
-        theorems.check_block("L21b", full, "joint", {})
+SHAPED_BLOCK_IDS = tuple(tid for tid, c in theorems.CHECKERS.items()
+                         if c.kind == theorems.BLOCK and c.shape != "full")
+
+
+@pytest.mark.parametrize("tid", SHAPED_BLOCK_IDS)
+def test_block_shape_preconditions(tid):
+    # check_block rejects a block that breaks any promise of the checker's
+    # registry shape, and accepts the campaign's own draw
+    checker = theorems.CHECKERS[tid]
+    shape = checker.shape
+    config = harness.CampaignConfig(master_seed=47, dims=((2, 3),))
+    draw = harness.draw_trial(tid, harness.derive_trial_seed(47, tid, 0), config)
+    block = harness._build_block(draw, shape)
+    conv = checker.runs[0][0]
+    assert theorems.check_block(tid, block, conv, draw.params)
+    n1, n2 = block.space1.dim, block.space2.dim
+    if shape == "diag":
+        broken = [dataclasses.replace(block, X=np.ones((n1, n2), dtype=complex))]
+    else:
+        broken = [dataclasses.replace(block, S=np.eye(n1, dtype=complex))]
+    if shape in ("offdiag_square", "tied_square"):
+        rng = np.random.default_rng(47)
+        broken.append(offdiag(cgauss(rng, (2, 3)), cgauss(rng, (3, 2))))
+    if shape == "tied_square":
+        broken.append(dataclasses.replace(block, Y=block.Y + 1.0))
+    for blk in broken:
+        with pytest.raises(BadParams):
+            theorems.check_block(tid, blk, conv, draw.params)
+
+
+def test_block_param_preconditions():
+    sq = offdiag(np.eye(2), np.eye(2))
+    for tid, params in (("T24a", {"r": 0.5, "p": 0.5}), ("T29", {"r": 1.0, "p": 1.5}),
+                        ("INEQ1", {"s": 0.5, "p": 0.5}), ("T31", {"t": -0.25})):
+        with pytest.raises(BadParams):
+            theorems.check_block(tid, sq, theorems.CHECKERS[tid].runs[0][0], params)
 
 
 TWO_RUN_BLOCK_IDS = ("L21a", "L21b", "INEQ1", "T24a", "T24b", "C25a", "C25b",
@@ -402,11 +421,12 @@ def test_abs_powers_match_per_operand_bit_for_bit():
         zero = np.zeros((n1, n2), dtype=np.complex128)
         ops = [x, y.conj().T, y, x.conj().T, zero, x, y, x]
         exps = [exponents[(k + n1) % len(exponents)] for k in range(len(ops))]
-        got = theorems._abs_powers(ops, exps)
-        assert len(got) == len(ops)
-        for op, e, power in zip(ops, exps, got):
-            want = numlin.matrix_power_psd(numlin.matrix_abs(op), e)
-            assert power.shape == want.shape and power.tobytes() == want.tobytes()
+        for support in (False, True):
+            got = theorems._abs_powers(ops, exps, support=support)
+            assert len(got) == len(ops)
+            for op, e, power in zip(ops, exps, got):
+                want = numlin.matrix_power_psd(numlin.matrix_abs(op), e, support)
+                assert power.shape == want.shape and power.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
