@@ -339,8 +339,7 @@ def test_block_shape_preconditions(tid):
     else:
         broken = [dataclasses.replace(block, S=np.eye(n1, dtype=complex))]
     if shape in ("offdiag_square", "tied_square"):
-        rng = np.random.default_rng(47)
-        broken.append(offdiag(cgauss(rng, (2, 3)), cgauss(rng, (3, 2))))
+        broken.append(offdiag(np.ones((2, 3)), np.ones((3, 2))))
     if shape == "tied_square":
         broken.append(dataclasses.replace(block, Y=block.Y + 1.0))
     for blk in broken:
