@@ -70,10 +70,10 @@ def _pair_values(block):
     # the terms keep the order (s + x) + y.T + r: another order moves bits
     vals = k1.conj().T @ block.X @ k2
     if block.S.any():
-        vals = np.einsum("ji,jk,ki->i", k1.conj(), block.S, k1)[:, None] + vals
+        vals = rkhs.berezin_symbols(block.space1, block.S)[:, None] + vals
     vals = vals + (k2.conj().T @ block.Y @ k1).T
     if block.R.any():
-        vals = vals + np.einsum("ji,jk,ki->i", k2.conj(), block.R, k2)[None, :]
+        vals = vals + rkhs.berezin_symbols(block.space2, block.R)[None, :]
     return vals
 
 

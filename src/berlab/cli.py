@@ -67,7 +67,6 @@ _SETTINGS = (
     ("dims", "dims", "dims", _parse_dims),
     ("kernel", "kernel", "kernel_families", _parse_families),
     ("theorems", "theorems", "checker_filter", _parse_ids),
-    ("check_tol", "tol", "check_tol", float),
     ("out", "out", "out", str),
     ("format", "format", "format", str),
 )
@@ -101,7 +100,6 @@ def _add_common(parser):
     parser.add_argument("--dims", help="comma list of block dims, e.g. 2x2,3x2")
     parser.add_argument("--kernel", help="comma list of kernel families")
     parser.add_argument("--theorems", help="comma list of checker ids")
-    parser.add_argument("--tol", type=float, help="gating slack tolerance")
     parser.add_argument("--out", help="report output path")
     parser.add_argument("--format", choices=("json", "csv"), help="report format")
 
@@ -164,13 +162,20 @@ def cmd_case(args):
         raise ConfigInvalid("case needs --seed (the per-trial seed, >= 0)")
     config = build_config(args)
     draw = harness.draw_trial(args.theorem, args.seed, config)
-    certs = harness.evaluate_draw(draw, config)
+    certs = harness.evaluate_draw(draw)
     sys.stdout.write(reporting.dumps_json([c.to_dict() for c in certs]))
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one ``error:`` line and exit code 2."""
+
+    def error(self, message):
+        raise ConfigInvalid(message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="berlab",
         description="Berezin-number inequality verification campaigns")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -187,8 +192,8 @@ def main(argv=None):
     _add_common(p_case)
     p_case.add_argument("--theorem", required=True)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "explore":

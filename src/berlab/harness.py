@@ -8,7 +8,6 @@ statistics into a deterministic Report.
 
 import dataclasses
 import hashlib
-import math
 import time
 from dataclasses import dataclass
 
@@ -47,7 +46,6 @@ class CampaignConfig:
     dims: tuple = DEFAULT_DIMS
     kernel_families: tuple = DEFAULT_FAMILIES
     checker_filter: tuple = ()
-    check_tol: float = theorems.CHECK_TOL
     out: str = None
     format: str = "json"
 
@@ -65,8 +63,6 @@ class CampaignConfig:
                 raise ConfigInvalid(f"checker id {tid!r} is listed twice")
         if self.format not in ("json", "csv"):
             raise ConfigInvalid(f"unknown report format {self.format!r}")
-        if not (math.isfinite(self.check_tol) and self.check_tol >= 0):
-            raise ConfigInvalid(f"check_tol must be finite and >= 0, got {self.check_tol!r}")
 
     def checkers(self):
         return tuple(self.checker_filter) if self.checker_filter else ALL_CHECKERS
@@ -82,8 +78,8 @@ class CampaignConfig:
             "param_grid": {k: list(v) if isinstance(v, (tuple, list)) else v
                            for k, v in sorted(theorems.PARAM_GRID.items())},
             "checker_filter": list(self.checker_filter),
-            "check_tol": self.check_tol,
-            # a report field; every checker runs at check_tol
+            # report fields: every checker gates at the one CHECK_TOL
+            "check_tol": theorems.CHECK_TOL,
             "check_tol_overrides": {},
         }
 
@@ -244,24 +240,22 @@ def _build_block(draw, shape):
                                   space1=sp1, space2=sp2)
 
 
-def evaluate_draw(draw, config):
+def evaluate_draw(draw):
     """Evaluate every run of the drawn checker; returns Certificates."""
     tid = draw.theorem_id
     checker = theorems.CHECKERS[tid]
-    tol = config.check_tol
     if checker.kind == theorems.SCALAR:
         # a, b (and e) in the order they were drawn
         inputs = tuple((draw.scalars or draw.arrays).values())
-        certs = theorems.check_scalar(tid, draw.params, inputs, check_tol=tol)
+        certs = theorems.check_scalar(tid, draw.params, inputs)
     elif checker.kind == theorems.SINGLE:
         extras = {k: v for k, v in draw.arrays.items() if k != "T"}
         certs = theorems.check_single(tid, draw.spaces["space"],
                                       draw.arrays["T"], draw.params,
-                                      extras=extras, check_tol=tol)
+                                      extras=extras)
     else:
         block = _build_block(draw, checker.shape)
-        certs = theorems.check_block_runs(tid, block, draw.params, checker.runs,
-                                          check_tol=tol)
+        certs = theorems.check_block_runs(tid, block, draw.params, checker.runs)
     # each certificate owns its witness dict; trial_seed stays the last key
     for c in certs:
         c.witness["trial_seed"] = draw.trial_seed
@@ -304,7 +298,7 @@ def _trials(config, theorem_id):
         seed = derive_trial_seed(config.master_seed, theorem_id, i)
         try:
             draw = draw_trial(theorem_id, seed, config)
-            trial = draw, evaluate_draw(draw, config)
+            trial = draw, evaluate_draw(draw)
         except BerlabError:
             trial = None
         yield trial
@@ -422,7 +416,7 @@ def explore(config, theorem_id, budget):
             rounds_left -= 1
             candidate = _perturb(current, rng, step)
             try:
-                cert = _worst_cert(evaluate_draw(candidate, config))
+                cert = _worst_cert(evaluate_draw(candidate))
             except BerlabError:
                 step /= 2.0
                 continue

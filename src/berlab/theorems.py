@@ -37,9 +37,9 @@ BLOCK = "block"
 CONJUGATE_PAIRS = ((2.0, 2.0), (3.0, 1.5), (4.0, 4.0 / 3.0))
 
 
-def slack_tolerance(rhs, check_tol=CHECK_TOL):
+def slack_tolerance(rhs):
     """Allowed negative slack for a certificate with the given rhs."""
-    return max(TOL_FLOOR, check_tol * (1.0 + abs(rhs)))
+    return max(TOL_FLOOR, CHECK_TOL * (1.0 + abs(rhs)))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -72,15 +72,14 @@ class Certificate:
 
 
 def make_certificate(theorem_id, lhs, rhs, *, params=None, witness=None,
-                     convention=None, mode=GATING, digest=None,
-                     check_tol=CHECK_TOL, equality=False):
+                     convention=None, mode=GATING, digest=None, equality=False):
     """Certificate of lhs <= rhs, or of lhs == rhs when ``equality`` is set."""
     lhs = float(lhs)
     rhs = float(rhs)
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise BadParams(f"{theorem_id}: non-finite lhs/rhs")
     slack = rhs - lhs
-    tol = slack_tolerance(rhs, check_tol)
+    tol = slack_tolerance(rhs)
     return Certificate(
         theorem_id=theorem_id,
         lhs=lhs,
@@ -231,7 +230,6 @@ def _t311_combo(t_mat, r, p, q, e):
 
 def _l21c(cert, space, t_mat, params, extras):
     grid = int(params.get("theta_grid", PARAM_GRID["theta_grid"]))
-    _require(grid >= 4, "L21c needs theta_grid >= 4")
     ber, j = rkhs.berezin_peak(space, t_mat)
     grid_sup = rkhs.ber_via_rotations(space, t_mat, grid)
     # grid of spacing 2*pi/G misses the optimal phase by at most pi/G
@@ -293,12 +291,14 @@ def _t312(cert, space, t_mat, params, extras, *, statement):
 def _t32(cert, space, t_mat, params, extras):
     t = float(params["t"])
     _require(0.0 <= t <= 1.0, "T32 needs t in [0, 1]")
-    _, modulus = numlin.polar_decompose(t_mat)
+    iso, modulus = numlin.polar_decompose(t_mat)
     ber, j = rkhs.berezin_peak(space, t_mat)
-    p2t, p2s = numlin.matrix_power_psd(np.stack([modulus, modulus]),
-                                       [2.0 * t, 2.0 * (1.0 - t)], support=True)
+    # one polar and one power stack: the factors of aluthge_general(T, t), then
+    # the powers of the norm term
+    left, right, p2t, p2s = blockops._support_power(
+        [modulus] * 4, [t, 1.0 - t, 2.0 * t, 2.0 * (1.0 - t)])
     rhs = (0.25 * numlin.operator_norm(p2t + p2s)
-           + 0.5 * rkhs.berezin_number(space, blockops.aluthge_general(t_mat, t)))
+           + 0.5 * rkhs.berezin_number(space, left @ iso @ right))
     return [cert(ber, rhs, params={"t": t}, witness={"j": j})]
 
 
@@ -652,27 +652,26 @@ def _lookup(theorem_id, kind):
     return checker
 
 
-def _factory(theorem_id, run, digest, check_tol):
+def _factory(theorem_id, run, digest):
     """Certificate factory for one (convention, mode) run of a checker."""
     conv, mode = run
     return partial(make_certificate, theorem_id, convention=conv,
-                   mode=mode, digest=digest, check_tol=check_tol)
+                   mode=mode, digest=digest)
 
 
-def check_scalar(theorem_id, params, inputs, check_tol=CHECK_TOL):
+def check_scalar(theorem_id, params, inputs):
     """Scalar / vector inequality checkers. Returns a list of Certificates."""
     checker = _lookup(theorem_id, SCALAR)
-    cert = _factory(theorem_id, checker.runs[0], None, check_tol)
+    cert = _factory(theorem_id, checker.runs[0], None)
     return checker.evaluate(cert, params, inputs)
 
 
-def check_single(theorem_id, space, t_mat, params, extras=None,
-                 check_tol=CHECK_TOL):
+def check_single(theorem_id, space, t_mat, params, extras=None):
     """Single-operator checkers on one kernel space. Returns Certificates."""
     t_mat = space.check_operator(t_mat)
     digest = _bound_digest(t_mat, space.gram, dict(params))
     checker = _lookup(theorem_id, SINGLE)
-    cert = _factory(theorem_id, checker.runs[0], digest, check_tol)
+    cert = _factory(theorem_id, checker.runs[0], digest)
     return checker.evaluate(cert, space, t_mat, params, extras or {})
 
 
@@ -691,7 +690,7 @@ def _check_shape(theorem_id, shape, block):
         _require(np.array_equal(block.X, block.Y), f"{theorem_id} needs Y = X")
 
 
-def check_block_runs(theorem_id, block, params, runs, check_tol=CHECK_TOL):
+def check_block_runs(theorem_id, block, params, runs):
     """Block-operator checkers at each (convention, mode) of ``runs``.
 
     The block must have its checker's registry shape. The certificates of
@@ -702,13 +701,10 @@ def check_block_runs(theorem_id, block, params, runs, check_tol=CHECK_TOL):
     _check_shape(theorem_id, checker.shape, block)
     digest = _bound_digest(block.S, block.X, block.Y, block.R,
                             block.space1.gram, block.space2.gram, dict(params))
-    factories = tuple((run[0], _factory(theorem_id, run, digest, check_tol))
-                      for run in runs)
+    factories = tuple((run[0], _factory(theorem_id, run, digest)) for run in runs)
     return checker.evaluate(factories, block, params)
 
 
-def check_block(theorem_id, block, conv, params, mode=GATING,
-                check_tol=CHECK_TOL):
+def check_block(theorem_id, block, conv, params, mode=GATING):
     """Block-operator checkers at one explicit Berezin convention."""
-    return check_block_runs(theorem_id, block, params, ((conv, mode),),
-                            check_tol=check_tol)
+    return check_block_runs(theorem_id, block, params, ((conv, mode),))

@@ -120,7 +120,7 @@ def replay_gating_failures(config, row):
         seed = harness.derive_trial_seed(config.master_seed, row["theorem_id"], i)
         try:
             draw = harness.draw_trial(row["theorem_id"], seed, config)
-            certs = harness.evaluate_draw(draw, config)
+            certs = harness.evaluate_draw(draw)
         except BerlabError:
             continue
         found.extend((i, draw, c) for c in certs
@@ -131,14 +131,14 @@ def replay_gating_failures(config, row):
     return found
 
 
-def oracle_confirms(config, draw, cert):
+def oracle_confirms(draw, cert):
     if cert.theorem_id not in KNOWN_FALSE:
         return False
     lhs, rhs = known_false_oracle(cert.theorem_id, draw.spaces["space"],
                                   draw.arrays["T"], cert.params["t"])
     slack = rhs - lhs
     return (abs(slack - cert.slack) <= 1e-9 * (1.0 + abs(rhs))
-            and slack < -theorems.slack_tolerance(rhs, config.check_tol))
+            and slack < -theorems.slack_tolerance(rhs))
 
 
 def test_criterion_1_gating_soundness(campaign):
@@ -156,7 +156,7 @@ def test_criterion_1_gating_soundness(campaign):
             unconfirmed.append((row["theorem_id"], "replayed", len(replayed),
                                 "of", row["failures"]))
         for i, draw, cert in replayed:
-            if oracle_confirms(config, draw, cert):
+            if oracle_confirms(draw, cert):
                 confirmed.append(f"{cert.theorem_id}#{i} {cert.slack:.4f}")
             else:
                 unconfirmed.append((cert.theorem_id, i, cert.slack))
@@ -278,7 +278,7 @@ def test_criterion_7_determinism(campaign):
         wit = res["witness"]
         draw = harness.draw_trial(res["theorem_id"], wit["witness"]["trial_seed"],
                                   config)
-        certs = harness.evaluate_draw(draw, config)
+        certs = harness.evaluate_draw(draw)
         match = [c for c in certs
                  if c.convention == res["convention"]
                  and c.params.get("link", 0) == res["link"]

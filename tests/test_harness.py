@@ -79,8 +79,8 @@ def test_draw_trial_reproducible():
     assert d1.params == d2.params
     for key in d1.arrays:
         assert np.array_equal(d1.arrays[key], d2.arrays[key])
-    c1 = harness.evaluate_draw(d1, config)
-    c2 = harness.evaluate_draw(d2, config)
+    c1 = harness.evaluate_draw(d1)
+    c2 = harness.evaluate_draw(d2)
     assert [c.to_dict() for c in c1] == [c.to_dict() for c in c2]
 
 
@@ -138,7 +138,7 @@ def test_witness_reproduces_from_seed():
     res = rep.results[0]
     wit = res["witness"]
     draw = harness.draw_trial("T24a", wit["witness"]["trial_seed"], config)
-    certs = harness.evaluate_draw(draw, config)
+    certs = harness.evaluate_draw(draw)
     match = [c for c in certs if c.convention == res["convention"]]
     assert match and match[0].to_dict() == wit
 
@@ -302,38 +302,47 @@ def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
     bad_seed.write_text("master_seed = abc\n")
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"\xff\xfe master_seed = 1\n")
-    nan_tol = tmp_path / "nan_tol.cfg"
-    nan_tol.write_text("check_tol = nan\n")
     no_ids = tmp_path / "no_ids.cfg"
     no_ids.write_text("theorems =\n")
+    rejected = [
+        ["verify", "--theorems", "NOPE"],
+        ["verify", "--dims", "bogus"],
+        ["case", "--theorem", "L21b"],  # no seed
+        ["case", "--theorem", "L21b", "--seed", "-5"],
+        ["verify", "--config", "/no/such/file"],
+        ["verify", "--config", str(bad_seed)],
+        ["verify", "--config", str(binary)],
+        # a malformed flag is one error line too, not a usage block
+        ["verify", "--trials", "abc"],
+        ["verify", "--bogus"],
+        ["explore", "--budget", "3"],  # no --theorem
+        ["nope"],
+        # a repeated id would count its trials twice; an empty list is not "all"
+        ["verify", "--theorems", "T24a,T24a", "--trials", "2", "--dims", "2x2"],
+        ["verify", "--theorems", ","],
+        ["verify", "--theorems", ""],
+        ["verify", "--config", str(no_ids)],
+    ]
+    # the gate tolerance is fixed in code: neither a flag nor a config key sets it
+    for tol in ("1", "nan", "-1", "inf"):
+        rejected.append(["verify", "--theorems", "YOUNG2", "--trials", "2", "--tol", tol])
+        tol_file = tmp_path / f"tol_{tol}.cfg"
+        tol_file.write_text(f"check_tol = {tol}\n")
+        rejected.append(["verify", "--config", str(tol_file)])
     # "trials" is a flag name, not a config key: it must not be ignored
     unknown_key = tmp_path / "unknown_key.cfg"
     unknown_key.write_text("trials = 2\ntheorems = YOUNG2\n")
-    assert cli.main(["verify", "--theorems", "NOPE"]) == cli.EXIT_CONFIG
-    assert cli.main(["verify", "--dims", "bogus"]) == cli.EXIT_CONFIG
-    assert cli.main(["case", "--theorem", "L21b"]) == cli.EXIT_CONFIG  # no seed
-    assert cli.main(["case", "--theorem", "L21b", "--seed", "-5"]) == cli.EXIT_CONFIG
-    assert cli.main(["verify", "--config", "/no/such/file"]) == cli.EXIT_CONFIG
-    assert cli.main(["verify", "--config", str(bad_seed)]) == cli.EXIT_CONFIG
-    assert cli.main(["verify", "--config", str(binary)]) == cli.EXIT_CONFIG
-    for tol in ("nan", "-1", "inf"):
-        assert cli.main(["verify", "--theorems", "YOUNG2", "--trials", "2",
-                         "--tol", tol]) == cli.EXIT_CONFIG
-    assert cli.main(["verify", "--config", str(nan_tol)]) == cli.EXIT_CONFIG
-    # a repeated id would count its trials twice; an empty list is not "all"
-    assert cli.main(["verify", "--theorems", "T24a,T24a", "--trials", "2",
-                     "--dims", "2x2"]) == cli.EXIT_CONFIG
-    assert cli.main(["verify", "--theorems", ","]) == cli.EXIT_CONFIG
-    assert cli.main(["verify", "--theorems", ""]) == cli.EXIT_CONFIG
-    assert cli.main(["verify", "--config", str(no_ids)]) == cli.EXIT_CONFIG
-    assert cli.main(["verify", "--config", str(unknown_key)]) == cli.EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""  # rejected before any trial ran or report printed
-    err = captured.err
-    assert "Traceback" not in err
-    assert all(line.startswith("error: ") for line in err.splitlines())
-    assert err.splitlines()[-1] == "error: unknown config key 'trials'"
+    rejected.append(["verify", "--config", str(unknown_key)])
+    for argv in rejected:
+        assert cli.main(argv) == cli.EXIT_CONFIG, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv  # rejected before any trial ran or report printed
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+    assert err == "error: unknown config key 'trials'\n"
     assert campaigns == []
+    with pytest.raises(SystemExit) as help_exit:
+        cli.main(["verify", "--help"])
+    assert help_exit.value.code == 0
 
 
 def test_cli_failed_verify_keeps_the_previous_report(tmp_path, capsys, monkeypatch):
@@ -463,7 +472,7 @@ def test_block_draw_evaluates_shared_operands_once(monkeypatch):
         draw = harness.draw_trial(tid, seed, config)
         assert draw.arrays["X"].shape == x_shape
         calls.update(dict.fromkeys(expected, 0))
-        certs = harness.evaluate_draw(draw, config)
+        certs = harness.evaluate_draw(draw)
         assert [(c.convention, c.mode) for c in certs] == list(
             theorems.CHECKERS[tid].runs)
         assert calls == expected, (tid, index)
@@ -502,13 +511,13 @@ def test_lazy_digests_equal_eager_ones(monkeypatch):
     config = small_config()
     draws = [harness.draw_trial(tid, harness.derive_trial_seed(11, tid, i), config)
              for tid in theorems.CHECKERS for i in range(5)]
-    lazy = [harness.evaluate_draw(d, config) for d in draws]
+    lazy = [harness.evaluate_draw(d) for d in draws]
 
     def hashed_now(*items):
         hexdigest = theorems.digest_inputs(*items)
         return lambda: hexdigest
     monkeypatch.setattr(theorems, "_bound_digest", hashed_now)
-    eager = [harness.evaluate_draw(d, config) for d in draws]
+    eager = [harness.evaluate_draw(d) for d in draws]
     for draw, mine, theirs in zip(reversed(draws), reversed(lazy), reversed(eager)):
         assert [c.to_dict() for c in mine] == [c.to_dict() for c in theirs]
         assert all(len(c.input_digest) == 32 for c in mine), draw.theorem_id

@@ -129,6 +129,42 @@ def test_t32_r33_counterexample_is_recorded_honestly():
         assert cert.slack < -0.03
 
 
+def test_t32_takes_one_polar_and_one_power_stack(monkeypatch):
+    # T32 reads the Aluthge factors and its norm term's powers off one polar
+    # decomposition and one eigh stack, with aluthge_general's bits; R33
+    # still goes through aluthge_general
+    config = harness.CampaignConfig(master_seed=42, dims=((1, 1), (3, 3), (5, 5)))
+    calls = {}
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((numlin, "polar_decompose"), (numlin, "hermitian_eig"),
+                         (blockops, "aluthge_general")):
+        count(module, name)
+    expected = {"T32": {"polar_decompose": 1, "hermitian_eig": 1, "aluthge_general": 0},
+                "R33": {"polar_decompose": 1, "hermitian_eig": 1, "aluthge_general": 1}}
+    for tid, want in expected.items():
+        for i in range(20):
+            draw = harness.draw_trial(tid, harness.derive_trial_seed(42, tid, i), config)
+            calls.update(dict.fromkeys(want, 0))
+            cert, = harness.evaluate_draw(draw)
+            assert calls == want, (tid, i)
+            if tid == "T32":
+                space, t_mat, t = draw.spaces["space"], draw.arrays["T"], cert.params["t"]
+                modulus = numlin.polar_decompose(t_mat)[1]
+                powers = numlin.matrix_power_psd(np.stack([modulus, modulus]),
+                                                 [2.0 * t, 2.0 * (1.0 - t)], support=True)
+                rhs = (0.25 * numlin.operator_norm(powers[0] + powers[1]) + 0.5
+                       * rkhs.berezin_number(space, blockops.aluthge_general(t_mat, t)))
+                assert cert.rhs == rhs, i
+
+
 def test_t311_proof_and_stmt():
     rng = np.random.default_rng(9)
     sp = rkhs.identity_space(3)
@@ -158,6 +194,8 @@ def test_l21c_certificate():
         cert = theorems.check_single("L21c", sp, cgauss(rng, (3, 3)),
                                      {"theta_grid": 720})[0]
         assert cert.holds
+    with pytest.raises(BadParams):  # ber_via_rotations needs a grid of 4 or more
+        theorems.check_single("L21c", sp, cgauss(rng, (3, 3)), {"theta_grid": 3})
 
 
 def test_ber_axiom_checkers():
@@ -370,7 +408,7 @@ def test_block_runs_match_per_run_check_block(tid):
     for i in range(config.trials_per_checker):
         seed = harness.derive_trial_seed(config.master_seed, tid, i)
         draw = harness.draw_trial(tid, seed, config)
-        at_once = [c.to_dict() for c in harness.evaluate_draw(draw, config)]
+        at_once = [c.to_dict() for c in harness.evaluate_draw(draw)]
         for cert in at_once:
             assert cert["witness"].pop("trial_seed") == seed
         block = harness._build_block(draw, checker.shape)
