@@ -17,7 +17,11 @@ CONVENTIONS = ("pair", "joint")
 
 @dataclass(frozen=True)
 class BlockOperator:
-    """T = [[S, X], [Y, R]] over spaces (space1, space2)."""
+    """T = [[S, X], [Y, R]] over spaces (space1, space2).
+
+    The four blocks may also be stacks along the same leading axes: one
+    block operator per slice, all over the same two spaces.
+    """
 
     S: np.ndarray
     X: np.ndarray
@@ -28,11 +32,12 @@ class BlockOperator:
 
     def __post_init__(self):
         n1, n2 = self.space1.dim, self.space2.dim
+        lead = self.S.shape[:-2]
         shapes = {
-            "S": (self.S.shape, (n1, n1)),
-            "X": (self.X.shape, (n1, n2)),
-            "Y": (self.Y.shape, (n2, n1)),
-            "R": (self.R.shape, (n2, n2)),
+            "S": (self.S.shape, lead + (n1, n1)),
+            "X": (self.X.shape, lead + (n1, n2)),
+            "Y": (self.Y.shape, lead + (n2, n1)),
+            "R": (self.R.shape, lead + (n2, n2)),
         }
         for name, (got, want) in shapes.items():
             if got != want:
@@ -62,18 +67,19 @@ def _pair_values(block):
     """Component-normalized kernel-pair evaluations, as an n1 x n2 array.
 
     Entry (j1, j2) is <S k1, k1> + <X k2, k1> + <Y k1, k2> + <R k2, k2>
-    with each kernel individually normalized. A zero S or R block is not
-    summed: its terms are signed zeros, which the caller's abs drops.
+    with each kernel individually normalized; a stacked block gives one
+    such array per slice. A zero S or R block is not summed: its terms are
+    signed zeros, which the caller's abs drops.
     """
     k1 = block.space1.normalized_chart()
     k2 = block.space2.normalized_chart()
     # the terms keep the order (s + x) + y.T + r: another order moves bits
     vals = k1.conj().T @ block.X @ k2
     if block.S.any():
-        vals = rkhs.berezin_symbols(block.space1, block.S)[:, None] + vals
-    vals = vals + (k2.conj().T @ block.Y @ k1).T
+        vals = rkhs.berezin_symbols(block.space1, block.S)[..., :, None] + vals
+    vals = vals + (k2.conj().T @ block.Y @ k1).mT
     if block.R.any():
-        vals = vals + rkhs.berezin_symbols(block.space2, block.R)[None, :]
+        vals = vals + rkhs.berezin_symbols(block.space2, block.R)[..., None, :]
     return vals
 
 
@@ -82,19 +88,24 @@ def ber_block(block, conv):
 
     Returns (value, (j1, j2)), the peak and the kernel pair attaining it.
     For a tuple of conventions it returns one such pair per convention, in
-    order, all read off one kernel-pair grid.
+    order, all read off one kernel-pair grid. A stacked block gives a list
+    with one such result per slice.
     """
     convs = conv if isinstance(conv, tuple) else (conv,)
     for c in convs:
         if c not in CONVENTIONS:
             raise BadParams(f"unknown convention {c!r}")
     vals = np.abs(_pair_values(block))
-    j1, j2 = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    pair = float(vals[j1, j2])
-    # the joint convention halves the pair peak at the same kernel pair
-    peaks = [(pair / 2.0 if c == "joint" else pair, (int(j1), int(j2)))
-             for c in convs]
-    return peaks if isinstance(conv, tuple) else peaks[0]
+    # the first peak of each slice's grid, in row-major order
+    grids = vals.reshape((-1, vals.shape[-2] * vals.shape[-1]))
+    per_slice = []
+    for k, pair in zip(grids.argmax(axis=1).tolist(),
+                       np.maximum.reduce(grids, axis=1).tolist()):
+        j1, j2 = divmod(k, vals.shape[-1])
+        # the joint convention halves the pair peak at the same kernel pair
+        peaks = [(pair / 2.0 if c == "joint" else pair, (j1, j2)) for c in convs]
+        per_slice.append(peaks if isinstance(conv, tuple) else peaks[0])
+    return per_slice if vals.ndim > 2 else per_slice[0]
 
 
 def _support_power(moduli, exps):

@@ -60,7 +60,8 @@ def _parse_ids(text):
     return tuple(_entries(text, "checker"))
 
 
-# (config-file key, command-line flag, CampaignConfig field, parser)
+# (config-file key, command-line flag, CampaignConfig field, parser); the
+# last three set the report, which only verify writes
 _SETTINGS = (
     ("master_seed", "seed", "master_seed", int),
     ("trials_per_checker", "trials", "trials_per_checker", int),
@@ -73,10 +74,15 @@ _SETTINGS = (
 
 
 def build_config(args):
-    """Merge config file values and CLI flags (flags win)."""
+    """Merge config file values and CLI flags (flags win).
+
+    A command reads the config keys of its own flags only, so a report
+    setting given to explore or case is an error, not silently dropped.
+    """
     config = harness.CampaignConfig()
     values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, _, field, parse in _SETTINGS:
+    settings = [s for s in _SETTINGS if hasattr(args, s[1])]
+    for key, _, field, parse in settings:
         if key in values:
             text = values.pop(key)
             try:
@@ -84,9 +90,12 @@ def build_config(args):
             except ValueError as exc:
                 raise ConfigInvalid(f"bad config value {key} = {text!r}") from exc
     if values:  # the first key no setting reads, in file order
-        raise ConfigInvalid(f"unknown config key {next(iter(values))!r}")
-    for _, flag, field, parse in _SETTINGS:
-        value = getattr(args, flag, None)
+        key = next(iter(values))
+        if any(key == s[0] for s in _SETTINGS):
+            raise ConfigInvalid(f"{args.command} does not read config key {key!r}")
+        raise ConfigInvalid(f"unknown config key {key!r}")
+    for _, flag, field, parse in settings:
+        value = getattr(args, flag)
         if value is not None:
             setattr(config, field, parse(value))
     config.validate()
@@ -99,6 +108,9 @@ def _add_common(parser):
     parser.add_argument("--trials", type=int, help="trials per checker")
     parser.add_argument("--dims", help="comma list of block dims, e.g. 2x2,3x2")
     parser.add_argument("--kernel", help="comma list of kernel families")
+
+
+def _add_report(parser):
     parser.add_argument("--theorems", help="comma list of checker ids")
     parser.add_argument("--out", help="report output path")
     parser.add_argument("--format", choices=("json", "csv"), help="report format")
@@ -182,6 +194,7 @@ def main(argv=None):
 
     p_verify = sub.add_parser("verify", help="run a verification campaign")
     _add_common(p_verify)
+    _add_report(p_verify)
 
     p_explore = sub.add_parser("explore", help="adversarial slack search")
     _add_common(p_explore)

@@ -7,6 +7,7 @@ statistics into a deterministic Report.
 """
 
 import dataclasses
+import functools
 import hashlib
 import time
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ GATING = theorems.GATING
 
 SPACE_ATTEMPTS = 5     # point draws per space before IllConditioned
 EXPLORE_RESTARTS = 10  # hill-climb restarts from the best draw so far
+SPECULATE_FROM = 4     # climb candidates evaluated at once after an acceptance
 
 ALL_CHECKERS = tuple(theorems.CHECKERS)
 
@@ -228,16 +230,27 @@ def draw_trial(theorem_id, trial_seed, config):
 
 
 def _build_block(draw, shape):
-    """The block operator of a block draw; blocks the shape leaves out are 0."""
+    """The block operator of a block draw; blocks the shape leaves out are 0.
+
+    A draw whose operands are stacks gives the stacked block.
+    """
     sp1, sp2 = draw.spaces["space1"], draw.spaces["space2"]
     n1, n2 = sp1.dim, sp2.dim
-    zero = lambda r, c: np.zeros((r, c), dtype=np.complex128)
     arrays = draw.arrays
+    lead = next(iter(arrays.values())).shape[:-2]
+    zero = lambda r, c: np.zeros(lead + (r, c), dtype=np.complex128)
     x = arrays.get("X", zero(n1, n2))
     y = x.copy() if shape == "tied_square" else arrays.get("Y", zero(n2, n1))
     return blockops.BlockOperator(S=arrays.get("S", zero(n1, n1)), X=x, Y=y,
                                   R=arrays.get("R", zero(n2, n2)),
                                   space1=sp1, space2=sp2)
+
+
+def _stamped(certs, draw):
+    """``certs`` with the draw's trial seed as the last key of every witness."""
+    for c in certs:  # each certificate owns its witness dict
+        c.witness["trial_seed"] = draw.trial_seed
+    return certs
 
 
 def evaluate_draw(draw):
@@ -256,10 +269,46 @@ def evaluate_draw(draw):
     else:
         block = _build_block(draw, checker.shape)
         certs = theorems.check_block_runs(tid, block, draw.params, checker.runs)
-    # each certificate owns its witness dict; trial_seed stays the last key
-    for c in certs:
-        c.witness["trial_seed"] = draw.trial_seed
-    return certs
+    return _stamped(certs, draw)
+
+
+def _evaluate_stack(draws):
+    """evaluate_draw of each draw of a stacking block checker, as one stack."""
+    first = draws[0]
+    checker = theorems.CHECKERS[first.theorem_id]
+    if any(d.theorem_id != first.theorem_id or d.params != first.params
+           or any(d.spaces[k] is not sp for k, sp in first.spaces.items())
+           for d in draws):
+        raise BadParams("a stack needs one checker, one set of params and one space pair")
+    arrays = {name: np.stack([d.arrays[name] for d in draws]) for name in first.arrays}
+    for a in arrays.values():  # each slice's certificates digest it when first read
+        a.flags.writeable = False
+    block = _build_block(dataclasses.replace(first, arrays=arrays), checker.shape)
+    per_draw = theorems.check_block_runs(first.theorem_id, block, first.params, checker.runs)
+    return [_stamped(certs, d) for certs, d in zip(per_draw, draws)]
+
+
+def evaluate_bucket(draws):
+    """evaluate_draw of each of ``draws``, lazily and in order.
+
+    Returns one thunk per draw: it returns that draw's certificates, or
+    raises what ``evaluate_draw(draw)`` raises. A stacking block checker
+    evaluates draws that share params and spaces as one stack, at the first
+    call; other checkers, and a stack that raises anything, evaluate one
+    draw per call. A call therefore raises only for its own draw, and a
+    caller that stops early evaluates no later draw on its own.
+    """
+    # the stack's certificates once evaluated; None: one draw per call
+    stacked = [] if theorems.CHECKERS[draws[0].theorem_id].stacks else [None]
+
+    def certificates(k):
+        if not stacked:
+            try:
+                stacked.append(_evaluate_stack(draws))
+            except Exception:  # anything: each draw then answers for itself
+                stacked.append(None)
+        return evaluate_draw(draws[k]) if stacked[0] is None else stacked[0][k]
+    return [functools.partial(certificates, k) for k in range(len(draws))]
 
 
 # ---------------------------------------------------------------------------
@@ -367,18 +416,41 @@ def _worst_cert(certs):
     return min(target, key=lambda c: c.slack)
 
 
-def _perturb(draw, rng, step):
-    """Gaussian bump of one coordinate of one free operand, in a read-only copy."""
+def _draw_bump(draw, rng):
+    """The random part of one climb round: (operand name, index or None, z).
+
+    It reads only the names and shapes of the draw's operands, which a
+    climb never changes, so a round's numbers do not depend on what earlier
+    rounds accepted.
+    """
+    name = _choice(rng, sorted(draw.arrays) + sorted(draw.scalars))
+    if name in draw.arrays:
+        idx = tuple(int(rng.integers(s)) for s in draw.arrays[name].shape)
+        return name, idx, complex(_complex_gaussian(rng, ()))
+    return name, None, rng.standard_normal()
+
+
+def _bump(draw, bump, step):
+    """``draw`` with one coordinate moved by ``step * z``, in a read-only copy."""
+    name, idx, z = bump
     arrays, scalars = dict(draw.arrays), dict(draw.scalars)
-    name = _choice(rng, sorted(arrays) + sorted(scalars))
-    if name in arrays:
-        arr = arrays[name] = arrays[name].copy()
-        idx = tuple(int(rng.integers(s)) for s in arr.shape)
-        arr[idx] += step * complex(_complex_gaussian(rng, ()))
-        arr.flags.writeable = False
+    if idx is None:
+        scalars[name] = abs(scalars[name] + step * z)
     else:
-        scalars[name] = abs(scalars[name] + step * rng.standard_normal())
-    return dataclasses.replace(draw, arrays=arrays, scalars=scalars)
+        arr = arrays[name] = arrays[name].copy()
+        arr[idx] += step * z
+        arr.flags.writeable = False
+    return TrialDraw(draw.theorem_id, draw.trial_seed, draw.params, arrays, scalars,
+                     draw.spaces)
+
+
+def _candidates(draw, bumps, step):
+    """Bumps of ``draw``, each as if every one before it was rejected: each halves the step."""
+    out = []
+    for bump in bumps:
+        out.append(_bump(draw, bump, step))
+        step /= 2.0
+    return out
 
 
 def explore(config, theorem_id, budget):
@@ -386,6 +458,12 @@ def explore(config, theorem_id, budget):
 
     Starts from the minimum-slack random witness of a short campaign and
     never returns a certificate with larger slack than that start.
+
+    A restart draws its rounds' random numbers first, then evaluates its
+    candidates in chunks that assume every round rejects. The first
+    accepted candidate of a chunk drops the rest, so the result is the
+    sequential climb's, bit for bit. A chunk holds ``SPECULATE_FROM``
+    candidates after an acceptance and doubles after each all-reject chunk.
     """
     config.validate()
     if theorem_id not in theorems.CHECKERS:
@@ -410,20 +488,25 @@ def explore(config, theorem_id, budget):
     for _ in range(EXPLORE_RESTARTS):
         if rounds_left <= 0:
             break
+        bumps = [_draw_bump(best_draw, rng) for _ in range(min(per_restart, rounds_left))]
+        rounds_left -= len(bumps)
         current, current_slack = best_draw, best_cert.slack
-        step = 0.5
-        for _ in range(min(per_restart, rounds_left)):
-            rounds_left -= 1
-            candidate = _perturb(current, rng, step)
-            try:
-                cert = _worst_cert(evaluate_draw(candidate))
-            except BerlabError:
-                step /= 2.0
-                continue
-            if cert.slack < current_slack:
-                current, current_slack = candidate, cert.slack
-                if cert.slack < best_cert.slack:
-                    best_draw, best_cert = candidate, cert
-            else:
+        step, done, chunk = 0.5, 0, SPECULATE_FROM
+        while done < len(bumps):
+            candidates = _candidates(current, bumps[done:done + chunk], step)
+            chunk *= 2
+            for candidate, certificates in zip(candidates, evaluate_bucket(candidates)):
+                done += 1
+                try:
+                    cert = _worst_cert(certificates())
+                except BerlabError:
+                    step /= 2.0
+                    continue
+                if cert.slack < current_slack:
+                    current, current_slack = candidate, cert.slack
+                    if cert.slack < best_cert.slack:
+                        best_draw, best_cert = candidate, cert
+                    chunk = SPECULATE_FROM
+                    break
                 step /= 2.0
     return best_cert

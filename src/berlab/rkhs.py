@@ -164,8 +164,11 @@ def berezin_peak(space, a):
 
 
 def berezin_number(space, a):
-    """Maximum modulus of the Berezin symbol over the point set."""
-    return berezin_peak(space, a)[0]
+    """Maximum modulus of the Berezin symbol over the point set.
+
+    A stack of operators gives a list with one number per slice.
+    """
+    return np.maximum.reduce(np.abs(berezin_symbols(space, a)), axis=-1).tolist()
 
 
 def ber_via_rotations(space, a, grid):

@@ -206,17 +206,21 @@ def _s310(cert, params, inputs):
 def _abs_powers(ops, exps, support=False):
     """|A_k|^{p_k} for each operator A_k, in input order.
 
-    Operands of one shape share one stack: one modulus eigh and one power
-    eigh per shape. ``support`` takes ``matrix_power_psd``'s support power.
+    An A_k may also be a stack of operators, with p_k for each of its
+    slices. Operands of one shape share one stack: one modulus eigh and one
+    power eigh per shape. ``support`` takes ``matrix_power_psd``'s support
+    power.
     """
     out = [None] * len(ops)
     by_shape = {}
     for k, op in enumerate(ops):
         by_shape.setdefault(op.shape, []).append(k)
     for ks in by_shape.values():
-        powers = numlin.matrix_abs(np.stack([ops[k] for k in ks]),
-                                   [exps[k] for k in ks], support)
-        for k, power in zip(ks, powers):
+        stack = np.stack([ops[k] for k in ks])
+        slices = math.prod(stack.shape[1:-2])  # per operand
+        powers = numlin.matrix_abs(stack.reshape((-1,) + stack.shape[-2:]),
+                                   [exps[k] for k in ks for _ in range(slices)], support)
+        for k, power in zip(ks, powers.reshape(stack.shape[:-2] + powers.shape[-2:])):
             out[k] = power
     return out
 
@@ -365,15 +369,34 @@ def _ber_norm(cert, space, t_mat, params, extras):
 # Berezin peak. The certificates come back in run order: aggregation and
 # explore break ties by that order. check_block_runs has already checked the
 # block against its checker's registry shape.
+#
+# A stacking checker (T24/C25/R26, T29/C210) takes a bucket instead: a
+# stacked block, one slice per draw, and the runs of each slice. It returns
+# one certificate list per slice, each with the bits of a lone draw's. A
+# lone block is a bucket of one.
+
+def _per_slice(values):
+    """A per-slice list of values; a lone block's one value becomes a list of one."""
+    return values if isinstance(values, list) else [values]
+
+
+def _slice_peaks(bucket, block):
+    """(certificate factory, Berezin value, witness) of each run, per slice.
+
+    The runs of each slice come in run order; one stack of kernel-pair
+    grids serves every run's convention.
+    """
+    peaks = blockops.ber_block(block, tuple(conv for conv, _ in bucket[0]))
+    if block.X.ndim == 2:
+        peaks = [peaks]
+    return [[(cert, value, {"j1": j1, "j2": j2})
+             for (_, cert), (value, (j1, j2)) in zip(runs, slice_peaks)]
+            for runs, slice_peaks in zip(bucket, peaks)]
+
 
 def _peaks(block, runs):
-    """(certificate factory, Berezin value, witness) of each run, in run order.
-
-    One kernel-pair grid serves every run's convention.
-    """
-    peaks = blockops.ber_block(block, tuple(conv for conv, _ in runs))
-    for (_, cert), (value, (j1, j2)) in zip(runs, peaks):
-        yield cert, value, {"j1": j1, "j2": j2}
+    """_slice_peaks of one block and its runs."""
+    return _slice_peaks([runs], block)[0]
 
 
 def _t24_operands(block, r, p, variant):
@@ -388,7 +411,7 @@ def _t24_operands(block, r, p, variant):
     # four when n1 = n2, else one per pair
     exps = [fe, ge, fe, ge] if variant == "fg" else [fe, fe, ge, ge]
     x2, ys2, y1, xs1 = _abs_powers(
-        [block.X, block.Y.conj().T, block.Y, block.X.conj().T], exps)
+        [block.X, block.Y.conj().mT, block.Y, block.X.conj().mT], exps)
     return x2 + ys2, y1 + xs1
 
 
@@ -422,16 +445,17 @@ def _ineq1(runs, block, params):
             for cert, value, wit in _peaks(block, runs)]
 
 
-def _t24(runs, block, params, *, variant="fg", fixed=None):
+def _t24(bucket, block, params, *, variant="fg", fixed=None):
     r, p = fixed or (float(params["r"]), float(params["p"]))
     _require(r >= 1.0, "T24/C25/R26 need r >= 1")
     _require(0.0 <= p <= 1.0, "T24/C25/R26 need p in [0, 1]")
     op2, op1 = _t24_operands(block, r, p, variant)
-    rhs = (2.0**r / 2.0
-           * math.sqrt(rkhs.berezin_number(block.space2, op2))
-           * math.sqrt(rkhs.berezin_number(block.space1, op1)))
-    return [cert(value**r, rhs, params=params, witness=wit)
-            for cert, value, wit in _peaks(block, runs)]
+    rhs = [2.0**r / 2.0 * math.sqrt(ber2) * math.sqrt(ber1)
+           for ber2, ber1 in zip(_per_slice(rkhs.berezin_number(block.space2, op2)),
+                                 _per_slice(rkhs.berezin_number(block.space1, op1)))]
+    return [[cert(value**r, rhs_k, params=params, witness=wit)
+             for cert, value, wit in peaks]
+            for peaks, rhs_k in zip(_slice_peaks(bucket, block), rhs)]
 
 
 def _c27(runs, block, params):
@@ -454,22 +478,26 @@ def _c28(runs, block, params):
             for link in _chain(cert, (value, prod, mean, top), params, witness=wit)]
 
 
-def _t29(runs, block, params, *, tied=False):
+def _t29(bucket, block, params, *, tied=False):
     r, p = float(params["r"]), float(params["p"])
     _require(r >= 1.0, "T29/C210 need r >= 1")
     _require(0.0 <= p <= 1.0, "T29/C210 need p in [0, 1]")
     op2, op1 = _t24_operands(block, r, p, "fg")
     avals = _psd_symbols(block.space2, op2)
     bvals = _psd_symbols(block.space1, op1)
-    eta = (np.sqrt(avals)[None, :] - np.sqrt(bvals)[:, None]) ** 2
-    eta_inf = float(np.min(eta))
+    eta = (np.sqrt(avals)[..., None, :] - np.sqrt(bvals)[..., :, None]) ** 2
+    eta_inf = _per_slice(np.minimum.reduce(eta, axis=(-2, -1)).tolist())
     if tied:
-        head = 2.0 ** (r - 1) * numlin.operator_norm(op2)
+        heads = [2.0 ** (r - 1) * numlin.operator_norm(op)
+                 for op in op2.reshape((-1,) + op2.shape[-2:])]
     else:
-        head = 2.0 ** (r - 2) * (float(np.max(avals)) + float(np.max(bvals)))
-    rhs = head - 2.0 ** (r - 2) * eta_inf
-    return [cert(value**r, rhs, params=params, witness={**wit, "eta_inf": eta_inf})
-            for cert, value, wit in _peaks(block, runs)]
+        heads = [2.0 ** (r - 2) * (a + b)
+                 for a, b in zip(_per_slice(np.maximum.reduce(avals, axis=-1).tolist()),
+                                 _per_slice(np.maximum.reduce(bvals, axis=-1).tolist()))]
+    return [[cert(value**r, head - 2.0 ** (r - 2) * eta_k, params=params,
+                  witness={**wit, "eta_inf": eta_k})
+             for cert, value, wit in peaks]
+            for peaks, head, eta_k in zip(_slice_peaks(bucket, block), heads, eta_inf)]
 
 
 def _t31(runs, block, params, *, tilted):
@@ -572,6 +600,8 @@ class Checker:
     ``sample(rng)`` draws the params from ``PARAM_GRID`` before any operand.
     ``runs`` holds the (convention, mode) of each evaluation of a draw.
     ``evaluate`` has any variant keywords of its function already bound.
+    With ``stacks`` a block checker's ``evaluate`` takes a bucket of
+    draws as one stacked block (see the block checkers above).
     """
 
     shape: str
@@ -579,6 +609,7 @@ class Checker:
     sample: Callable = _grid()
     runs: tuple = ((None, GATING),)
     extras: tuple = ()
+    stacks: bool = False
 
     @property
     def kind(self):
@@ -622,18 +653,19 @@ CHECKERS = {
     "L21a": Checker("diag", _l21a, runs=_JOINT_GATED),
     "L21b": Checker("offdiag", _l21b, runs=_JOINT_GATED),
     "INEQ1": Checker("offdiag", _ineq1, _grid("s", "p"), _JOINT_GATED),
-    "T24a": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED),
+    "T24a": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED, stacks=True),
     "T24b": Checker("offdiag", partial(_t24, variant="ff"), _grid("r", "p"),
-                    _PAIR_GATED),
-    "C25a": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED),
+                    _PAIR_GATED, stacks=True),
+    "C25a": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED, stacks=True),
     "C25b": Checker("offdiag", partial(_t24, variant="ff"), _grid("r", "p"),
-                    _PAIR_GATED),
-    "R26": Checker("offdiag", partial(_t24, fixed=(1.0, 0.5)), runs=_JOINT_GATED),
+                    _PAIR_GATED, stacks=True),
+    "R26": Checker("offdiag", partial(_t24, fixed=(1.0, 0.5)), runs=_JOINT_GATED,
+                   stacks=True),
     "C27": Checker("tied_square", _c27, runs=_JOINT_GATED),
     "C28": Checker("offdiag", _c28, runs=_JOINT_GATED),
-    "T29": Checker("offdiag", _t29, _grid("r", "p"), _PAIR_GATED),
+    "T29": Checker("offdiag", _t29, _grid("r", "p"), _PAIR_GATED, stacks=True),
     "C210": Checker("tied_square", partial(_t29, tied=True), _grid("r", "p"),
-                    _PAIR_GATED),
+                    _PAIR_GATED, stacks=True),
     "T31": Checker("offdiag_square", partial(_t31, tilted=True), _grid("t"), _JOINT),
     "C34": Checker("offdiag_square", partial(_t31, tilted=False), _grid("t"), _JOINT),
     "C35": Checker("offdiag_square", _c35, runs=_INFO),
@@ -695,14 +727,25 @@ def check_block_runs(theorem_id, block, params, runs):
 
     The block must have its checker's registry shape. The certificates of
     every run share one input digest and the convention-independent
-    operands, and come back in ``runs`` order.
+    operands, and come back in ``runs`` order. A stacking checker also
+    takes a stacked block, a bucket, and returns one such list per slice;
+    it evaluates a lone block as a bucket of one.
     """
     checker = _lookup(theorem_id, BLOCK)
+    lone = block.X.ndim == 2
+    _require(lone or checker.stacks, f"{theorem_id} evaluates one block at a time")
     _check_shape(theorem_id, checker.shape, block)
-    digest = _bound_digest(block.S, block.X, block.Y, block.R,
-                            block.space1.gram, block.space2.gram, dict(params))
-    factories = tuple((run[0], _factory(theorem_id, run, digest)) for run in runs)
-    return checker.evaluate(factories, block, params)
+
+    def factories(*blocks):
+        digest = _bound_digest(*blocks, block.space1.gram, block.space2.gram, dict(params))
+        return tuple((run[0], _factory(theorem_id, run, digest)) for run in runs)
+    blocks = (block.S, block.X, block.Y, block.R)
+    if not checker.stacks:
+        return checker.evaluate(factories(*blocks), block, params)
+    if lone:
+        return checker.evaluate([factories(*blocks)], block, params)[0]
+    # every slice gets its own digest, over that slice's blocks
+    return checker.evaluate([factories(*b) for b in zip(*blocks)], block, params)
 
 
 def check_block(theorem_id, block, conv, params, mode=GATING):

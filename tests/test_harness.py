@@ -1,5 +1,6 @@
 """Tests for campaign running, random ensembles, explore, reporting, CLI."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from berlab import blockops, cli, harness, numlin, report, theorems
-from berlab.errors import BadParams, ConfigInvalid
+from berlab.errors import BadParams, BerlabError, ConfigInvalid
 
 
 def small_config(**kw):
@@ -190,6 +191,104 @@ def test_explore_pinned_per_draw_path(tid):
     assert hashlib.sha256(text.encode()).hexdigest() == EXPLORE_PINS[tid]
 
 
+# the same, at budget 200: 20 rounds per restart, so the climb evaluates
+# chunks of up to 16 candidates, not the at most 2 of budget 20; pinned at
+# the one-candidate-at-a-time climb
+EXPLORE_PINS_200 = {
+    "T24a": "afd31a3239d66df967f22263785687540ae2094d1f565105a3483003c099386c",
+    "T24b": "514cc1139ac693f6cd134853c19d64b005abf8ac64d82cf6fc7b4a6ee5f14915",
+    "C25a": "c1f691d08850eee6369069c98fc4f48ccca4e47d60508a6ce5ae9d6240301be0",
+    "R26": "27cbc4e6b8af20bd5ed51fc418d528afc0864460fe7a63f22cf91fae8480cc3f",
+    "T29": "86859fbf691e5b1cc8f65d985d907af9b5089059721c1b1176c62e476298e481",
+    "C210": "90675801cbff938774a9951f9fbe7a922d3a999c6e955162341e4acd3b07a55f",
+}
+
+
+@pytest.mark.parametrize("tid", sorted(EXPLORE_PINS_200))
+def test_explore_pinned_long_chunks(tid):
+    text = report.dumps_json(harness.explore(small_config(), tid, 200).to_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPLORE_PINS_200[tid]
+
+
+STACKING_IDS = tuple(tid for tid, c in theorems.CHECKERS.items() if c.stacks)
+
+
+@pytest.mark.parametrize("tid", STACKING_IDS)
+def test_bucket_matches_per_draw_byte_for_byte(tid):
+    # a bucket of a draw's bumped copies, evaluated as one stack, gives each
+    # copy the certificates (and input digests) of evaluate_draw, byte for byte
+    config = harness.CampaignConfig(
+        master_seed=29, dims=((1, 1), (2, 2), (3, 2), (2, 5), (6, 6), (12, 10), (16, 12)))
+    rng = np.random.default_rng(31)
+    draws = []
+    for i in range(40):
+        try:
+            draws.append(harness.draw_trial(tid, harness.derive_trial_seed(29, tid, i), config))
+        except BerlabError:  # an ill-conditioned Gram draw
+            continue
+    assert len(draws) >= 20
+    shapes = {d.arrays["X"].shape for d in draws[:20]}
+    assert max(n1 for n1, _ in shapes) >= 12
+    assert any(n1 == n2 for n1, n2 in shapes) and (tid == "C210" or any(
+        n1 != n2 for n1, n2 in shapes))
+    for draw in draws[:20]:
+        bucket = [harness._bump(draw, harness._draw_bump(draw, rng), step)
+                  for step in (0.5, 1e-3, 2.0, 0.0, 0.25, 1e-8, 1.0, 0.5, 3.0, 1e-3, 0.1, 0.0)]
+        assert {name for b in bucket for name in b.arrays
+                if not np.array_equal(b.arrays[name], draw.arrays[name])} >= (
+            {"X"} if tid == "C210" else {"X", "Y"})
+        stacked = [report.dumps_json([c.to_dict() for c in certs])
+                   for certs in harness._evaluate_stack(bucket)]
+        one_by_one = [report.dumps_json([c.to_dict() for c in harness.evaluate_draw(b)])
+                      for b in bucket]
+        assert stacked == one_by_one
+
+
+@pytest.mark.parametrize("tid", ("T24a", "C210", "L21b"))
+def test_bucket_errors_surface_lazily(tid):
+    # a bucket [ok, bad] answers ok's certificates; only reaching bad raises,
+    # and with exactly what evaluate_draw(bad) raises
+    config = small_config()
+    ok = harness.draw_trial(tid, harness.derive_trial_seed(3, tid, 0), config)
+    x = ok.arrays["X"].copy()
+    x[0, 0] = np.nan
+    x.flags.writeable = False
+    bad = dataclasses.replace(ok, arrays={**ok.arrays, "X": x})
+    with pytest.raises(Exception) as want:
+        harness.evaluate_draw(bad)
+    first, second = harness.evaluate_bucket([ok, bad])
+    assert [c.to_dict() for c in first()] == [c.to_dict() for c in harness.evaluate_draw(ok)]
+    with pytest.raises(type(want.value)) as got:
+        second()
+    assert str(got.value) == str(want.value)
+
+
+def test_explore_restart_stacks_its_rejected_rounds(monkeypatch):
+    # one square T24a restart of 10 rounds that all reject: candidates are
+    # evaluated in chunks of 4 and 6, one modulus stack each, not 10
+    monkeypatch.setattr(harness, "EXPLORE_RESTARTS", 1)
+    config = small_config(master_seed=4, dims=((2, 2), (3, 3)))
+    start = harness.explore(config, "T24a", 0)
+    chunks, calls = [], []
+    bucket_of, matrix_abs = harness.evaluate_bucket, numlin.matrix_abs
+
+    def recorded(draws):
+        chunks.append(len(draws))
+        return bucket_of(draws)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return matrix_abs(*args, **kwargs)
+    monkeypatch.setattr(harness, "evaluate_bucket", recorded)
+    monkeypatch.setattr(numlin, "matrix_abs", counted)
+    harness.explore(config, "T24a", 0)
+    scan = len(calls)  # one stack per scanned draw, also at budget 10
+    end = harness.explore(config, "T24a", 10)
+    assert end.to_dict() == start.to_dict()  # every round rejected
+    assert chunks == [4, 6]
+    assert len(calls) - 2 * scan == 2
+
+
 def test_explore_bad_inputs():
     config = small_config()
     with pytest.raises(BadParams):
@@ -323,6 +422,16 @@ def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
         ["verify", "--theorems", ""],
         ["verify", "--config", str(no_ids)],
     ]
+    # explore and case write no report and pick their own checker: a report
+    # setting, as a flag or a config key, is rejected rather than ignored
+    for command in (["explore", "--theorem", "YOUNG2", "--budget", "5", "--trials", "3"],
+                    ["case", "--theorem", "YOUNG2", "--seed", "5"]):
+        for flag, value in (("--out", "/nonexistent/x.json"), ("--format", "json"),
+                            ("--theorems", "YOUNG2")):
+            rejected.append(command + [flag, value])
+            key_file = tmp_path / f"{command[0]}_{flag[2:]}.cfg"
+            key_file.write_text(f"{flag[2:]} = {value}\n")
+            rejected.append(command + ["--config", str(key_file)])
     # the gate tolerance is fixed in code: neither a flag nor a config key sets it
     for tol in ("1", "nan", "-1", "inf"):
         rejected.append(["verify", "--theorems", "YOUNG2", "--trials", "2", "--tol", tol])
@@ -404,7 +513,9 @@ def test_cli_interrupt_exits_130_with_one_line(tmp_path, capsys, monkeypatch, en
     def interrupted(*args):
         raise KeyboardInterrupt
     monkeypatch.setattr(harness, entry, interrupted)
-    code = cli.main(argv + ["--theorems", "T24a", "--trials", "2", "--out", str(out)])
+    # explore writes no report file, so it takes no --theorems or --out
+    report_flags = ["--theorems", "T24a", "--out", str(out)] if entry == "run_campaign" else []
+    code = cli.main(argv + ["--trials", "2"] + report_flags)
     assert code == cli.EXIT_INTERRUPTED == 130
     captured = capsys.readouterr()
     assert captured.err == "error: interrupted\n"
@@ -488,7 +599,8 @@ def test_drawn_operands_are_read_only():
     rng = np.random.default_rng(5)
     for tid, checker in theorems.CHECKERS.items():
         draw = harness.draw_trial(tid, harness.derive_trial_seed(7, tid, 0), config)
-        bumped = [harness._perturb(draw, rng, 0.5) for _ in range(6)]
+        bumped = [harness._bump(draw, harness._draw_bump(draw, rng), 0.5)
+                  for _ in range(6)]
         for d in [draw] + bumped:
             assert (d.arrays == {}) == (checker.shape == "pair"), tid
             for arr in d.arrays.values():
@@ -501,7 +613,7 @@ def test_drawn_operands_are_read_only():
     draw = harness.draw_trial(tid, harness.derive_trial_seed(7, tid, 0), config)
     before = {k: v.copy() for k, v in draw.arrays.items()}
     for _ in range(20):
-        harness._perturb(draw, rng, 0.5)
+        harness._bump(draw, harness._draw_bump(draw, rng), 0.5)
     assert all(np.array_equal(draw.arrays[k], v) for k, v in before.items())
 
 

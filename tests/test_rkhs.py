@@ -339,8 +339,11 @@ def test_berezin_symbols_of_a_stack_match_per_slice():
             assert np.array_equal(row, rkhs.berezin_symbols(sp, a))
         with pytest.raises(DimensionMismatch):
             rkhs.berezin_symbols(sp, np.zeros((5, n + 1, n + 1)))
+        # a stack's Berezin numbers are its slices', bit for bit
+        assert rkhs.berezin_number(sp, stack) == [rkhs.berezin_number(sp, a)
+                                                  for a in stack]
         with pytest.raises(ValueError):
-            rkhs.berezin_number(sp, stack)  # one operator only
+            rkhs.berezin_peak(sp, stack)  # one operator only
 
 
 def test_rotations_grid_minimum():
