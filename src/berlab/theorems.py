@@ -217,10 +217,10 @@ def _abs_powers(ops, exps, support=False):
         by_shape.setdefault(op.shape, []).append(k)
     for ks in by_shape.values():
         stack = np.stack([ops[k] for k in ks])
-        slices = math.prod(stack.shape[1:-2])  # per operand
-        powers = numlin.matrix_abs(stack.reshape((-1,) + stack.shape[-2:]),
-                                   [exps[k] for k in ks for _ in range(slices)], support)
-        for k, power in zip(ks, powers.reshape(stack.shape[:-2] + powers.shape[-2:])):
+        per_slice = [exps[k] for k in ks]
+        if stack.ndim > 3:  # operand stacks: each exponent for all of its slices
+            per_slice = [[e] * stack.shape[1] for e in per_slice]
+        for k, power in zip(ks, numlin.matrix_abs(stack, per_slice, support)):
             out[k] = power
     return out
 
