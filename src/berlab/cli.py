@@ -51,8 +51,10 @@ def _read_config_file(path):
             continue
         if "=" not in line:
             raise ConfigInvalid(f"bad config line {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in values:  # a silent last-one-wins would hide a typo
+            raise ConfigInvalid(f"config key {key!r} is set twice")
+        values[key] = value
     return values
 
 
@@ -124,6 +126,8 @@ def cmd_verify(args):
         if not existed:
             os.remove(config.out)
     report = harness.run_campaign(config)
+    # a report on stdout keeps stdout for itself: the summary goes to stderr
+    summary = sys.stdout if config.out else sys.stderr
     for result in report.results:
         label = reporting.result_label(result)
         conv = result["convention"] or "-"
@@ -134,9 +138,9 @@ def cmd_verify(args):
             status, least = "FAIL" if result["failures"] else "ok", f"{least:+.3e}"
         print(f"{label:12s} {conv:6s} {result['mode']:13s} "
               f"trials={result['trials']:4d} failures={result['failures']:3d} "
-              f"min_slack={least} [{status}]")
+              f"min_slack={least} [{status}]", file=summary)
     print(f"gating failures: {report.gating_failures} "
-          f"(wall time {report.wall_time_ms} ms)")
+          f"(wall time {report.wall_time_ms} ms)", file=summary)
     text = reporting.render(report, config.format)
     if config.out:  # one os.replace: a failed or interrupted run keeps the old report
         tmp = f"{config.out}.tmp"

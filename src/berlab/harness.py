@@ -7,7 +7,6 @@ statistics into a deterministic Report.
 """
 
 import dataclasses
-import functools
 import hashlib
 import time
 from dataclasses import dataclass
@@ -273,7 +272,10 @@ def evaluate_draw(draw):
 
 
 def _evaluate_stack(draws):
-    """evaluate_draw of each draw of a stacking block checker, as one stack."""
+    """evaluate_draw of each draw of a stacking block checker, as one stack.
+
+    Returns None if the stack raises: each draw then answers for itself.
+    """
     first = draws[0]
     checker = theorems.CHECKERS[first.theorem_id]
     if any(d.theorem_id != first.theorem_id or d.params != first.params
@@ -284,31 +286,11 @@ def _evaluate_stack(draws):
     for a in arrays.values():  # each slice's certificates digest it when first read
         a.flags.writeable = False
     block = _build_block(dataclasses.replace(first, arrays=arrays), checker.shape)
-    per_draw = theorems.check_block_runs(first.theorem_id, block, first.params, checker.runs)
-    return [_stamped(certs, d) for certs, d in zip(per_draw, draws)]
-
-
-def evaluate_bucket(draws):
-    """evaluate_draw of each of ``draws``, lazily and in order.
-
-    Returns one thunk per draw: it returns that draw's certificates, or
-    raises what ``evaluate_draw(draw)`` raises. A stacking block checker
-    evaluates draws that share params and spaces as one stack, at the first
-    call; other checkers, and a stack that raises anything, evaluate one
-    draw per call. A call therefore raises only for its own draw, and a
-    caller that stops early evaluates no later draw on its own.
-    """
-    # the stack's certificates once evaluated; None: one draw per call
-    stacked = [] if theorems.CHECKERS[draws[0].theorem_id].stacks else [None]
-
-    def certificates(k):
-        if not stacked:
-            try:
-                stacked.append(_evaluate_stack(draws))
-            except Exception:  # anything: each draw then answers for itself
-                stacked.append(None)
-        return evaluate_draw(draws[k]) if stacked[0] is None else stacked[0][k]
-    return [functools.partial(certificates, k) for k in range(len(draws))]
+    try:
+        certs = theorems.check_block_runs(first.theorem_id, block, first.params, checker.runs)
+    except Exception:  # anything: evaluate_draw raises it again, for its own draw only
+        return None
+    return [_stamped(slice_certs, d) for slice_certs, d in zip(certs, draws)]
 
 
 # ---------------------------------------------------------------------------
@@ -444,15 +426,6 @@ def _bump(draw, bump, step):
                      draw.spaces)
 
 
-def _candidates(draw, bumps, step):
-    """Bumps of ``draw``, each as if every one before it was rejected: each halves the step."""
-    out = []
-    for bump in bumps:
-        out.append(_bump(draw, bump, step))
-        step /= 2.0
-    return out
-
-
 def explore(config, theorem_id, budget):
     """Coordinate-wise hill climb minimizing the gating slack of a checker.
 
@@ -464,9 +437,12 @@ def explore(config, theorem_id, budget):
     accepted candidate of a chunk drops the rest, so the result is the
     sequential climb's, bit for bit. A chunk holds ``SPECULATE_FROM``
     candidates after an acceptance and doubles after each all-reject chunk.
+    A stacking checker evaluates a chunk as one stack; any other checker,
+    and a stack that raises, evaluates a candidate when the climb reaches it.
     """
     config.validate()
-    if theorem_id not in theorems.CHECKERS:
+    checker = theorems.CHECKERS.get(theorem_id)
+    if checker is None:
         raise BadParams(f"unknown checker id {theorem_id!r}")
     if budget < 0:
         raise BadParams("budget must be >= 0")
@@ -493,12 +469,17 @@ def explore(config, theorem_id, budget):
         current, current_slack = best_draw, best_cert.slack
         step, done, chunk = 0.5, 0, SPECULATE_FROM
         while done < len(bumps):
-            candidates = _candidates(current, bumps[done:done + chunk], step)
+            # the chunk assumes every candidate rejects: each halves the step
+            candidates, chunk_step = [], step
+            for bump in bumps[done:done + chunk]:
+                candidates.append(_bump(current, bump, chunk_step))
+                chunk_step /= 2.0
             chunk *= 2
-            for candidate, certificates in zip(candidates, evaluate_bucket(candidates)):
+            stacked = _evaluate_stack(candidates) if checker.stacks else None
+            for k, candidate in enumerate(candidates):
                 done += 1
                 try:
-                    cert = _worst_cert(certificates())
+                    cert = _worst_cert(stacked[k] if stacked else evaluate_draw(candidate))
                 except BerlabError:
                     step /= 2.0
                     continue

@@ -372,31 +372,24 @@ def _ber_norm(cert, space, t_mat, params, extras):
 #
 # A stacking checker (T24/C25/R26, T29/C210) takes a bucket instead: a
 # stacked block, one slice per draw, and the runs of each slice. It returns
-# one certificate list per slice, each with the bits of a lone draw's. A
-# lone block is a bucket of one.
+# one certificate list per slice, each with the bits of a lone draw's.
+# check_block_runs passes a lone block as a stack of one.
 
-def _per_slice(values):
-    """A per-slice list of values; a lone block's one value becomes a list of one."""
-    return values if isinstance(values, list) else [values]
-
-
-def _slice_peaks(bucket, block):
-    """(certificate factory, Berezin value, witness) of each run, per slice.
-
-    The runs of each slice come in run order; one stack of kernel-pair
-    grids serves every run's convention.
-    """
-    peaks = blockops.ber_block(block, tuple(conv for conv, _ in bucket[0]))
-    if block.X.ndim == 2:
-        peaks = [peaks]
-    return [[(cert, value, {"j1": j1, "j2": j2})
-             for (_, cert), (value, (j1, j2)) in zip(runs, slice_peaks)]
-            for runs, slice_peaks in zip(bucket, peaks)]
+def _witnessed(runs, peaks):
+    """(certificate factory, Berezin value, witness) of each run, in run order."""
+    return [(cert, value, {"j1": j1, "j2": j2})
+            for (_, cert), (value, (j1, j2)) in zip(runs, peaks)]
 
 
 def _peaks(block, runs):
-    """_slice_peaks of one block and its runs."""
-    return _slice_peaks([runs], block)[0]
+    """_witnessed peaks of one block: one kernel-pair grid serves every run."""
+    return _witnessed(runs, blockops.ber_block(block, tuple(conv for conv, _ in runs)))
+
+
+def _slice_peaks(bucket, block):
+    """_peaks of each slice of a stacked block, off one stack of grids."""
+    peaks = blockops.ber_block(block, tuple(conv for conv, _ in bucket[0]))
+    return [_witnessed(runs, slice_peaks) for runs, slice_peaks in zip(bucket, peaks)]
 
 
 def _t24_operands(block, r, p, variant):
@@ -451,8 +444,8 @@ def _t24(bucket, block, params, *, variant="fg", fixed=None):
     _require(0.0 <= p <= 1.0, "T24/C25/R26 need p in [0, 1]")
     op2, op1 = _t24_operands(block, r, p, variant)
     rhs = [2.0**r / 2.0 * math.sqrt(ber2) * math.sqrt(ber1)
-           for ber2, ber1 in zip(_per_slice(rkhs.berezin_number(block.space2, op2)),
-                                 _per_slice(rkhs.berezin_number(block.space1, op1)))]
+           for ber2, ber1 in zip(rkhs.berezin_number(block.space2, op2),
+                                 rkhs.berezin_number(block.space1, op1))]
     return [[cert(value**r, rhs_k, params=params, witness=wit)
              for cert, value, wit in peaks]
             for peaks, rhs_k in zip(_slice_peaks(bucket, block), rhs)]
@@ -486,14 +479,13 @@ def _t29(bucket, block, params, *, tied=False):
     avals = _psd_symbols(block.space2, op2)
     bvals = _psd_symbols(block.space1, op1)
     eta = (np.sqrt(avals)[..., None, :] - np.sqrt(bvals)[..., :, None]) ** 2
-    eta_inf = _per_slice(np.minimum.reduce(eta, axis=(-2, -1)).tolist())
+    eta_inf = np.minimum.reduce(eta, axis=(-2, -1)).tolist()
     if tied:
-        heads = [2.0 ** (r - 1) * numlin.operator_norm(op)
-                 for op in op2.reshape((-1,) + op2.shape[-2:])]
+        heads = [2.0 ** (r - 1) * numlin.operator_norm(op) for op in op2]
     else:
         heads = [2.0 ** (r - 2) * (a + b)
-                 for a, b in zip(_per_slice(np.maximum.reduce(avals, axis=-1).tolist()),
-                                 _per_slice(np.maximum.reduce(bvals, axis=-1).tolist()))]
+                 for a, b in zip(np.maximum.reduce(avals, axis=-1).tolist(),
+                                 np.maximum.reduce(bvals, axis=-1).tolist())]
     return [[cert(value**r, head - 2.0 ** (r - 2) * eta_k, params=params,
                   witness={**wit, "eta_inf": eta_k})
              for cert, value, wit in peaks]
@@ -729,7 +721,7 @@ def check_block_runs(theorem_id, block, params, runs):
     every run share one input digest and the convention-independent
     operands, and come back in ``runs`` order. A stacking checker also
     takes a stacked block, a bucket, and returns one such list per slice;
-    it evaluates a lone block as a bucket of one.
+    it evaluates a lone block as a stack of one.
     """
     checker = _lookup(theorem_id, BLOCK)
     lone = block.X.ndim == 2
@@ -739,13 +731,15 @@ def check_block_runs(theorem_id, block, params, runs):
     def factories(*blocks):
         digest = _bound_digest(*blocks, block.space1.gram, block.space2.gram, dict(params))
         return tuple((run[0], _factory(theorem_id, run, digest)) for run in runs)
+    if lone and checker.stacks:  # a stack of one
+        block = blockops.BlockOperator(block.S[None], block.X[None], block.Y[None],
+                                       block.R[None], block.space1, block.space2)
     blocks = (block.S, block.X, block.Y, block.R)
     if not checker.stacks:
         return checker.evaluate(factories(*blocks), block, params)
-    if lone:
-        return checker.evaluate([factories(*blocks)], block, params)[0]
     # every slice gets its own digest, over that slice's blocks
-    return checker.evaluate([factories(*b) for b in zip(*blocks)], block, params)
+    per_slice = checker.evaluate([factories(*b) for b in zip(*blocks)], block, params)
+    return per_slice[0] if lone else per_slice
 
 
 def check_block(theorem_id, block, conv, params, mode=GATING):

@@ -1,6 +1,5 @@
 """Tests for campaign running, random ensembles, explore, reporting, CLI."""
 
-import dataclasses
 import hashlib
 import json
 
@@ -245,22 +244,34 @@ def test_bucket_matches_per_draw_byte_for_byte(tid):
 
 
 @pytest.mark.parametrize("tid", ("T24a", "C210", "L21b"))
-def test_bucket_errors_surface_lazily(tid):
-    # a bucket [ok, bad] answers ok's certificates; only reaching bad raises,
-    # and with exactly what evaluate_draw(bad) raises
-    config = small_config()
-    ok = harness.draw_trial(tid, harness.derive_trial_seed(3, tid, 0), config)
-    x = ok.arrays["X"].copy()
-    x[0, 0] = np.nan
-    x.flags.writeable = False
-    bad = dataclasses.replace(ok, arrays={**ok.arrays, "X": x})
-    with pytest.raises(Exception) as want:
-        harness.evaluate_draw(bad)
-    first, second = harness.evaluate_bucket([ok, bad])
-    assert [c.to_dict() for c in first()] == [c.to_dict() for c in harness.evaluate_draw(ok)]
-    with pytest.raises(type(want.value)) as got:
-        second()
-    assert str(got.value) == str(want.value)
+def test_explore_falls_back_when_the_stack_raises(tid, monkeypatch):
+    # a chunk whose stack raises, like every chunk of a checker that does
+    # not stack (L21b), is evaluated one candidate at a time and only up to
+    # the candidates the climb reaches: every bit stays the same
+    want = report.dumps_json(harness.explore(small_config(), tid, 200).to_dict())
+    check_block_runs, evaluate_draw, bump = (
+        theorems.check_block_runs, harness.evaluate_draw, harness._bump)
+    evaluated, built, stacks = [], [], []
+
+    def unstackable(theorem_id, block, *args):
+        if block.X.ndim > 2:
+            stacks.append(block.X.shape[0])
+            raise RuntimeError("no stacks")
+        return check_block_runs(theorem_id, block, *args)
+    monkeypatch.setattr(theorems, "check_block_runs", unstackable)
+    monkeypatch.setattr(harness, "evaluate_draw",
+                        lambda draw: evaluated.append(draw) or evaluate_draw(draw))
+    monkeypatch.setattr(harness, "_bump", lambda *args: built.append(1) or bump(*args))
+    harness.explore(small_config(), tid, 0)
+    scan = len(evaluated)
+    text = report.dumps_json(harness.explore(small_config(), tid, 200).to_dict())
+    assert text == want
+    if tid in EXPLORE_PINS_200:
+        assert hashlib.sha256(text.encode()).hexdigest() == EXPLORE_PINS_200[tid]
+    assert bool(stacks) == theorems.CHECKERS[tid].stacks
+    # each of the 200 rounds is reached once; the chunks dropped candidates
+    # after acceptances, and none of those was evaluated
+    assert len(evaluated) - 2 * scan == 200 < len(built)
 
 
 def test_explore_restart_stacks_its_rejected_rounds(monkeypatch):
@@ -270,16 +281,16 @@ def test_explore_restart_stacks_its_rejected_rounds(monkeypatch):
     config = small_config(master_seed=4, dims=((2, 2), (3, 3)))
     start = harness.explore(config, "T24a", 0)
     chunks, calls = [], []
-    bucket_of, matrix_abs = harness.evaluate_bucket, numlin.matrix_abs
+    evaluate_stack, matrix_abs = harness._evaluate_stack, numlin.matrix_abs
 
     def recorded(draws):
         chunks.append(len(draws))
-        return bucket_of(draws)
+        return evaluate_stack(draws)
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
         return matrix_abs(*args, **kwargs)
-    monkeypatch.setattr(harness, "evaluate_bucket", recorded)
+    monkeypatch.setattr(harness, "_evaluate_stack", recorded)
     monkeypatch.setattr(numlin, "matrix_abs", counted)
     harness.explore(config, "T24a", 0)
     scan = len(calls)  # one stack per scanned draw, also at budget 10
@@ -345,11 +356,22 @@ def test_cli_verify_ok(tmp_path, capsys):
     assert json.loads(out.read_text())["config"]["master_seed"] == 5
 
 
-def test_cli_verify_csv_stdout(capsys):
-    code = cli.main(["verify", "--seed", "5", "--trials", "2",
-                     "--theorems", "YOUNG2", "--format", "csv"])
-    assert code == 0
-    assert "theorem_id,convention" in capsys.readouterr().out
+def test_cli_verify_csv_stdout(capsys, monkeypatch):
+    # without --out stdout holds the report and nothing else, in either
+    # format, so `berlab verify > r.json` is a valid report; the summary
+    # table goes to stderr
+    reports = []
+    run_campaign = harness.run_campaign
+    monkeypatch.setattr(harness, "run_campaign",
+                        lambda config: reports.append(run_campaign(config)) or reports[-1])
+    for fmt in ("csv", "json"):
+        code = cli.main(["verify", "--seed", "5", "--trials", "2",
+                         "--theorems", "YOUNG2", "--format", fmt])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert out == report.render(reports[-1], fmt)
+        assert err.splitlines()[-1].startswith("gating failures: 0 (wall time ")
+    assert out.startswith("{") and json.loads(out)["config"]["master_seed"] == 5
 
 
 def test_cli_config_file_and_override(tmp_path, capsys):
@@ -403,6 +425,8 @@ def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
     binary.write_bytes(b"\xff\xfe master_seed = 1\n")
     no_ids = tmp_path / "no_ids.cfg"
     no_ids.write_text("theorems =\n")
+    repeated = tmp_path / "repeated.cfg"
+    repeated.write_text("master_seed = 1\ntrials_per_checker = 2\nmaster_seed = 2\n")
     rejected = [
         ["verify", "--theorems", "NOPE"],
         ["verify", "--dims", "bogus"],
@@ -421,6 +445,9 @@ def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
         ["verify", "--theorems", ","],
         ["verify", "--theorems", ""],
         ["verify", "--config", str(no_ids)],
+        # a repeated key is an error, not a silent last-one-wins
+        ["verify", "--config", str(repeated)],
+        ["explore", "--theorem", "YOUNG2", "--budget", "3", "--config", str(repeated)],
     ]
     # explore and case write no report and pick their own checker: a report
     # setting, as a flag or a config key, is rejected rather than ignored
@@ -531,14 +558,15 @@ def test_cli_verify_without_evaluated_trials_exits_2(capsys):
     code = cli.main(argv)
     assert code == cli.EXIT_CONFIG
     out, err = capsys.readouterr()
-    assert err == "error: no evaluated trials for T24a\n"
-    # the report still holds one empty row per registry run of the checker
-    table, _, body = out.partition("gating failures: 0")
+    # the report still holds one empty row per registry run of the checker;
+    # the summary table goes to stderr, above the one error line
+    table, _, tail = err.partition("gating failures: 0")
+    assert tail.splitlines()[-1] == "error: no evaluated trials for T24a"
     assert [line.split()[:3] for line in table.splitlines()] == [
         ["T24a", "joint", "informational"], ["T24a", "pair", "gating"]]
     assert all(line.endswith("trials=   0 failures=  0 min_slack=n/a [n/a]")
                for line in table.splitlines())
-    rows = json.loads(body[body.index("{"):])["results"]
+    rows = json.loads(out)["results"]
     assert rows == [
         {"theorem_id": "T24a", "convention": conv, "link": 0, "reading": "",
          "mode": mode, "trials": 0, "failures": 0, "anomalies": 3,

@@ -501,3 +501,87 @@ def test_unknown_checker_ids():
         theorems.check_single("NOPE", sp, np.eye(1), {})
     with pytest.raises(BadParams):
         theorems.check_block("NOPE", offdiag([[1.0]], [[1.0]]), "pair", {})
+
+
+# ---------------------------------------------------------------------------
+# tight inputs: each gating bound pinned where it is attained
+
+TWO = np.full((1, 1), 2.0, dtype=complex)
+TWO_I2 = 2.0 * np.eye(2, dtype=complex)
+TWO_E1 = np.array([2.0, 0.0], dtype=complex)
+E1 = np.array([1.0, 0.0], dtype=complex)
+HALF = {"r": 1.0, "p": 0.5}
+
+# checker id -> (params, operands) of an exact equality, up to L21c's grid
+# error 1 - cos(pi/720): twice the unit cases X = Y = [1], T = I, a = b = 1.
+# The factor 2 puts every rhs above 1, where rhs * 1.01 also exceeds the
+# test's slack bar. Scalars are a, b; single-operator operands live on
+# identity_space(2), block operands on a pair of identity_space(1).
+TIGHT_INPUTS = {
+    "YOUNG2": ({"m": 2}, {"a": 2.0, "b": 2.0}),
+    "I37": ({"nu": 0.5, "r": 2.0}, {"a": 2.0, "b": 2.0}),
+    "I38": ({"p": 2.0, "q": 2.0, "r": 2.0}, {"a": 2.0, "b": 2.0}),
+    "S310": ({}, {"a": TWO_E1, "b": TWO_E1, "e": E1}),
+    "L21c": ({"theta_grid": 720}, {"T": TWO_I2}),
+    "P39": ({"r": 1.0}, {"T": TWO_I2}),
+    "R310": ({"r": 1.0}, {"T": TWO_I2}),
+    "T311_proof": ({"r": 1.0, "p": 2.0, "q": 2.0, "e": 0.5}, {"T": TWO_I2}),
+    "L22a": ({"r": 2.0}, {"T": TWO_I2}),
+    "L22b": ({"r": 0.5}, {"T": TWO_I2}),
+    "L23": ({"p": 0.5}, {"T": TWO_I2, "x": E1, "y": E1}),
+    "BER_HOM": ({"alpha_re": 2.0, "alpha_im": 0.0}, {"T": TWO_I2}),
+    "BER_SUB": ({}, {"T": TWO_I2, "B": TWO_I2}),
+    "BER_NORM": ({}, {"T": TWO_I2}),
+    "L21a": ({}, {"S": TWO, "R": TWO}),
+    **{tid: (HALF, {"X": TWO, "Y": TWO})
+       for tid in ("T24a", "T24b", "C25a", "C25b", "T29")},
+    "C210": (HALF, {"X": TWO}),
+    "INEQ1": ({"s": 1.0, "p": 0.5}, {"X": TWO, "Y": TWO}),
+    "C27": ({}, {"X": TWO}),
+    "C28": ({}, {"X": TWO, "Y": TWO}),
+    "L21b": ({}, {"X": TWO, "Y": TWO}),
+    "T31": ({"t": 0.5}, {"X": TWO, "Y": TWO}),
+    "C34": ({"t": 0.5}, {"X": TWO, "Y": TWO}),
+}
+
+# gating checkers with no tight input pinned yet; R26 gates only its joint
+# run, which X = Y = [1] leaves at half the bound
+OPEN_TIGHTNESS = {"T312_proof", "R26", "T36", "T37", "T32", "R33"}
+
+GATING_IDS = tuple(tid for tid, c in theorems.CHECKERS.items()
+                   if any(mode == theorems.GATING for _, mode in c.runs))
+
+
+def tight_draw(tid):
+    """The TIGHT_INPUTS entry of ``tid`` as a read-only trial draw."""
+    checker = theorems.CHECKERS[tid]
+    params, operands = TIGHT_INPUTS[tid]
+    scalars = operands if checker.shape == "pair" else {}
+    arrays = {} if scalars else {k: np.array(v) for k, v in operands.items()}
+    for a in arrays.values():
+        a.flags.writeable = False
+    if checker.kind == theorems.SINGLE:
+        spaces = {"space": rkhs.identity_space(2)}
+    elif checker.kind == theorems.BLOCK:
+        spaces = {"space1": rkhs.identity_space(1), "space2": rkhs.identity_space(1)}
+    else:
+        spaces = {}
+    return harness.TrialDraw(tid, 0, dict(params), arrays, dict(scalars), spaces)
+
+
+def test_tight_inputs_cover_every_gating_checker():
+    assert set(TIGHT_INPUTS).isdisjoint(OPEN_TIGHTNESS)
+    assert set(TIGHT_INPUTS) | OPEN_TIGHTNESS == set(GATING_IDS)
+
+
+@pytest.mark.parametrize("tid", GATING_IDS)
+def test_gating_bound_is_tight(tid):
+    # a 1% loosening, additive 0.01(1+|rhs|) or rhs * 1.01, fails here:
+    # every gating certificate of the tight input holds with at most half
+    # the additive slack
+    if tid in OPEN_TIGHTNESS:
+        return
+    certs = [c for c in harness.evaluate_draw(tight_draw(tid)) if c.mode == theorems.GATING]
+    assert certs
+    for cert in certs:
+        assert cert.holds and cert.slack <= 0.005 * (1.0 + abs(cert.rhs)), cert
