@@ -25,6 +25,7 @@ class DuplicatePoints(BerlabError):
     """Sample points for a kernel space are not pairwise distinct."""
 
 
+# nothing raises it; perfbench names its anomaly metrics after these classes
 class IndexOutOfRange(BerlabError):
     """Kernel point index outside the space."""
 

@@ -157,7 +157,10 @@ def _draw_scalar_pair(rng):
 
 @dataclass
 class TrialDraw:
-    """Concrete inputs of one checker trial; arrays are the free operands."""
+    """Concrete inputs of one checker trial; arrays are the free operands.
+
+    The arrays are made read-only: certificates digest them when first read.
+    """
 
     theorem_id: str
     trial_seed: int
@@ -165,6 +168,10 @@ class TrialDraw:
     arrays: dict
     scalars: dict
     spaces: dict
+
+    def __post_init__(self):
+        for a in self.arrays.values():  # certificates digest them when first read
+            a.flags.writeable = False
 
 
 def draw_trial(theorem_id, trial_seed, config):
@@ -174,9 +181,7 @@ def draw_trial(theorem_id, trial_seed, config):
     the checker's ``theorems.Checker`` record name. This call order fixes
     every trial's inputs, so changing it changes every report.
     """
-    checker = theorems.CHECKERS.get(theorem_id)
-    if checker is None:
-        raise BadParams(f"unknown checker id {theorem_id!r}")
+    checker = theorems.lookup(theorem_id)
     shape = checker.shape
     rng = np.random.default_rng(int(trial_seed))
     params = checker.sample(rng)
@@ -221,8 +226,6 @@ def draw_trial(theorem_id, trial_seed, config):
         elif shape != "diag":
             arrays["X"] = _draw_rect(rng, kind, n1, n2)
             arrays["Y"] = _draw_rect(rng, _choice(rng, OPERATOR_KINDS), n2, n1)
-    for a in arrays.values():  # certificates digest them when first read
-        a.flags.writeable = False
     return TrialDraw(theorem_id=theorem_id, trial_seed=int(trial_seed),
                      params=params, arrays=arrays, scalars=scalars,
                      spaces=spaces)
@@ -272,19 +275,13 @@ def evaluate_draw(draw):
 
 
 def _evaluate_stack(draws):
-    """evaluate_draw of each draw of a stacking block checker, as one stack.
+    """evaluate_draw of each bumped copy of one stacking checker's draw, as one stack.
 
     Returns None if the stack raises: each draw then answers for itself.
     """
     first = draws[0]
     checker = theorems.CHECKERS[first.theorem_id]
-    if any(d.theorem_id != first.theorem_id or d.params != first.params
-           or any(d.spaces[k] is not sp for k, sp in first.spaces.items())
-           for d in draws):
-        raise BadParams("a stack needs one checker, one set of params and one space pair")
     arrays = {name: np.stack([d.arrays[name] for d in draws]) for name in first.arrays}
-    for a in arrays.values():  # each slice's certificates digest it when first read
-        a.flags.writeable = False
     block = _build_block(dataclasses.replace(first, arrays=arrays), checker.shape)
     try:
         certs = theorems.check_block_runs(first.theorem_id, block, first.params, checker.runs)
@@ -413,7 +410,7 @@ def _draw_bump(draw, rng):
 
 
 def _bump(draw, bump, step):
-    """``draw`` with one coordinate moved by ``step * z``, in a read-only copy."""
+    """``draw`` with one coordinate moved by ``step * z``, in a copy."""
     name, idx, z = bump
     arrays, scalars = dict(draw.arrays), dict(draw.scalars)
     if idx is None:
@@ -421,7 +418,6 @@ def _bump(draw, bump, step):
     else:
         arr = arrays[name] = arrays[name].copy()
         arr[idx] += step * z
-        arr.flags.writeable = False
     return TrialDraw(draw.theorem_id, draw.trial_seed, draw.params, arrays, scalars,
                      draw.spaces)
 
@@ -436,14 +432,13 @@ def explore(config, theorem_id, budget):
     candidates in chunks that assume every round rejects. The first
     accepted candidate of a chunk drops the rest, so the result is the
     sequential climb's, bit for bit. A chunk holds ``SPECULATE_FROM``
-    candidates after an acceptance and doubles after each all-reject chunk.
+    candidates after an acceptance and doubles, up to ``16 * SPECULATE_FROM``,
+    after each all-reject chunk.
     A stacking checker evaluates a chunk as one stack; any other checker,
     and a stack that raises, evaluates a candidate when the climb reaches it.
     """
     config.validate()
-    checker = theorems.CHECKERS.get(theorem_id)
-    if checker is None:
-        raise BadParams(f"unknown checker id {theorem_id!r}")
+    checker = theorems.lookup(theorem_id)
     if budget < 0:
         raise BadParams("budget must be >= 0")
     best_draw, best_cert = None, None
@@ -455,8 +450,6 @@ def explore(config, theorem_id, budget):
             best_draw, best_cert = trial[0], cert
     if best_draw is None:
         raise BadParams(f"no evaluable random witness for {theorem_id!r}")
-    if budget == 0:
-        return best_cert
     rng = np.random.default_rng(derive_trial_seed(config.master_seed,
                                                   theorem_id + "/explore", 0))
     per_restart = max(1, budget // EXPLORE_RESTARTS)
@@ -474,7 +467,7 @@ def explore(config, theorem_id, budget):
             for bump in bumps[done:done + chunk]:
                 candidates.append(_bump(current, bump, chunk_step))
                 chunk_step /= 2.0
-            chunk *= 2
+            chunk = min(2 * chunk, 16 * SPECULATE_FROM)  # bounds a stack's memory
             stacked = _evaluate_stack(candidates) if checker.stacks else None
             for k, candidate in enumerate(candidates):
                 done += 1

@@ -2,7 +2,7 @@
 
 Everything here works on plain numpy arrays of complex128. Matrices are
 validated to be finite on entry; all tolerances are relative to the input
-norm, falling back to an absolute 1e-14 when the norm vanishes.
+norm, so a zero input meets each of them exactly.
 """
 
 import math
@@ -14,7 +14,6 @@ from .errors import NotHermitian, NotPSD
 HERM_TOL = 1e-10
 PSD_TOL = 1e-10
 RANK_TOL = 1e-12
-ABS_FLOOR = 1e-14
 
 
 def as_matrix(a, stack=False):
@@ -52,8 +51,7 @@ def hermitian_eig(a):
     # an exactly Hermitian matrix has defect 0, which no tolerance rejects
     if not np.array_equal(m, m.conj().mT):
         for s in m.reshape((-1,) + m.shape[-2:]):
-            scale = operator_norm(s)
-            tol = HERM_TOL * scale if scale > 0 else ABS_FLOOR
+            tol = HERM_TOL * operator_norm(s)
             defect = operator_norm(s - s.conj().T)
             if defect > tol:
                 raise NotHermitian(
@@ -85,8 +83,7 @@ def _spectral(w, q, phi):
         # eigh sorts ascending, so the extremes sit at the two ends
         ends = w.reshape(-1, w.shape[-1])
         for lo, hi in zip(ends[:, 0].tolist(), ends[:, -1].tolist()):
-            scale = max(abs(lo), abs(hi))
-            floor = -PSD_TOL * scale if scale > 0 else -ABS_FLOOR
+            floor = -PSD_TOL * max(abs(lo), abs(hi))
             if lo < floor:
                 raise NotPSD(f"eigenvalue {lo:.3e} below {floor:.3e}")
     vals = np.asarray(phi(np.maximum(w, 0.0)), dtype=np.float64)
@@ -121,8 +118,7 @@ def _power(lead, p, support):
                              for x in row]).reshape(w.shape)
         vals = np.empty_like(rows)
         for row, e, out in zip(rows, exps, vals):
-            wmax = float(row[-1]) if row.size else 0.0
-            keep = row > RANK_TOL * wmax if wmax > 0 else np.zeros_like(row, dtype=bool)
+            keep = row > RANK_TOL * (float(row[-1]) if row.size else 0.0)
             out[...] = np.where(keep, np.where(keep, row, 1.0) ** e, 0.0)
         return vals.reshape(w.shape)
     return phi
@@ -149,8 +145,7 @@ def polar_decompose(t):
     if m.shape[0] != m.shape[1]:
         raise ValueError("polar_decompose requires a square matrix")
     u, s, vh = np.linalg.svd(m)
-    smax = s[0] if s.size else 0.0
-    keep = s > RANK_TOL * smax if smax > 0 else np.zeros_like(s, dtype=bool)
+    keep = s > RANK_TOL * (s[0] if s.size else 0.0)
     iso = u[:, keep] @ vh[keep, :]
     modulus = (vh.conj().T * s) @ vh
     modulus = (modulus + modulus.conj().T) / 2.0

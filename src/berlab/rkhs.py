@@ -19,7 +19,6 @@ from .errors import (
     DimensionMismatch,
     DuplicatePoints,
     IllConditioned,
-    IndexOutOfRange,
 )
 
 COND_FLOOR = 1e-10
@@ -97,12 +96,6 @@ class KernelSpace:
     @property
     def dim(self):
         return len(self.points)
-
-    def kernel_column(self, j):
-        """Unnormalized kernel coordinates at point j."""
-        if not 0 <= j < self.dim:
-            raise IndexOutOfRange(f"point index {j} outside 0..{self.dim - 1}")
-        return self.chart[:, j].copy()
 
     def normalized_chart(self):
         """Read-only matrix whose column j is the normalized kernel at point j."""

@@ -668,11 +668,11 @@ CHECKERS = {
 SCALAR_IDS = tuple(tid for tid, c in CHECKERS.items() if c.kind == SCALAR)
 
 
-def _lookup(theorem_id, kind):
-    """The registry record of checker ``theorem_id``, which must be of ``kind``."""
+def lookup(theorem_id, kind=None):
+    """The registry record of checker ``theorem_id``, which must be of ``kind`` if given."""
     checker = CHECKERS.get(theorem_id)
-    if checker is None or checker.kind != kind:
-        raise BadParams(f"unknown {kind} checker {theorem_id!r}")
+    if checker is None or kind not in (None, checker.kind):
+        raise BadParams(f"no {kind or 'such'} checker {theorem_id!r}")
     return checker
 
 
@@ -685,7 +685,7 @@ def _factory(theorem_id, run, digest):
 
 def check_scalar(theorem_id, params, inputs):
     """Scalar / vector inequality checkers. Returns a list of Certificates."""
-    checker = _lookup(theorem_id, SCALAR)
+    checker = lookup(theorem_id, SCALAR)
     cert = _factory(theorem_id, checker.runs[0], None)
     return checker.evaluate(cert, params, inputs)
 
@@ -694,7 +694,7 @@ def check_single(theorem_id, space, t_mat, params, extras=None):
     """Single-operator checkers on one kernel space. Returns Certificates."""
     t_mat = space.check_operator(t_mat)
     digest = _bound_digest(t_mat, space.gram, dict(params))
-    checker = _lookup(theorem_id, SINGLE)
+    checker = lookup(theorem_id, SINGLE)
     cert = _factory(theorem_id, checker.runs[0], digest)
     return checker.evaluate(cert, space, t_mat, params, extras or {})
 
@@ -723,7 +723,7 @@ def check_block_runs(theorem_id, block, params, runs):
     takes a stacked block, a bucket, and returns one such list per slice;
     it evaluates a lone block as a stack of one.
     """
-    checker = _lookup(theorem_id, BLOCK)
+    checker = lookup(theorem_id, BLOCK)
     lone = block.X.ndim == 2
     _require(lone or checker.stacks, f"{theorem_id} evaluates one block at a time")
     _check_shape(theorem_id, checker.shape, block)
@@ -740,8 +740,3 @@ def check_block_runs(theorem_id, block, params, runs):
     # every slice gets its own digest, over that slice's blocks
     per_slice = checker.evaluate([factories(*b) for b in zip(*blocks)], block, params)
     return per_slice[0] if lone else per_slice
-
-
-def check_block(theorem_id, block, conv, params, mode=GATING):
-    """Block-operator checkers at one explicit Berezin convention."""
-    return check_block_runs(theorem_id, block, params, ((conv, mode),))

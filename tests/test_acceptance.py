@@ -86,7 +86,7 @@ def gram_ratio_ber(space, a):
     """ber(A) as the max over kernels k_j of |<A k_j, k_j>| / <k_j, k_j>."""
     best = 0.0
     for j in range(space.dim):
-        k = space.kernel_column(j)
+        k = space.chart[:, j]
         best = max(best, abs(np.conj(k) @ (a @ k)) / (np.conj(k) @ k).real)
     return best
 
@@ -177,7 +177,8 @@ def test_criterion_1_gating_soundness(campaign):
 
 def test_criterion_2_equality_witnesses():
     blk = blockops.offdiag_block(np.array([[1.0 + 0j]]), np.array([[1.0 + 0j]]))
-    t24 = theorems.check_block("T24a", blk, "pair", {"r": 1.0, "p": 0.5})[0]
+    t24 = theorems.check_block_runs("T24a", blk, {"r": 1.0, "p": 0.5},
+                                     (("pair", theorems.GATING),))[0]
     ok = (abs(t24.lhs - 2.0) <= 1e-12 and abs(t24.rhs - 2.0) <= 1e-12
           and abs(t24.slack) <= 1e-12)
 
@@ -187,7 +188,7 @@ def test_criterion_2_equality_witnesses():
             ok = ok and cert.slack == 0.0
 
     blk_i = blockops.offdiag_block(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
-    c27 = theorems.check_block("C27", blk_i, "joint", {})[1]
+    c27 = theorems.check_block_runs("C27", blk_i, {}, (("joint", theorems.GATING),))[1]
     ok = ok and abs(c27.slack) <= 1e-12
     announce(2, ok, "T24a pair equality, YOUNG2 a=b, C27 link 2 at X=I")
 

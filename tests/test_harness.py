@@ -300,6 +300,26 @@ def test_explore_restart_stacks_its_rejected_rounds(monkeypatch):
     assert len(calls) - 2 * scan == 2
 
 
+# explore at budget 3000: 300 rounds per restart, enough for an uncapped
+# chunk to reach 127 candidates; the hashes were pinned on the uncapped climb
+EXPLORE_PINS_3000 = {
+    "T24a": "09df09d4e96dae1df15007a0fafad81f119ad7d844758bd7d1ae80130ececaf3",
+    "T29": "5625a3e963bbe18d12d50cc559ed57a61faa64e83b0a874bd6320ea0dbad1a2d",
+}
+
+
+@pytest.mark.parametrize("tid", sorted(EXPLORE_PINS_3000))
+def test_explore_pinned_capped_chunks(tid, monkeypatch):
+    # the chunk stops doubling at 16 * SPECULATE_FROM candidates, which bounds
+    # the memory of one stack and moves no bit of the certificate
+    evaluate_stack, chunks = harness._evaluate_stack, []
+    monkeypatch.setattr(harness, "_evaluate_stack",
+                        lambda draws: chunks.append(len(draws)) or evaluate_stack(draws))
+    text = report.dumps_json(harness.explore(small_config(), tid, 3000).to_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPLORE_PINS_3000[tid]
+    assert max(chunks) == 16 * harness.SPECULATE_FROM == 64
+
+
 def test_explore_bad_inputs():
     config = small_config()
     with pytest.raises(BadParams):
@@ -636,6 +656,9 @@ def test_drawn_operands_are_read_only():
                     arr[(0,) * arr.ndim] = 1.0
                 with pytest.raises(ValueError):
                     arr += 1.0
+    # the type freezes them, so a draw built by hand is read-only too
+    built = harness.TrialDraw("T24a", 0, {}, {"X": np.ones((2, 2), dtype=complex)}, {}, {})
+    assert not built.arrays["X"].flags.writeable
     # a bump leaves the operand it copied from as it was
     tid = "T24a"
     draw = harness.draw_trial(tid, harness.derive_trial_seed(7, tid, 0), config)

@@ -16,7 +16,6 @@ from berlab.errors import (
     DimensionMismatch,
     DuplicatePoints,
     IllConditioned,
-    IndexOutOfRange,
 )
 
 
@@ -40,7 +39,7 @@ def gram_ratio_ber(space, a):
     """Brute-force ber(A) from unnormalized kernel columns."""
     best = 0.0
     for j in range(space.dim):
-        k = space.kernel_column(j)
+        k = space.chart[:, j]
         best = max(best, abs(np.conj(k) @ (a @ k)) / (np.conj(k) @ k).real)
     return best
 
@@ -86,7 +85,7 @@ def test_normalized_kernels_unit_norm():
         norms = np.linalg.norm(khat, axis=0)
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
         for j in range(sp.dim):
-            col = sp.kernel_column(j)
+            col = sp.chart[:, j]
             assert np.allclose(col / np.linalg.norm(col), khat[:, j])
 
 
@@ -147,14 +146,6 @@ def test_build_space_errors():
         rkhs.KernelFamily("nosuch")
 
 
-def test_kernel_column_range():
-    sp = rkhs.identity_space(2)
-    with pytest.raises(IndexOutOfRange):
-        sp.kernel_column(2)
-    with pytest.raises(IndexOutOfRange):
-        sp.kernel_column(-1)
-
-
 # ---------------------------------------------------------------------------
 # Berezin symbols and numbers
 
@@ -180,7 +171,7 @@ def test_symbol_gram_ratio_oracle():
         sp = random_space(rng, int(rng.integers(1, 7)))
         a = cgauss(rng, (sp.dim, sp.dim))
         for j in range(sp.dim):
-            k = sp.kernel_column(j)
+            k = sp.chart[:, j]
             want = (np.conj(k) @ (a @ k)) / (np.conj(k) @ k).real
             assert abs(rkhs.berezin_symbols(sp, a)[j] - want) <= 1e-10 * (1.0 + abs(want))
 

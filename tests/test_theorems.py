@@ -25,6 +25,11 @@ def offdiag(x, y):
                                   np.asarray(y, dtype=complex))
 
 
+# one gating run at one convention, as check_block_runs takes it
+PAIR = (("pair", theorems.GATING),)
+JOINT = (("joint", theorems.GATING),)
+
+
 # ---------------------------------------------------------------------------
 # scalar checkers
 
@@ -229,7 +234,7 @@ def test_l22_l23_checkers():
 
 def test_t24a_hand_equality():
     blk = offdiag([[1.0]], [[1.0]])
-    cert = theorems.check_block("T24a", blk, "pair", {"r": 1.0, "p": 0.5})[0]
+    cert = theorems.check_block_runs("T24a", blk, {"r": 1.0, "p": 0.5}, PAIR)[0]
     assert abs(cert.lhs - 2.0) <= 1e-12
     assert abs(cert.rhs - 2.0) <= 1e-12
     assert abs(cert.slack) <= 1e-12
@@ -237,13 +242,13 @@ def test_t24a_hand_equality():
 
 def test_l21b_zero_block():
     blk = offdiag(np.zeros((2, 2)), np.zeros((2, 2)))
-    cert = theorems.check_block("L21b", blk, "joint", {})[0]
+    cert = theorems.check_block_runs("L21b", blk, {}, JOINT)[0]
     assert cert.lhs == 0.0 and cert.rhs == 0.0 and cert.holds
 
 
 def test_c27_identity_links():
     blk = offdiag(np.eye(2), np.eye(2))
-    certs = theorems.check_block("C27", blk, "joint", {})
+    certs = theorems.check_block_runs("C27", blk, {}, JOINT)
     assert [c.params["link"] for c in certs] == [1, 2]
     assert abs(certs[1].slack) <= 1e-12
     assert all(c.holds for c in certs)
@@ -252,7 +257,7 @@ def test_c27_identity_links():
 def test_c28_chain_links():
     rng = np.random.default_rng(19)
     blk = offdiag(cgauss(rng, (2, 3)), cgauss(rng, (3, 2)))
-    certs = theorems.check_block("C28", blk, "joint", {})
+    certs = theorems.check_block_runs("C28", blk, {}, JOINT)
     assert [c.params["link"] for c in certs] == [1, 2, 3]
     assert all(c.holds for c in certs)
 
@@ -267,8 +272,8 @@ def test_scale_covariance():
                         ("T24b", {"r": 2.0, "p": 0.5}),
                         ("R26", {})):
         r = params.get("r", 1.0)
-        base = theorems.check_block(tid, offdiag(x, y), "pair", params)[0]
-        scaled = theorems.check_block(tid, offdiag(c * x, c * y), "pair", params)[0]
+        base = theorems.check_block_runs(tid, offdiag(x, y), params, PAIR)[0]
+        scaled = theorems.check_block_runs(tid, offdiag(c * x, c * y), params, PAIR)[0]
         assert abs(scaled.lhs - c**r * base.lhs) <= 1e-9 * (1.0 + scaled.lhs)
         assert abs(scaled.rhs - c**r * base.rhs) <= 1e-9 * (1.0 + scaled.rhs)
         assert (scaled.slack >= 0) == (base.slack >= 0)
@@ -279,8 +284,8 @@ def test_t29_eta_and_relation_to_t24a():
     for _ in range(20):
         x, y = cgauss(rng, (3, 2)), cgauss(rng, (2, 3))
         params = {"r": 2.0, "p": 0.25}
-        t29 = theorems.check_block("T29", offdiag(x, y), "pair", params)[0]
-        t24 = theorems.check_block("T24a", offdiag(x, y), "pair", params)[0]
+        t29 = theorems.check_block_runs("T29", offdiag(x, y), params, PAIR)[0]
+        t24 = theorems.check_block_runs("T24a", offdiag(x, y), params, PAIR)[0]
         assert t29.witness["eta_inf"] >= 0.0
         # T29 weakens T24a's geometric-mean product, so its rhs dominates
         assert t29.rhs >= t24.rhs - 1e-9 * (1.0 + abs(t24.rhs))
@@ -300,7 +305,7 @@ def test_ineq1_ties_powers():
     rng = np.random.default_rng(31)
     for s in (1.0, 2.0):
         blk = offdiag(cgauss(rng, (3, 3)), cgauss(rng, (3, 3)))
-        cert = theorems.check_block("INEQ1", blk, "joint", {"s": s, "p": 0.5})[0]
+        cert = theorems.check_block_runs("INEQ1", blk, {"s": s, "p": 0.5}, JOINT)[0]
         value, _ = blockops.ber_block(blk, "joint")
         assert abs(cert.lhs - value**s) <= 1e-12 * (1.0 + cert.lhs)
         assert cert.holds
@@ -311,7 +316,7 @@ def test_t31_c34_checkers():
     for _ in range(15):
         blk = offdiag(cgauss(rng, (3, 3)), cgauss(rng, (3, 3)))
         for tid in ("T31", "C34"):
-            cert = theorems.check_block(tid, blk, "joint", {"t": 0.25})[0]
+            cert = theorems.check_block_runs(tid, blk, {"t": 0.25}, JOINT)[0]
             assert cert.holds
 
 
@@ -324,7 +329,7 @@ def test_t36_t37_checkers():
             Y=cgauss(rng, (3, 2)), R=cgauss(rng, (3, 3)),
             space1=sp1, space2=sp2)
         for tid in ("T36", "T37"):
-            cert = theorems.check_block(tid, blk, "joint", {"alpha": 0.5})[0]
+            cert = theorems.check_block_runs(tid, blk, {"alpha": 0.5}, JOINT)[0]
             assert cert.holds
 
 
@@ -342,8 +347,8 @@ def test_t37_is_t36_of_the_swapped_block():
         params = {"alpha": float(rng.choice([0.0, 0.25, 0.5, 1.0]))}
         blk = blockops.BlockOperator(S=s, X=x, Y=y, R=r, space1=sp1, space2=sp2)
         swapped = blockops.BlockOperator(S=r, X=y, Y=x, R=s, space1=sp2, space2=sp1)
-        t37 = theorems.check_block("T37", blk, "joint", params)[0]
-        t36 = theorems.check_block("T36", swapped, "joint", params)[0]
+        t37 = theorems.check_block_runs("T37", blk, params, JOINT)[0]
+        t36 = theorems.check_block_runs("T36", swapped, params, JOINT)[0]
         assert t37.rhs == t36.rhs
         assert abs(t37.lhs - t36.lhs) <= 1e-12 * (1.0 + abs(t37.lhs))
 
@@ -351,7 +356,7 @@ def test_t37_is_t36_of_the_swapped_block():
 def test_c35_informational_readings():
     rng = np.random.default_rng(43)
     blk = offdiag(cgauss(rng, (3, 3)), cgauss(rng, (3, 3)))
-    certs = theorems.check_block("C35", blk, None, {})
+    certs = theorems.check_block_runs("C35", blk, {}, theorems.CHECKERS["C35"].runs)
     assert [c.params["reading"] for c in certs] == ["sum", "adjoint_sum"]
     assert all(c.mode == theorems.INFORMATIONAL for c in certs)
 
@@ -362,15 +367,15 @@ SHAPED_BLOCK_IDS = tuple(tid for tid, c in theorems.CHECKERS.items()
 
 @pytest.mark.parametrize("tid", SHAPED_BLOCK_IDS)
 def test_block_shape_preconditions(tid):
-    # check_block rejects a block that breaks any promise of the checker's
-    # registry shape, and accepts the campaign's own draw
+    # check_block_runs rejects a block that breaks any promise of the
+    # checker's registry shape, and accepts the campaign's own draw
     checker = theorems.CHECKERS[tid]
     shape = checker.shape
     config = harness.CampaignConfig(master_seed=47, dims=((2, 3),))
     draw = harness.draw_trial(tid, harness.derive_trial_seed(47, tid, 0), config)
     block = harness._build_block(draw, shape)
-    conv = checker.runs[0][0]
-    assert theorems.check_block(tid, block, conv, draw.params)
+    run = checker.runs[:1]
+    assert theorems.check_block_runs(tid, block, draw.params, run)
     n1, n2 = block.space1.dim, block.space2.dim
     if shape == "diag":
         broken = [dataclasses.replace(block, X=np.ones((n1, n2), dtype=complex))]
@@ -382,7 +387,7 @@ def test_block_shape_preconditions(tid):
         broken.append(dataclasses.replace(block, Y=block.Y + 1.0))
     for blk in broken:
         with pytest.raises(BadParams):
-            theorems.check_block(tid, blk, conv, draw.params)
+            theorems.check_block_runs(tid, blk, draw.params, run)
 
 
 def test_block_param_preconditions():
@@ -390,7 +395,7 @@ def test_block_param_preconditions():
     for tid, params in (("T24a", {"r": 0.5, "p": 0.5}), ("T29", {"r": 1.0, "p": 1.5}),
                         ("INEQ1", {"s": 0.5, "p": 0.5}), ("T31", {"t": -0.25})):
         with pytest.raises(BadParams):
-            theorems.check_block(tid, sq, theorems.CHECKERS[tid].runs[0][0], params)
+            theorems.check_block_runs(tid, sq, params, theorems.CHECKERS[tid].runs[:1])
 
 
 TWO_RUN_BLOCK_IDS = ("L21a", "L21b", "INEQ1", "T24a", "T24b", "C25a", "C25b",
@@ -400,7 +405,7 @@ TWO_RUN_BLOCK_IDS = ("L21a", "L21b", "INEQ1", "T24a", "T24b", "C25a", "C25b",
 @pytest.mark.parametrize("tid", TWO_RUN_BLOCK_IDS)
 def test_block_runs_match_per_run_check_block(tid):
     # evaluating a draw once for all its runs gives the certificates of one
-    # check_block call per run, bit for bit and in run order
+    # check_block_runs call per run, bit for bit and in run order
     checker = theorems.CHECKERS[tid]
     assert checker.kind == theorems.BLOCK and len(checker.runs) == 2
     config = harness.CampaignConfig(master_seed=11, trials_per_checker=20,
@@ -412,9 +417,8 @@ def test_block_runs_match_per_run_check_block(tid):
         for cert in at_once:
             assert cert["witness"].pop("trial_seed") == seed
         block = harness._build_block(draw, checker.shape)
-        per_run = [c.to_dict() for conv, mode in checker.runs
-                   for c in theorems.check_block(tid, block, conv, draw.params,
-                                                 mode=mode)]
+        per_run = [c.to_dict() for run in checker.runs
+                   for c in theorems.check_block_runs(tid, block, draw.params, (run,))]
         assert at_once == per_run
 
 
@@ -444,7 +448,8 @@ def test_check_block_rejects_unknown_convention():
     blk = offdiag(np.eye(2), np.eye(2))
     for conv in ("directsum", "diag", None):
         with pytest.raises(BadParams):
-            theorems.check_block("T24a", blk, conv, {"r": 1.0, "p": 0.5})
+            theorems.check_block_runs("T24a", blk, {"r": 1.0, "p": 0.5},
+                                      ((conv, theorems.GATING),))
 
 
 def test_abs_powers_match_per_operand_bit_for_bit():
@@ -473,8 +478,8 @@ def test_abs_powers_match_per_operand_bit_for_bit():
 def test_certificate_fields_and_reproducibility():
     rng = np.random.default_rng(53)
     blk = offdiag(cgauss(rng, (2, 2)), cgauss(rng, (2, 2)))
-    first = theorems.check_block("R26", blk, "joint", {})[0]
-    second = theorems.check_block("R26", blk, "joint", {})[0]
+    first = theorems.check_block_runs("R26", blk, {}, JOINT)[0]
+    second = theorems.check_block_runs("R26", blk, {}, JOINT)[0]
     assert first.to_dict() == second.to_dict()
     assert first.slack == first.rhs - first.lhs
     assert first.holds == (first.slack >= -theorems.slack_tolerance(first.rhs))
@@ -500,7 +505,7 @@ def test_unknown_checker_ids():
     with pytest.raises(BadParams):
         theorems.check_single("NOPE", sp, np.eye(1), {})
     with pytest.raises(BadParams):
-        theorems.check_block("NOPE", offdiag([[1.0]], [[1.0]]), "pair", {})
+        theorems.check_block_runs("NOPE", offdiag([[1.0]], [[1.0]]), {}, PAIR)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +515,7 @@ TWO = np.full((1, 1), 2.0, dtype=complex)
 TWO_I2 = 2.0 * np.eye(2, dtype=complex)
 TWO_E1 = np.array([2.0, 0.0], dtype=complex)
 E1 = np.array([1.0, 0.0], dtype=complex)
+ZERO = np.zeros((1, 1), dtype=complex)
 HALF = {"r": 1.0, "p": 0.5}
 
 # checker id -> (params, operands) of an exact equality, up to L21c's grid
@@ -526,6 +532,8 @@ TIGHT_INPUTS = {
     "P39": ({"r": 1.0}, {"T": TWO_I2}),
     "R310": ({"r": 1.0}, {"T": TWO_I2}),
     "T311_proof": ({"r": 1.0, "p": 2.0, "q": 2.0, "e": 0.5}, {"T": TWO_I2}),
+    # nu = 1 drops the ||T - itI|| term; that term is not pinned here
+    "T312_proof": ({"nu": 1.0, "t": 2.0}, {"T": TWO_I2}),
     "L22a": ({"r": 2.0}, {"T": TWO_I2}),
     "L22b": ({"r": 0.5}, {"T": TWO_I2}),
     "L23": ({"p": 0.5}, {"T": TWO_I2, "x": E1, "y": E1}),
@@ -542,11 +550,14 @@ TIGHT_INPUTS = {
     "L21b": ({}, {"X": TWO, "Y": TWO}),
     "T31": ({"t": 0.5}, {"X": TWO, "Y": TWO}),
     "C34": ({"t": 0.5}, {"X": TWO, "Y": TWO}),
+    # S = R = 0 drops the ber(S) and ber(R) terms; those are not pinned here
+    **{tid: ({"alpha": 0.5}, {"S": ZERO, "X": TWO, "Y": TWO, "R": ZERO})
+       for tid in ("T36", "T37")},
 }
 
 # gating checkers with no tight input pinned yet; R26 gates only its joint
 # run, which X = Y = [1] leaves at half the bound
-OPEN_TIGHTNESS = {"T312_proof", "R26", "T36", "T37", "T32", "R33"}
+OPEN_TIGHTNESS = {"R26", "T32", "R33"}
 
 GATING_IDS = tuple(tid for tid, c in theorems.CHECKERS.items()
                    if any(mode == theorems.GATING for _, mode in c.runs))
@@ -558,8 +569,6 @@ def tight_draw(tid):
     params, operands = TIGHT_INPUTS[tid]
     scalars = operands if checker.shape == "pair" else {}
     arrays = {} if scalars else {k: np.array(v) for k, v in operands.items()}
-    for a in arrays.values():
-        a.flags.writeable = False
     if checker.kind == theorems.SINGLE:
         spaces = {"space": rkhs.identity_space(2)}
     elif checker.kind == theorems.BLOCK:
