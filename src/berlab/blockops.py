@@ -20,7 +20,8 @@ class BlockOperator:
     """T = [[S, X], [Y, R]] over spaces (space1, space2).
 
     The four blocks may also be stacks along the same leading axes: one
-    block operator per slice, all over the same two spaces.
+    block operator per slice, over the same two spaces or, with stacked
+    spaces (``rkhs.stack_spaces``), each over its own slice of them.
     """
 
     S: np.ndarray
@@ -74,10 +75,10 @@ def _pair_values(block):
     k1 = block.space1.normalized_chart()
     k2 = block.space2.normalized_chart()
     # the terms keep the order (s + x) + y.T + r: another order moves bits
-    vals = k1.conj().T @ block.X @ k2
+    vals = k1.conj().mT @ block.X @ k2
     if block.S.any():
         vals = rkhs.berezin_symbols(block.space1, block.S)[..., :, None] + vals
-    vals = vals + (k2.conj().T @ block.Y @ k1).mT
+    vals = vals + (k2.conj().mT @ block.Y @ k1).mT
     if block.R.any():
         vals = vals + rkhs.berezin_symbols(block.space2, block.R)[..., None, :]
     return vals

@@ -34,6 +34,7 @@ GATING = theorems.GATING
 SPACE_ATTEMPTS = 5     # point draws per space before IllConditioned
 EXPLORE_RESTARTS = 10  # hill-climb restarts from the best draw so far
 SPECULATE_FROM = 4     # climb candidates evaluated at once after an acceptance
+STACK_CAP = 64         # draws per stack: a campaign window, an explore chunk
 
 ALL_CHECKERS = tuple(theorems.CHECKERS)
 
@@ -160,6 +161,9 @@ class TrialDraw:
     """Concrete inputs of one checker trial; arrays are the free operands.
 
     The arrays are made read-only: certificates digest them when first read.
+    A stacked draw (``_stack_draws``) holds several draws of one stacking
+    checker as one: its arrays and spaces are stacks with one slice per
+    draw, and ``trial_seed`` and ``params`` are tuples with one entry each.
     """
 
     theorem_id: str
@@ -172,6 +176,10 @@ class TrialDraw:
     def __post_init__(self):
         for a in self.arrays.values():  # certificates digest them when first read
             a.flags.writeable = False
+
+    @property
+    def stacked(self):
+        return isinstance(self.trial_seed, tuple)
 
 
 def draw_trial(theorem_id, trial_seed, config):
@@ -248,17 +256,39 @@ def _build_block(draw, shape):
                                   space1=sp1, space2=sp2)
 
 
-def _stamped(certs, draw):
-    """``certs`` with the draw's trial seed as the last key of every witness."""
+def _stamped(certs, trial_seed):
+    """``certs`` with the trial seed as the last key of every witness."""
     for c in certs:  # each certificate owns its witness dict
-        c.witness["trial_seed"] = draw.trial_seed
+        c.witness["trial_seed"] = trial_seed
     return certs
 
 
+def _stack_draws(draws):
+    """Draws of one stacking checker and one operand shape as one stacked draw."""
+    first = draws[0]
+    return TrialDraw(
+        first.theorem_id, tuple(d.trial_seed for d in draws), tuple(d.params for d in draws),
+        {name: np.stack([d.arrays[name] for d in draws]) for name in first.arrays}, {},
+        {name: rkhs.stack_spaces([d.spaces[name] for d in draws]) for name in first.spaces})
+
+
 def evaluate_draw(draw):
-    """Evaluate every run of the drawn checker; returns Certificates."""
+    """Evaluate every run of the drawn checker; returns Certificates.
+
+    A stacked draw gives one certificate list per slice, each with the bits
+    of that draw evaluated alone. It never raises: a stack that raises
+    anything gives None, and each of its draws then answers for itself, so
+    a bad draw raises its error once, from its own call.
+    """
     tid = draw.theorem_id
     checker = theorems.CHECKERS[tid]
+    if draw.stacked:
+        try:
+            per_slice = theorems.check_block_runs(
+                tid, _build_block(draw, checker.shape), draw.params, checker.runs)
+        except Exception:  # anything: a lone evaluate_draw raises it again
+            return None
+        return [_stamped(certs, seed) for certs, seed in zip(per_slice, draw.trial_seed)]
     if checker.kind == theorems.SCALAR:
         # a, b (and e) in the order they were drawn
         inputs = tuple((draw.scalars or draw.arrays).values())
@@ -271,23 +301,7 @@ def evaluate_draw(draw):
     else:
         block = _build_block(draw, checker.shape)
         certs = theorems.check_block_runs(tid, block, draw.params, checker.runs)
-    return _stamped(certs, draw)
-
-
-def _evaluate_stack(draws):
-    """evaluate_draw of each bumped copy of one stacking checker's draw, as one stack.
-
-    Returns None if the stack raises: each draw then answers for itself.
-    """
-    first = draws[0]
-    checker = theorems.CHECKERS[first.theorem_id]
-    arrays = {name: np.stack([d.arrays[name] for d in draws]) for name in first.arrays}
-    block = _build_block(dataclasses.replace(first, arrays=arrays), checker.shape)
-    try:
-        certs = theorems.check_block_runs(first.theorem_id, block, first.params, checker.runs)
-    except Exception:  # anything: evaluate_draw raises it again, for its own draw only
-        return None
-    return [_stamped(slice_certs, d) for slice_certs, d in zip(certs, draws)]
+    return _stamped(certs, draw.trial_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +331,53 @@ class Report:
         return d
 
 
+def _stacked_certs(window):
+    """{index: certificates} of the window's draws that a stack evaluated.
+
+    The draws of one operand shape make one stacked draw; a shape drawn
+    once, and every draw of a stack that raises, is left to evaluate alone.
+    """
+    by_shape = {}
+    for k, draw in enumerate(window):
+        if draw is not None:
+            by_shape.setdefault(draw.arrays["X"].shape, []).append(k)
+    out = {}
+    for ks in by_shape.values():
+        if len(ks) > 1:
+            per_slice = evaluate_draw(_stack_draws([window[k] for k in ks]))
+            out.update(zip(ks, per_slice or ()))
+    return out
+
+
 def _trials(config, theorem_id):
     """Each campaign trial of a checker as (draw, certificates), in trial order.
 
     A trial whose draw or evaluation raises a BerlabError yields None.
+    Trials are drawn in windows of ``STACK_CAP``, each in trial order; a
+    stacking checker evaluates a window's draws of one operand shape as one
+    stacked draw.
     """
-    for i in range(config.trials_per_checker):
-        seed = derive_trial_seed(config.master_seed, theorem_id, i)
-        try:
-            draw = draw_trial(theorem_id, seed, config)
-            trial = draw, evaluate_draw(draw)
-        except BerlabError:
+    stacks = theorems.CHECKERS[theorem_id].stacks
+    total = config.trials_per_checker
+    for start in range(0, total, STACK_CAP):
+        window = []
+        for i in range(start, min(start + STACK_CAP, total)):
+            try:
+                window.append(draw_trial(
+                    theorem_id, derive_trial_seed(config.master_seed, theorem_id, i), config))
+            except BerlabError:
+                window.append(None)
+        stacked = _stacked_certs(window) if stacks else {}
+        for k, draw in enumerate(window):
             trial = None
-        yield trial
+            if k in stacked:
+                trial = draw, stacked[k]
+            elif draw is not None:
+                try:
+                    trial = draw, evaluate_draw(draw)
+                except BerlabError:
+                    pass
+            yield trial
 
 
 def _new_row(theorem_id, convention, link, reading, mode):
@@ -432,8 +480,8 @@ def explore(config, theorem_id, budget):
     candidates in chunks that assume every round rejects. The first
     accepted candidate of a chunk drops the rest, so the result is the
     sequential climb's, bit for bit. A chunk holds ``SPECULATE_FROM``
-    candidates after an acceptance and doubles, up to ``16 * SPECULATE_FROM``,
-    after each all-reject chunk.
+    candidates after an acceptance and doubles, up to ``STACK_CAP``, after
+    each all-reject chunk.
     A stacking checker evaluates a chunk as one stack; any other checker,
     and a stack that raises, evaluates a candidate when the climb reaches it.
     """
@@ -467,8 +515,8 @@ def explore(config, theorem_id, budget):
             for bump in bumps[done:done + chunk]:
                 candidates.append(_bump(current, bump, chunk_step))
                 chunk_step /= 2.0
-            chunk = min(2 * chunk, 16 * SPECULATE_FROM)  # bounds a stack's memory
-            stacked = _evaluate_stack(candidates) if checker.stacks else None
+            chunk = min(2 * chunk, STACK_CAP)  # bounds a stack's memory
+            stacked = evaluate_draw(_stack_draws(candidates)) if checker.stacks else None
             for k, candidate in enumerate(candidates):
                 done += 1
                 try:

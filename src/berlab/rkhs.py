@@ -77,25 +77,31 @@ class KernelSpace:
     ``gram[i, j] = k(p_i, p_j)`` and column j of ``chart`` holds the
     coordinates of the kernel at point j in an orthonormal basis, so
     ``chart* chart == gram``.
+
+    A stacked space (``stack_spaces``) is one model per slice: ``points``
+    holds each slice's points, and ``gram``, ``chart`` and the normalized
+    chart are ``(K, n, n)`` stacks of the slices' own arrays.
     """
 
     points: tuple
     gram: np.ndarray
     chart: np.ndarray
-    _khat: np.ndarray = field(init=False, repr=False, compare=False)
+    _khat: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         # read-only arrays, so that a shared space cannot be mutated
         self.gram.flags.writeable = False
         self.chart.flags.writeable = False
-        norms = np.sqrt(np.einsum("ij,ij->j", self.chart.conj(), self.chart).real)
-        khat = self.chart / norms[None, :]
+        khat = self._khat
+        if khat is None:
+            norms = np.sqrt(np.einsum("ij,ij->j", self.chart.conj(), self.chart).real)
+            khat = self.chart / norms[None, :]
+            object.__setattr__(self, "_khat", khat)
         khat.flags.writeable = False
-        object.__setattr__(self, "_khat", khat)
 
     @property
     def dim(self):
-        return len(self.points)
+        return self.gram.shape[-1]
 
     def normalized_chart(self):
         """Read-only matrix whose column j is the normalized kernel at point j."""
@@ -131,6 +137,23 @@ def build_space(family, points):
     return KernelSpace(points=points, gram=gram, chart=chart)
 
 
+def stack_spaces(spaces):
+    """One space over which a stack of operators acts, slice k over ``spaces[k]``.
+
+    Spaces that are all one object, such as a shared ``identity_space(n)``,
+    give that space. Otherwise the result is a stacked space: each slice
+    keeps its space's own Gram matrix, chart and normalized chart, bit for
+    bit; nothing is recomputed.
+    """
+    first = spaces[0]
+    if all(space is first for space in spaces):
+        return first
+    return KernelSpace(points=tuple(space.points for space in spaces),
+                       gram=np.stack([space.gram for space in spaces]),
+                       chart=np.stack([space.chart for space in spaces]),
+                       _khat=np.stack([space.normalized_chart() for space in spaces]))
+
+
 @functools.lru_cache(maxsize=32)
 def identity_space(n):
     """Orthonormal-kernel space on n abstract indices, built once per n."""
@@ -140,11 +163,12 @@ def identity_space(n):
 def berezin_symbols(space, a):
     """All Berezin symbols of A at once, as a length-dim complex array.
 
-    A stack of operators of shape (..., dim, dim) gives shape (..., dim).
+    A stack of operators of shape (..., dim, dim) gives shape (..., dim); a
+    stacked space gives slice k the symbols of operator k over its slice.
     """
     a = space.check_operator(a, stack=True)
     khat = space.normalized_chart()
-    return np.einsum("ji,...jk,ki->...i", khat.conj(), a, khat)
+    return np.einsum("...ji,...jk,...ki->...i", khat.conj(), a, khat)
 
 
 def berezin_peak(space, a):

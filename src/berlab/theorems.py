@@ -206,10 +206,10 @@ def _s310(cert, params, inputs):
 def _abs_powers(ops, exps, support=False):
     """|A_k|^{p_k} for each operator A_k, in input order.
 
-    An A_k may also be a stack of operators, with p_k for each of its
-    slices. Operands of one shape share one stack: one modulus eigh and one
-    power eigh per shape. ``support`` takes ``matrix_power_psd``'s support
-    power.
+    An A_k may also be a stack of operators, with p_k a sequence of one
+    exponent per slice. Operands of one shape share one stack: one modulus
+    eigh and one power eigh per shape. ``support`` takes
+    ``matrix_power_psd``'s support power.
     """
     out = [None] * len(ops)
     by_shape = {}
@@ -218,8 +218,6 @@ def _abs_powers(ops, exps, support=False):
     for ks in by_shape.values():
         stack = np.stack([ops[k] for k in ks])
         per_slice = [exps[k] for k in ks]
-        if stack.ndim > 3:  # operand stacks: each exponent for all of its slices
-            per_slice = [[e] * stack.shape[1] for e in per_slice]
         for k, power in zip(ks, numlin.matrix_abs(stack, per_slice, support)):
             out[k] = power
     return out
@@ -371,9 +369,9 @@ def _ber_norm(cert, space, t_mat, params, extras):
 # block against its checker's registry shape.
 #
 # A stacking checker (T24/C25/R26, T29/C210) takes a bucket instead: a
-# stacked block, one slice per draw, and the runs of each slice. It returns
-# one certificate list per slice, each with the bits of a lone draw's.
-# check_block_runs passes a lone block as a stack of one.
+# stacked block, one slice per draw, and the runs and params of each slice.
+# It returns one certificate list per slice, each with the bits of a lone
+# draw's. check_block_runs passes a lone block as a stack of one.
 
 def _witnessed(runs, peaks):
     """(certificate factory, Berezin value, witness) of each run, in run order."""
@@ -397,8 +395,10 @@ def _t24_operands(block, r, p, variant):
 
     variant "fg": (f^{2r}(|X|)+g^{2r}(|Y*|), f^{2r}(|Y|)+g^{2r}(|X*|))
     variant "ff": (f^{2r}(|X|)+f^{2r}(|Y*|), g^{2r}(|Y|)+g^{2r}(|X*|))
-    First operand acts on space2, second on space1.
+    A stacked block takes one r and one p per slice. First operand acts on
+    space2, second on space1.
     """
+    r, p = np.asarray(r), np.asarray(p)
     fe, ge = 2.0 * r * p, 2.0 * r * (1.0 - p)
     # X and Y* are both n1 x n2, Y and X* both n2 x n1: one stack for all
     # four when n1 = n2, else one per pair
@@ -438,17 +438,24 @@ def _ineq1(runs, block, params):
             for cert, value, wit in _peaks(block, runs)]
 
 
+def _slice_rp(params, who, fixed=None):
+    """The checked (r, p) of each slice, r >= 1 and p in [0, 1]; or ``fixed`` for all."""
+    rps = [fixed or (float(pr["r"]), float(pr["p"])) for pr in params]
+    for r, p in rps:
+        _require(r >= 1.0, f"{who} need r >= 1")
+        _require(0.0 <= p <= 1.0, f"{who} need p in [0, 1]")
+    return rps
+
+
 def _t24(bucket, block, params, *, variant="fg", fixed=None):
-    r, p = fixed or (float(params["r"]), float(params["p"]))
-    _require(r >= 1.0, "T24/C25/R26 need r >= 1")
-    _require(0.0 <= p <= 1.0, "T24/C25/R26 need p in [0, 1]")
-    op2, op1 = _t24_operands(block, r, p, variant)
+    rps = _slice_rp(params, "T24/C25/R26", fixed)
+    op2, op1 = _t24_operands(block, *zip(*rps), variant)
     rhs = [2.0**r / 2.0 * math.sqrt(ber2) * math.sqrt(ber1)
-           for ber2, ber1 in zip(rkhs.berezin_number(block.space2, op2),
-                                 rkhs.berezin_number(block.space1, op1))]
-    return [[cert(value**r, rhs_k, params=params, witness=wit)
+           for (r, _), ber2, ber1 in zip(rps, rkhs.berezin_number(block.space2, op2),
+                                         rkhs.berezin_number(block.space1, op1))]
+    return [[cert(value**r, rhs_k, params=pr, witness=wit)
              for cert, value, wit in peaks]
-            for peaks, rhs_k in zip(_slice_peaks(bucket, block), rhs)]
+            for peaks, (r, _), rhs_k, pr in zip(_slice_peaks(bucket, block), rps, rhs, params)]
 
 
 def _c27(runs, block, params):
@@ -472,24 +479,23 @@ def _c28(runs, block, params):
 
 
 def _t29(bucket, block, params, *, tied=False):
-    r, p = float(params["r"]), float(params["p"])
-    _require(r >= 1.0, "T29/C210 need r >= 1")
-    _require(0.0 <= p <= 1.0, "T29/C210 need p in [0, 1]")
-    op2, op1 = _t24_operands(block, r, p, "fg")
+    rps = _slice_rp(params, "T29/C210")
+    op2, op1 = _t24_operands(block, *zip(*rps), "fg")
     avals = _psd_symbols(block.space2, op2)
     bvals = _psd_symbols(block.space1, op1)
     eta = (np.sqrt(avals)[..., None, :] - np.sqrt(bvals)[..., :, None]) ** 2
     eta_inf = np.minimum.reduce(eta, axis=(-2, -1)).tolist()
     if tied:
-        heads = [2.0 ** (r - 1) * numlin.operator_norm(op) for op in op2]
+        heads = [2.0 ** (r - 1) * numlin.operator_norm(op) for (r, _), op in zip(rps, op2)]
     else:
         heads = [2.0 ** (r - 2) * (a + b)
-                 for a, b in zip(np.maximum.reduce(avals, axis=-1).tolist(),
-                                 np.maximum.reduce(bvals, axis=-1).tolist())]
-    return [[cert(value**r, head - 2.0 ** (r - 2) * eta_k, params=params,
+                 for (r, _), a, b in zip(rps, np.maximum.reduce(avals, axis=-1).tolist(),
+                                         np.maximum.reduce(bvals, axis=-1).tolist())]
+    return [[cert(value**r, head - 2.0 ** (r - 2) * eta_k, params=pr,
                   witness={**wit, "eta_inf": eta_k})
              for cert, value, wit in peaks]
-            for peaks, head, eta_k in zip(_slice_peaks(bucket, block), heads, eta_inf)]
+            for peaks, (r, _), pr, head, eta_k in zip(_slice_peaks(bucket, block), rps,
+                                                      params, heads, eta_inf)]
 
 
 def _t31(runs, block, params, *, tilted):
@@ -593,7 +599,8 @@ class Checker:
     ``runs`` holds the (convention, mode) of each evaluation of a draw.
     ``evaluate`` has any variant keywords of its function already bound.
     With ``stacks`` a block checker's ``evaluate`` takes a bucket of
-    draws as one stacked block (see the block checkers above).
+    draws as one stacked block, with params per slice (see the block
+    checkers above).
     """
 
     shape: str
@@ -720,23 +727,33 @@ def check_block_runs(theorem_id, block, params, runs):
     The block must have its checker's registry shape. The certificates of
     every run share one input digest and the convention-independent
     operands, and come back in ``runs`` order. A stacking checker also
-    takes a stacked block, a bucket, and returns one such list per slice;
-    it evaluates a lone block as a stack of one.
+    takes a stacked block, a bucket, with a sequence of one params dict per
+    slice, and returns one such list per slice; it evaluates a lone block
+    as a stack of one.
     """
     checker = lookup(theorem_id, BLOCK)
     lone = block.X.ndim == 2
     _require(lone or checker.stacks, f"{theorem_id} evaluates one block at a time")
+    _require(isinstance(params, dict) if lone
+             else [type(pr) for pr in params] == [dict] * len(block.X),
+             f"{theorem_id} needs one params dict per block")
     _check_shape(theorem_id, checker.shape, block)
 
-    def factories(*blocks):
-        digest = _bound_digest(*blocks, block.space1.gram, block.space2.gram, dict(params))
+    def factories(slice_params, *arrays):
+        digest = _bound_digest(*arrays, dict(slice_params))
         return tuple((run[0], _factory(theorem_id, run, digest)) for run in runs)
-    if lone and checker.stacks:  # a stack of one
-        block = blockops.BlockOperator(block.S[None], block.X[None], block.Y[None],
-                                       block.R[None], block.space1, block.space2)
-    blocks = (block.S, block.X, block.Y, block.R)
+    spaces = (block.space1, block.space2)
     if not checker.stacks:
-        return checker.evaluate(factories(*blocks), block, params)
-    # every slice gets its own digest, over that slice's blocks
-    per_slice = checker.evaluate([factories(*b) for b in zip(*blocks)], block, params)
+        return checker.evaluate(factories(params, block.S, block.X, block.Y, block.R,
+                                          *(s.gram for s in spaces)), block, params)
+    if lone:  # a stack of one
+        block = blockops.BlockOperator(block.S[None], block.X[None], block.Y[None],
+                                       block.R[None], *spaces)
+        params = [params]
+    # every slice gets its own digest, over that slice's blocks, Grams and params;
+    # a space shared by every slice gives each slice its one Gram matrix
+    grams = [s.gram if s.gram.ndim == 3 else [s.gram] * len(params) for s in spaces]
+    bucket = [factories(*inputs)
+              for inputs in zip(params, block.S, block.X, block.Y, block.R, *grams)]
+    per_slice = checker.evaluate(bucket, block, params)
     return per_slice[0] if lone else per_slice

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from berlab import blockops, cli, harness, numlin, report, theorems
-from berlab.errors import BadParams, BerlabError, ConfigInvalid
+from berlab.errors import BadParams, BerlabError, ConfigInvalid, IllConditioned
 
 
 def small_config(**kw):
@@ -212,66 +212,146 @@ def test_explore_pinned_long_chunks(tid):
 STACKING_IDS = tuple(tid for tid, c in theorems.CHECKERS.items() if c.stacks)
 
 
-@pytest.mark.parametrize("tid", STACKING_IDS)
-def test_bucket_matches_per_draw_byte_for_byte(tid):
-    # a bucket of a draw's bumped copies, evaluated as one stack, gives each
-    # copy the certificates (and input digests) of evaluate_draw, byte for byte
-    config = harness.CampaignConfig(
-        master_seed=29, dims=((1, 1), (2, 2), (3, 2), (2, 5), (6, 6), (12, 10), (16, 12)))
-    rng = np.random.default_rng(31)
-    draws = []
-    for i in range(40):
+def _stacks_seen(monkeypatch):
+    """Patch harness.evaluate_draw to record each stacked draw and what it returned."""
+    seen, evaluate_draw = [], harness.evaluate_draw
+
+    def recorded(draw):
+        out = evaluate_draw(draw)
+        if draw.stacked:
+            seen.append((draw, out))
+        return out
+    monkeypatch.setattr(harness, "evaluate_draw", recorded)
+    return seen
+
+
+def _per_draw_trials(config, tid):
+    """What _trials yields, as JSON text per trial, from one evaluate_draw per draw."""
+    out = []
+    for i in range(config.trials_per_checker):
         try:
-            draws.append(harness.draw_trial(tid, harness.derive_trial_seed(29, tid, i), config))
+            draw = harness.draw_trial(tid, harness.derive_trial_seed(config.master_seed, tid, i),
+                                      config)
+            out.append(report.dumps_json([c.to_dict() for c in harness.evaluate_draw(draw)]))
         except BerlabError:  # an ill-conditioned Gram draw
-            continue
-    assert len(draws) >= 20
-    shapes = {d.arrays["X"].shape for d in draws[:20]}
-    assert max(n1 for n1, _ in shapes) >= 12
-    assert any(n1 == n2 for n1, n2 in shapes) and (tid == "C210" or any(
-        n1 != n2 for n1, n2 in shapes))
-    for draw in draws[:20]:
-        bucket = [harness._bump(draw, harness._draw_bump(draw, rng), step)
-                  for step in (0.5, 1e-3, 2.0, 0.0, 0.25, 1e-8, 1.0, 0.5, 3.0, 1e-3, 0.1, 0.0)]
-        assert {name for b in bucket for name in b.arrays
-                if not np.array_equal(b.arrays[name], draw.arrays[name])} >= (
-            {"X"} if tid == "C210" else {"X", "Y"})
-        stacked = [report.dumps_json([c.to_dict() for c in certs])
-                   for certs in harness._evaluate_stack(bucket)]
-        one_by_one = [report.dumps_json([c.to_dict() for c in harness.evaluate_draw(b)])
-                      for b in bucket]
-        assert stacked == one_by_one
+            out.append(None)
+    return out
+
+
+@pytest.mark.parametrize("tid", STACKING_IDS)
+def test_bucket_matches_per_draw_byte_for_byte(tid, monkeypatch):
+    # _trials evaluates a window's draws of one operand shape as one stacked
+    # draw: distinct trials, each with its own spaces and params. Every
+    # trial's certificates, input digests included, are those of its draw
+    # evaluated alone, byte for byte; also for identity-family draws, whose
+    # cached spaces are shared, not stacked, while their params differ
+    dims = ((1, 1), (2, 2), (3, 2), (2, 5), (6, 6), (12, 10), (16, 12))
+    for families in (harness.DEFAULT_FAMILIES, harness.DEFAULT_FAMILIES[:1]):
+        config = harness.CampaignConfig(master_seed=29, trials_per_checker=70, dims=dims,
+                                        kernel_families=families)
+        one_by_one = _per_draw_trials(config, tid)
+        with monkeypatch.context() as patched:
+            stacks = _stacks_seen(patched)
+            bucketed = [trial and report.dumps_json([c.to_dict() for c in trial[1]])
+                        for trial in harness._trials(config, tid)]
+        assert bucketed == one_by_one
+        assert all(out is not None for _, out in stacks)
+        draws = [draw for draw, _ in stacks]
+        assert max(draw.arrays["X"].shape[1] for draw in draws) == 16
+        assert tid == "C210" or any(n1 != n2 for _, n1, n2 in (d.arrays["X"].shape for d in draws))
+        grams = [d.spaces["space1"].gram for d in draws]
+        if len(families) > 1:  # some stacked space mixes identity and other kernels
+            assert any(g.ndim == 3 and len({np.array_equal(s, np.eye(len(s))) for s in g}) == 2
+                       for g in grams)
+        else:  # identity draws share one cached space per n, while their params differ
+            assert all(g.ndim == 2 for g in grams)
+            assert tid == "R26" or any(len({json.dumps(p) for p in d.params}) > 1 for d in draws)
+
+
+def test_a_bad_draw_in_a_stack_is_one_anomaly(monkeypatch):
+    # a stack holding a draw that raises gives None, and each of its draws is
+    # then evaluated alone: the bad one raises once and counts one anomaly
+    config = small_config(trials_per_checker=40, checker_filter=("L21b", "T24a", "T29"))
+    want = harness.run_campaign(config).to_dict()["results"]
+    bad_seed = harness.derive_trial_seed(config.master_seed, "T24a", 7)
+    bad = harness.draw_trial("T24a", bad_seed, config).arrays["X"]
+    check_block_runs, evaluate_draw = theorems.check_block_runs, harness.evaluate_draw
+    raised, stacked = [], []
+
+    def failing(theorem_id, block, *args):
+        if any(np.array_equal(x, bad) for x in block.X.reshape((-1,) + block.X.shape[-2:])):
+            raise IllConditioned("the chosen draw")
+        return check_block_runs(theorem_id, block, *args)
+
+    def counted(draw):  # like perfbench's anomaly counter
+        if draw.stacked:
+            stacked.extend(draw.trial_seed)
+        try:
+            return evaluate_draw(draw)
+        except BerlabError:
+            raised.append(draw.trial_seed)
+            raise
+    monkeypatch.setattr(theorems, "check_block_runs", failing)
+    monkeypatch.setattr(harness, "evaluate_draw", counted)
+    got = harness.run_campaign(config).to_dict()["results"]
+    assert bad_seed in stacked and raised == [bad_seed]
+    assert [r["theorem_id"] for r in got] == [r["theorem_id"] for r in want]
+    for row, before in zip(got, want):
+        if row["theorem_id"] == "T24a":
+            assert (row["anomalies"], row["trials"]) == (before["anomalies"] + 1,
+                                                         before["trials"] - 1)
+        else:
+            assert report.dumps_json(row) == report.dumps_json(before)
+
+
+def test_a_stack_holds_at_most_stack_cap_draws(monkeypatch):
+    # all 300 trials share one operand shape, so only the window bounds a stack
+    config = small_config(trials_per_checker=300, dims=((2, 2),), checker_filter=("T24a",))
+    stacks = _stacks_seen(monkeypatch)
+    harness.run_campaign(config)
+    assert max(len(draw.trial_seed) for draw, _ in stacks) == harness.STACK_CAP == 64
+
+
+def test_default_campaign_stacks_never_fall_back(monkeypatch):
+    # the benchmark's campaign_default call at seed 42 has no anomaly, so no
+    # stack may give None and leave its draws to be evaluated alone
+    stacks = _stacks_seen(monkeypatch)
+    rep = harness.run_campaign(harness.CampaignConfig(master_seed=42, trials_per_checker=5))
+    assert sum(row["anomalies"] for row in rep.results) == 0
+    assert {draw.theorem_id for draw, _ in stacks} == set(STACKING_IDS)
+    assert all(out is not None for _, out in stacks)
 
 
 @pytest.mark.parametrize("tid", ("T24a", "C210", "L21b"))
 def test_explore_falls_back_when_the_stack_raises(tid, monkeypatch):
-    # a chunk whose stack raises, like every chunk of a checker that does
-    # not stack (L21b), is evaluated one candidate at a time and only up to
-    # the candidates the climb reaches: every bit stays the same
+    # a stack that raises, like every chunk of a checker that does not stack
+    # (L21b), leaves each scanned draw, and each candidate the climb
+    # reaches, to a lone evaluate_draw: every bit stays the same
     want = report.dumps_json(harness.explore(small_config(), tid, 200).to_dict())
     check_block_runs, evaluate_draw, bump = (
         theorems.check_block_runs, harness.evaluate_draw, harness._bump)
-    evaluated, built, stacks = [], [], []
+    lone, built, stacks = [], [], []
 
     def unstackable(theorem_id, block, *args):
         if block.X.ndim > 2:
             stacks.append(block.X.shape[0])
             raise RuntimeError("no stacks")
         return check_block_runs(theorem_id, block, *args)
+
+    def counted(draw):
+        if not draw.stacked:
+            lone.append(draw)
+        return evaluate_draw(draw)
     monkeypatch.setattr(theorems, "check_block_runs", unstackable)
-    monkeypatch.setattr(harness, "evaluate_draw",
-                        lambda draw: evaluated.append(draw) or evaluate_draw(draw))
+    monkeypatch.setattr(harness, "evaluate_draw", counted)
     monkeypatch.setattr(harness, "_bump", lambda *args: built.append(1) or bump(*args))
     harness.explore(small_config(), tid, 0)
-    scan = len(evaluated)
-    text = report.dumps_json(harness.explore(small_config(), tid, 200).to_dict())
-    assert text == want
-    if tid in EXPLORE_PINS_200:
-        assert hashlib.sha256(text.encode()).hexdigest() == EXPLORE_PINS_200[tid]
+    scan = len(lone)
+    assert report.dumps_json(harness.explore(small_config(), tid, 200).to_dict()) == want
     assert bool(stacks) == theorems.CHECKERS[tid].stacks
     # each of the 200 rounds is reached once; the chunks dropped candidates
     # after acceptances, and none of those was evaluated
-    assert len(evaluated) - 2 * scan == 200 < len(built)
+    assert len(lone) - 2 * scan == 200 < len(built)
 
 
 def test_explore_restart_stacks_its_rejected_rounds(monkeypatch):
@@ -281,22 +361,23 @@ def test_explore_restart_stacks_its_rejected_rounds(monkeypatch):
     config = small_config(master_seed=4, dims=((2, 2), (3, 3)))
     start = harness.explore(config, "T24a", 0)
     chunks, calls = [], []
-    evaluate_stack, matrix_abs = harness._evaluate_stack, numlin.matrix_abs
+    stack_draws, matrix_abs = harness._stack_draws, numlin.matrix_abs
 
     def recorded(draws):
         chunks.append(len(draws))
-        return evaluate_stack(draws)
+        return stack_draws(draws)
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
         return matrix_abs(*args, **kwargs)
-    monkeypatch.setattr(harness, "_evaluate_stack", recorded)
+    monkeypatch.setattr(harness, "_stack_draws", recorded)
     monkeypatch.setattr(numlin, "matrix_abs", counted)
     harness.explore(config, "T24a", 0)
-    scan = len(calls)  # one stack per scanned draw, also at budget 10
+    # the scan's stacks and lone draws, one modulus stack each, also at budget 10
+    scan_chunks, scan = list(chunks), len(calls)
     end = harness.explore(config, "T24a", 10)
     assert end.to_dict() == start.to_dict()  # every round rejected
-    assert chunks == [4, 6]
+    assert chunks == 2 * scan_chunks + [4, 6]
     assert len(calls) - 2 * scan == 2
 
 
@@ -310,14 +391,14 @@ EXPLORE_PINS_3000 = {
 
 @pytest.mark.parametrize("tid", sorted(EXPLORE_PINS_3000))
 def test_explore_pinned_capped_chunks(tid, monkeypatch):
-    # the chunk stops doubling at 16 * SPECULATE_FROM candidates, which bounds
-    # the memory of one stack and moves no bit of the certificate
-    evaluate_stack, chunks = harness._evaluate_stack, []
-    monkeypatch.setattr(harness, "_evaluate_stack",
-                        lambda draws: chunks.append(len(draws)) or evaluate_stack(draws))
+    # the chunk stops doubling at STACK_CAP candidates, which bounds the
+    # memory of one stack and moves no bit of the certificate
+    stack_draws, chunks = harness._stack_draws, []
+    monkeypatch.setattr(harness, "_stack_draws",
+                        lambda draws: chunks.append(len(draws)) or stack_draws(draws))
     text = report.dumps_json(harness.explore(small_config(), tid, 3000).to_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == EXPLORE_PINS_3000[tid]
-    assert max(chunks) == 16 * harness.SPECULATE_FROM == 64
+    assert max(chunks) == harness.STACK_CAP == 64
 
 
 def test_explore_bad_inputs():

@@ -396,6 +396,17 @@ def test_block_param_preconditions():
                         ("INEQ1", {"s": 0.5, "p": 0.5}), ("T31", {"t": -0.25})):
         with pytest.raises(BadParams):
             theorems.check_block_runs(tid, sq, params, theorems.CHECKERS[tid].runs[:1])
+    # a stacked block takes one params dict per slice and checks each; a
+    # lone block takes one dict, never a list that dict() would mangle
+    pair = blockops.BlockOperator(*(np.stack([b, b]) for b in (sq.S, sq.X, sq.Y, sq.R)),
+                                  sq.space1, sq.space2)
+    good = {"r": 1.0, "p": 0.5}
+    assert len(theorems.check_block_runs("T29", pair, [good, good], PAIR)) == 2
+    for tid, blk, params in (("T29", pair, [good, {"r": 1.0, "p": 1.5}]),
+                             ("T24a", pair, [good]), ("T24a", pair, good),
+                             ("T24a", sq, [good])):
+        with pytest.raises(BadParams):
+            theorems.check_block_runs(tid, blk, params, PAIR)
 
 
 TWO_RUN_BLOCK_IDS = ("L21a", "L21b", "INEQ1", "T24a", "T24b", "C25a", "C25b",

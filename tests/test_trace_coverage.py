@@ -6,10 +6,15 @@ instead of ``numlin.hermitian_eig``, say) empties that layer's metrics
 without any error. The traced ``campaign_default`` and ``explore_t24a`` calls
 at master seed 42 (the benchmark's pinned calls) must therefore open every
 target span at least once, and return the results of the untraced calls.
+Each workload must also, on its own, open the harness spans that
+``measure.traced`` summarizes: a span that one workload opens hides its
+absence in another from the union.
 """
 
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 if str(PERFBENCH) not in sys.path:
@@ -17,6 +22,7 @@ if str(PERFBENCH) not in sys.path:
 
 import workloads  # noqa: E402  (first: puts this checkout's src/ on sys.path)
 import layertrace  # noqa: E402,I001
+import measure  # noqa: E402,I001
 
 
 def test_every_layer_target_is_traced():
@@ -30,3 +36,17 @@ def test_every_layer_target_is_traced():
     seen = {span[2] for span in tracer.spans}
     missing = sorted({name for *_, name, _, _ in layertrace.LAYER_TARGETS} - seen)
     assert missing == []
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_each_workload_traces_its_draws_and_evaluations(name):
+    # a workload that evaluates around harness.evaluate_draw has no
+    # evaluate_draw durations, and measure.traced's summary of them fails
+    w = workloads.WORKLOADS[name]
+    tracer = layertrace.Tracer()
+    with tracer.installed(layertrace.LAYER_TARGETS):
+        w.call(42)
+    seen = {span[2] for span in tracer.spans}
+    assert {"harness.draw_trial", "harness.evaluate_draw"} <= seen
+    _, eval_ms = layertrace.layer_metrics(tracer)
+    assert measure.summary(eval_ms)["n"] == len(eval_ms) > 0
