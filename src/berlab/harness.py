@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,51 +100,101 @@ def _complex_gaussian(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def _draw_operator(rng, kind, dim):
+class _Operator(NamedTuple):
+    """The random part of one ensemble draw, and the block of it a trial keeps."""
+
+    kind: str
+    g: np.ndarray     # the dim x dim complex Gaussian
+    mask: np.ndarray  # a partial isometry's 0/1 column mask, else None
+    rows: int
+    cols: int
+
+
+def _draw_gaussians(rng, kind, dim, rows=None, cols=None):
+    """An ``_Operator``: the Gaussian, then a partial isometry's mask, from ``rng``.
+
+    ``rows`` x ``cols`` (default: the whole draw) is the top-left block kept,
+    so a rectangular operand is a slice of a square ensemble draw.
+    """
     g = _complex_gaussian(rng, (dim, dim))
+    mask = (rng.integers(0, 2, size=dim).astype(np.complex128)
+            if kind == "partial_isometry" else None)
+    return _Operator(kind, g, mask, rows or dim, cols or dim)
+
+
+def _build_operators(kind, g, mask):
+    """The ensemble operators of a stack of Gaussians ``g``, shape (K, n, n).
+
+    One stacked call per kind: an SVD for the unitary, partial isometry and
+    contraction ensembles, a matmul for psd. Each slice keeps the bits of a
+    lone build; ``mask`` is the (K, n) stack of partial isometry masks.
+    """
     if kind == "ginibre":
         return g
     if kind == "hermitian":
-        return (g + g.conj().T) / 2.0
+        return (g + g.conj().mT) / 2.0
     if kind == "psd":
-        return g.conj().T @ g
-    if kind == "unitary":
-        return numlin.polar_decompose(g)[0]
-    if kind == "partial_isometry":
+        return g.conj().mT @ g
+    if kind in ("unitary", "partial_isometry"):
         u = numlin.polar_decompose(g)[0]
-        mask = rng.integers(0, 2, size=dim).astype(np.complex128)
-        return u @ np.diag(mask)
+        if kind == "unitary":
+            return u
+        diag = np.zeros(g.shape, dtype=np.complex128)
+        idx = np.arange(g.shape[-1])
+        diag[:, idx, idx] = mask
+        return u @ diag
     if kind == "contraction":
-        norm = numlin.operator_norm(g)
-        return g / max(norm, 1.0)
+        return g / np.maximum(numlin.operator_norm(g), 1.0)[:, None, None]
     if kind == "nilpotent":
         return np.triu(g, 1)
     raise BadParams(f"unknown operator kind {kind!r}")
 
 
-def _draw_rect(rng, kind, rows, cols):
-    """Rectangular block obtained by slicing a square ensemble draw."""
-    big = _draw_operator(rng, kind, max(rows, cols))
-    return np.ascontiguousarray(big[:rows, :cols])
+def _draw_operator(rng, kind, dim):
+    """One ensemble draw: its random part, then a build of one."""
+    op = _draw_gaussians(rng, kind, dim)
+    return _build_operators(kind, op.g[None], None if op.mask is None else op.mask[None])[0]
+
+
+def _draw_points(rng, family, n):
+    """One random point set of a kernel space of a family other than identity."""
+    if family.tag in ("szego", "bergman"):
+        radii = 0.9 * np.sqrt(rng.random(n))
+        angles = 2.0 * np.pi * rng.random(n)
+        return [complex(z) for z in radii * np.exp(1j * angles)]
+    return [float(x) for x in rng.normal(0.0, 2.0, n)]
 
 
 def draw_space(rng, family, n):
-    """Sample a kernel space; ill-conditioned point draws are retried."""
-    last = None
-    for _ in range(SPACE_ATTEMPTS):
-        try:
-            if family.tag == "identity":
-                return rkhs.identity_space(n)
-            if family.tag in ("szego", "bergman"):
-                radii = 0.9 * np.sqrt(rng.random(n))
-                angles = 2.0 * np.pi * rng.random(n)
-                points = radii * np.exp(1j * angles)
-                return rkhs.build_space(family, [complex(z) for z in points])
-            points = rng.normal(0.0, 2.0, n)
-            return rkhs.build_space(family, [float(x) for x in points])
-        except BerlabError as exc:
-            last = exc
-    raise IllConditioned(f"space draw failed after {SPACE_ATTEMPTS} attempts: {last}")
+    """Sample a kernel space; ill-conditioned point draws are retried.
+
+    ``rng`` may be a list of generators, one per trial: each attempt then
+    builds the point sets of every trial still drawing as one stack, and a
+    trial draws its retries from its own generator, as it does alone. The
+    result holds, per generator, its space or the IllConditioned that its
+    lone draw raises.
+    """
+    rngs = rng if isinstance(rng, list) else [rng]
+    if family.tag == "identity":
+        out = [rkhs.identity_space(n)] * len(rngs)
+    else:
+        out, todo = [None] * len(rngs), range(len(rngs))
+        for _ in range(SPACE_ATTEMPTS):
+            built = rkhs.build_space(family, [_draw_points(rngs[k], family, n) for k in todo],
+                                     stack=True)
+            for k, space in zip(todo, built):
+                out[k] = space
+            todo = [k for k in todo if isinstance(out[k], BerlabError)]
+            if not todo:
+                break
+        for k in todo:
+            out[k] = IllConditioned(
+                f"space draw failed after {SPACE_ATTEMPTS} attempts: {out[k]}")
+    if isinstance(rng, list):
+        return out
+    if isinstance(out[0], BerlabError):
+        raise out.pop()  # no local may hold it: its traceback holds this frame
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +233,15 @@ class TrialDraw:
         return isinstance(self.trial_seed, tuple)
 
 
-def draw_trial(theorem_id, trial_seed, config):
-    """Deterministically draw the inputs of one trial from its seed.
+def _plan(theorem_id, trial_seed, config):
+    """The random part of one trial's draw, as a generator.
 
     The params come first, then the operands that the shape and extras of
     the checker's ``theorems.Checker`` record name. This call order fixes
-    every trial's inputs, so changing it changes every report.
+    every trial's inputs, so changing it changes every report. The plan
+    yields each space it needs as ``(rng, family, n)`` and is sent the space,
+    or thrown its IllConditioned. It returns ``(params, arrays, scalars,
+    spaces)``, each operator still an ``_Operator`` to build.
     """
     checker = theorems.lookup(theorem_id)
     shape = checker.shape
@@ -204,14 +258,14 @@ def draw_trial(theorem_id, trial_seed, config):
     elif checker.kind == theorems.SINGLE:
         n1, _ = _choice(rng, config.dims)
         family = _choice(rng, config.kernel_families)
-        spaces["space"] = draw_space(rng, family, n1)
+        spaces["space"] = yield rng, family, n1
         kind = "psd" if shape == "psd" else _choice(rng, OPERATOR_KINDS)
-        arrays["T"] = _draw_operator(rng, kind, n1)
+        arrays["T"] = _draw_gaussians(rng, kind, n1)
         for name, what in checker.extras:
             if what == "vector":
                 arrays[name] = _complex_gaussian(rng, n1)
             elif what == "operator":
-                arrays[name] = _draw_operator(rng, _choice(rng, OPERATOR_KINDS), n1)
+                arrays[name] = _draw_gaussians(rng, _choice(rng, OPERATOR_KINDS), n1)
             else:  # "complex": recorded as two real params
                 z = complex(_complex_gaussian(rng, ()))
                 params.update({f"{name}_re": z.real, f"{name}_im": z.imag})
@@ -220,23 +274,86 @@ def draw_trial(theorem_id, trial_seed, config):
         if shape in ("tied_square", "offdiag_square"):
             n2 = n1
         family = _choice(rng, config.kernel_families)
-        spaces["space1"] = draw_space(rng, family, n1)
+        spaces["space1"] = yield rng, family, n1
         spaces["space2"] = (spaces["space1"] if shape == "tied_square"
-                            else draw_space(rng, family, n2))
+                            else (yield rng, family, n2))
         kind = _choice(rng, OPERATOR_KINDS)
         if shape in ("diag", "full"):
-            arrays["S"] = _draw_operator(rng, kind, n1)
-            arrays["R"] = _draw_operator(rng, _choice(rng, OPERATOR_KINDS), n2)
+            arrays["S"] = _draw_gaussians(rng, kind, n1)
+            arrays["R"] = _draw_gaussians(rng, _choice(rng, OPERATOR_KINDS), n2)
             # a full block draws a fresh ensemble for X
             kind = _choice(rng, OPERATOR_KINDS) if shape == "full" else None
         if shape == "tied_square":
-            arrays["X"] = _draw_operator(rng, kind, n1)
+            arrays["X"] = _draw_gaussians(rng, kind, n1)
         elif shape != "diag":
-            arrays["X"] = _draw_rect(rng, kind, n1, n2)
-            arrays["Y"] = _draw_rect(rng, _choice(rng, OPERATOR_KINDS), n2, n1)
-    return TrialDraw(theorem_id=theorem_id, trial_seed=int(trial_seed),
-                     params=params, arrays=arrays, scalars=scalars,
-                     spaces=spaces)
+            # rectangular blocks are slices of square ensemble draws
+            arrays["X"] = _draw_gaussians(rng, kind, max(n1, n2), n1, n2)
+            arrays["Y"] = _draw_gaussians(rng, _choice(rng, OPERATOR_KINDS), max(n1, n2),
+                                          n2, n1)
+    return params, arrays, scalars, spaces
+
+
+def _draw_batch(theorem_ids, trial_seeds, config):
+    """Per trial, its TrialDraw or the BerlabError that drawing it raises.
+
+    Every plan runs until it asks for a space. The requests of one kernel
+    family (tag and params) and size go to one ``draw_space`` call, so they
+    share a stacked build per attempt; each plan then resumes on its own
+    generator. Last, the operators of one ensemble and size are built as
+    one stack.
+    """
+    plans = [_plan(tid, seed, config) for tid, seed in zip(theorem_ids, trial_seeds)]
+    out = [None] * len(plans)
+    replies = dict.fromkeys(range(len(plans)))  # plan index -> space to send
+    while replies:
+        asks = {}
+        for k, reply in replies.items():
+            try:
+                asks[k] = (plans[k].throw(reply) if isinstance(reply, BerlabError)
+                           else plans[k].send(reply))
+            except StopIteration as done:
+                out[k] = done.value
+            except BerlabError as exc:  # its traceback would hold this frame, and out
+                out[k] = exc.with_traceback(None)
+        groups, replies = {}, {}
+        for k, (_, family, n) in asks.items():
+            key = (family.tag, repr(sorted(family.params.items())), n)  # params: a dict
+            groups.setdefault(key, []).append(k)
+        for ks in groups.values():
+            _, family, n = asks[ks[0]]
+            replies.update(zip(ks, draw_space([asks[k][0] for k in ks], family, n)))
+
+    by_kind = {}
+    for fields in out:
+        if isinstance(fields, tuple):
+            for name, op in fields[1].items():
+                if isinstance(op, _Operator):
+                    by_kind.setdefault((op.kind, len(op.g)), []).append((fields[1], name))
+    for (kind, _), slots in by_kind.items():
+        ops = [arrays[name] for arrays, name in slots]
+        masks = np.stack([op.mask for op in ops]) if kind == "partial_isometry" else None
+        built = _build_operators(kind, np.stack([op.g for op in ops]), masks)
+        for (arrays, name), op, full in zip(slots, ops, built):
+            arrays[name] = np.ascontiguousarray(full[:op.rows, :op.cols])
+    return [TrialDraw(tid, int(seed), *fields) if isinstance(fields, tuple) else fields
+            for tid, seed, fields in zip(theorem_ids, trial_seeds, out)]
+
+
+def draw_trial(theorem_id, trial_seed, config):
+    """Deterministically draw the inputs of one trial from its seed.
+
+    Equal-length tuples of checker ids and seeds draw a batch: the result
+    holds, per slot, its draw, or None where the lone draw raises. The batch
+    makes each trial's RNG calls of a lone draw (``_plan``) and builds its
+    spaces and operators as stacks that keep each slice's bits.
+    """
+    if isinstance(trial_seed, tuple):
+        return [None if isinstance(d, BerlabError) else d
+                for d in _draw_batch(theorem_id, trial_seed, config)]
+    draws = _draw_batch((theorem_id,), (trial_seed,), config)
+    if isinstance(draws[0], BerlabError):
+        raise draws.pop()  # no local may hold it: its traceback holds this frame
+    return draws[0]
 
 
 def _build_block(draw, shape):
@@ -349,35 +466,50 @@ def _stacked_certs(window):
     return out
 
 
-def _trials(config, theorem_id):
-    """Each campaign trial of a checker as (draw, certificates), in trial order.
+def _evaluated(theorem_id, window):
+    """Each draw of one checker's window as (draw, certificates) or None, in order.
 
-    A trial whose draw or evaluation raises a BerlabError yields None.
-    Trials are drawn in windows of ``STACK_CAP``, each in trial order; a
-    stacking checker evaluates a window's draws of one operand shape as one
-    stacked draw.
+    A slot without a draw, and a draw whose evaluation raises a BerlabError,
+    gives None. A stacking checker evaluates a window's draws of one operand
+    shape as one stacked draw.
     """
-    stacks = theorems.CHECKERS[theorem_id].stacks
+    stacked = _stacked_certs(window) if theorems.CHECKERS[theorem_id].stacks else {}
+    for k, draw in enumerate(window):
+        trial = None
+        if k in stacked:
+            trial = draw, stacked[k]
+        elif draw is not None:
+            try:
+                trial = draw, evaluate_draw(draw)
+            except BerlabError:
+                pass
+        yield trial
+
+
+def _trials(config, theorem_ids):
+    """Each campaign trial as (checker id, (draw, certificates) or None).
+
+    Trials are drawn in windows of ``STACK_CAP`` trials per checker, and
+    the windows of every checker at one start are one ``draw_trial`` batch.
+    A slot the batch leaves empty is drawn again alone, so that it raises
+    its error once. Then each checker's window is evaluated and yielded in
+    trial order.
+    """
     total = config.trials_per_checker
     for start in range(0, total, STACK_CAP):
-        window = []
-        for i in range(start, min(start + STACK_CAP, total)):
-            try:
-                window.append(draw_trial(
-                    theorem_id, derive_trial_seed(config.master_seed, theorem_id, i), config))
-            except BerlabError:
-                window.append(None)
-        stacked = _stacked_certs(window) if stacks else {}
-        for k, draw in enumerate(window):
-            trial = None
-            if k in stacked:
-                trial = draw, stacked[k]
-            elif draw is not None:
+        slots = [(tid, derive_trial_seed(config.master_seed, tid, i))
+                 for tid in theorem_ids for i in range(start, min(start + STACK_CAP, total))]
+        draws = draw_trial(tuple(tid for tid, _ in slots), tuple(seed for _, seed in slots),
+                           config)
+        for k, (tid, seed) in enumerate(slots):
+            if draws[k] is None:
                 try:
-                    trial = draw, evaluate_draw(draw)
+                    draws[k] = draw_trial(tid, seed, config)
                 except BerlabError:
                     pass
-            yield trial
+        size = len(slots) // len(theorem_ids)
+        for j, tid in enumerate(theorem_ids):
+            yield from ((tid, trial) for trial in _evaluated(tid, draws[j * size:(j + 1) * size]))
 
 
 def _new_row(theorem_id, convention, link, reading, mode):
@@ -393,30 +525,30 @@ def run_campaign(config):
     config.validate()
     started = time.monotonic()
     rows = {}
-    anomalies = {}
+    anomalies = dict.fromkeys(config.checkers(), 0)
+    # every row sees its checker's trials in trial order
+    for tid, trial in _trials(config, config.checkers()):
+        if trial is None:
+            anomalies[tid] += 1
+            continue
+        for cert in trial[1]:
+            key = _agg_key(cert)
+            row = rows.get(key)
+            if row is None:
+                # mean_slack holds the slack sum and witness the
+                # least-slack certificate until every trial is in
+                row = rows[key] = _new_row(
+                    cert.theorem_id, cert.convention,
+                    cert.params.get("link", 0),
+                    cert.params.get("reading", ""), cert.mode)
+            row["trials"] += 1
+            row["mean_slack"] += cert.slack
+            if not cert.holds and cert.mode == GATING:
+                row["failures"] += 1
+            if row["min_slack"] is None or cert.slack < row["min_slack"]:
+                row["min_slack"] = cert.slack
+                row["witness"] = cert
     for tid in config.checkers():
-        anomalies[tid] = 0
-        for trial in _trials(config, tid):
-            if trial is None:
-                anomalies[tid] += 1
-                continue
-            for cert in trial[1]:
-                key = _agg_key(cert)
-                row = rows.get(key)
-                if row is None:
-                    # mean_slack holds the slack sum and witness the
-                    # least-slack certificate until every trial is in
-                    row = rows[key] = _new_row(
-                        cert.theorem_id, cert.convention,
-                        cert.params.get("link", 0),
-                        cert.params.get("reading", ""), cert.mode)
-                row["trials"] += 1
-                row["mean_slack"] += cert.slack
-                if not cert.holds and cert.mode == GATING:
-                    row["failures"] += 1
-                if row["min_slack"] is None or cert.slack < row["min_slack"]:
-                    row["min_slack"] = cert.slack
-                    row["witness"] = cert
         if anomalies[tid] == config.trials_per_checker:
             # nothing was evaluated; one empty row per run still shows the
             # checker and its anomalies in the report
@@ -490,7 +622,7 @@ def explore(config, theorem_id, budget):
     if budget < 0:
         raise BadParams("budget must be >= 0")
     best_draw, best_cert = None, None
-    for trial in _trials(config, theorem_id):
+    for _, trial in _trials(config, (theorem_id,)):
         if trial is None:
             continue
         cert = _worst_cert(trial[1])

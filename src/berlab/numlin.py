@@ -31,12 +31,13 @@ def as_matrix(a, stack=False):
 
 
 def operator_norm(a):
-    """Largest singular value."""
-    m = as_matrix(a)
+    """Largest singular value; a stack (..., m, n) gives an array of one per slice."""
+    m = as_matrix(a, stack=True)
     if m.size == 0:
-        return 0.0
-    # np.linalg.norm(m, 2) without its wrapping: the same singular values
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+        norms = np.zeros(m.shape[:-2])
+    else:  # np.linalg.norm(m, 2) without its wrapping: the same singular values
+        norms = np.linalg.svd(m, compute_uv=False)[..., 0]
+    return norms if m.ndim > 2 else float(norms)
 
 
 def hermitian_eig(a):
@@ -139,16 +140,22 @@ def polar_decompose(t):
     """Polar factors (U, |T|) of a square matrix T = U |T|, from its SVD.
 
     Singular directions with sigma <= RANK_TOL * sigma_max are dropped from
-    U, so ker U = ker |T| and U*U is the projection onto range(|T|).
+    U, so ker U = ker |T| and U*U is the projection onto range(|T|). A
+    stack (..., n, n) gives each slice's factors, bit for bit, from one SVD.
     """
-    m = as_matrix(t)
-    if m.shape[0] != m.shape[1]:
+    m = as_matrix(t, stack=True)
+    if m.shape[-2] != m.shape[-1]:
         raise ValueError("polar_decompose requires a square matrix")
     u, s, vh = np.linalg.svd(m)
-    keep = s > RANK_TOL * (s[0] if s.size else 0.0)
-    iso = u[:, keep] @ vh[keep, :]
-    modulus = (vh.conj().T * s) @ vh
-    modulus = (modulus + modulus.conj().T) / 2.0
+    keep = s > RANK_TOL * s[..., :1]
+    if keep.all():
+        iso = u @ vh
+    else:  # each slice drops its own null directions
+        iso = np.empty_like(u)
+        for i in np.ndindex(m.shape[:-2]):
+            iso[i] = u[i][:, keep[i]] @ vh[i][keep[i], :]
+    modulus = (vh.conj().mT * s[..., None, :]) @ vh
+    modulus = (modulus + modulus.conj().mT) / 2.0
     return iso, modulus
 
 

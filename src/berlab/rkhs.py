@@ -16,6 +16,7 @@ import numpy as np
 from . import numlin
 from .errors import (
     BadParams,
+    BerlabError,
     DimensionMismatch,
     DuplicatePoints,
     IllConditioned,
@@ -24,6 +25,14 @@ from .errors import (
 COND_FLOOR = 1e-10
 
 FAMILY_TAGS = ("identity", "szego", "bergman", "gaussian")
+
+
+@functools.lru_cache(maxsize=64)
+def _triangle(n):
+    """Rows and columns of the pairs i <= j of an n x n matrix, and their flat
+    positions (i, j) and (j, i)."""
+    rows, cols = np.triu_indices(n)
+    return rows, cols, rows * n + cols, cols * n + rows
 
 
 @dataclass(frozen=True)
@@ -44,28 +53,35 @@ class KernelFamily:
     def gram(self, points):
         """The matrix k(p_i, p_j) over a sequence of sample points.
 
-        Each entry keeps the bits of the scalar formula k(z, w): complex array
-        ``*``/``**`` and ``np.exp`` round differently, so products are spelled
-        out in real arithmetic and the exponential stays ``math.exp``.
+        A stack of point sequences, shape (..., n), gives a (..., n, n)
+        stack with one matrix per sequence. Each entry keeps the bits of the
+        scalar formula k(z, w): complex array ``*``/``**`` and ``np.exp``
+        round differently, so products are spelled out in real arithmetic
+        and the exponential stays ``math.exp``.
         """
-        n = len(points)
         if self.tag == "identity":
-            return np.eye(n, dtype=np.complex128)
+            lead, n = np.shape(points)[:-1], np.shape(points)[-1]
+            return np.broadcast_to(np.eye(n, dtype=np.complex128), lead + (n, n)).copy()
         if self.tag == "gaussian":
             x = np.asarray(points, dtype=np.float64)
+            n = x.shape[-1]
+            rows, cols, upper, lower = _triangle(n)
             den = 2.0 * self.params.get("sigma", 1.0) ** 2
-            vals = [math.exp(-(v ** 2) / den)
-                    for v in np.subtract.outer(x, x).ravel().tolist()]
-            return np.array(vals, dtype=np.complex128).reshape(n, n)
+            # x_i - x_j = -(x_j - x_i) exactly: one exp per pair i <= j, mirrored
+            diffs = (x[..., rows] - x[..., cols]).ravel().tolist()
+            vals = np.array([math.exp(-(v ** 2) / den) for v in diffs], dtype=np.complex128)
+            out = np.empty(x.shape[:-1] + (n * n,), dtype=np.complex128)
+            out[..., upper] = out[..., lower] = vals.reshape(x.shape[:-1] + (len(rows),))
+            return out.reshape(x.shape + (n,))
         # d = 1 - z conj(w), with zi the imaginary part of z and wi that of conj(w)
         z = np.asarray(points, dtype=np.complex128)
-        zr, zi = z.real[:, None], z.imag[:, None]
-        wr, wi = z.real[None, :], -z.imag[None, :]
+        zr, zi = z.real[..., :, None], z.imag[..., :, None]
+        wr, wi = z.real[..., None, :], -z.imag[..., None, :]
         re = 1.0 - (zr * wr - zi * wi)
         im = 0.0 - (zr * wi + zi * wr)
         if self.tag == "bergman":
             re, im = re * re - im * im, re * im + im * re
-        d = np.empty((n, n), dtype=np.complex128)
+        d = np.empty(re.shape, dtype=np.complex128)
         d.real, d.imag = re, im
         return np.divide(1.0, d)
 
@@ -86,18 +102,12 @@ class KernelSpace:
     points: tuple
     gram: np.ndarray
     chart: np.ndarray
-    _khat: np.ndarray = field(default=None, repr=False, compare=False)
+    _khat: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
         # read-only arrays, so that a shared space cannot be mutated
-        self.gram.flags.writeable = False
-        self.chart.flags.writeable = False
-        khat = self._khat
-        if khat is None:
-            norms = np.sqrt(np.einsum("ij,ij->j", self.chart.conj(), self.chart).real)
-            khat = self.chart / norms[None, :]
-            object.__setattr__(self, "_khat", khat)
-        khat.flags.writeable = False
+        for a in (self.gram, self.chart, self._khat):
+            a.flags.writeable = False
 
     @property
     def dim(self):
@@ -117,24 +127,47 @@ class KernelSpace:
         return a
 
 
-def build_space(family, points):
-    """Construct a KernelSpace for a family over distinct sample points."""
-    points = tuple(points)
-    if len(points) == 0:
-        raise BadParams("need at least one sample point")
-    if len(set(points)) != len(points):
-        raise DuplicatePoints("sample points must be pairwise distinct")
-    if family.tag in ("szego", "bergman"):
-        if any(abs(p) >= 1.0 for p in points):
-            raise BadParams(f"{family.tag} points must satisfy |p| < 1")
-    gram = family.gram(points)  # Hermitian bit for bit: no symmetrizing pass
-    w, q = np.linalg.eigh(gram)
-    if w[-1] <= 0 or w[0] < COND_FLOOR * w[-1]:
-        raise IllConditioned(
-            f"gram spectrum [{w[0]:.3e}, {w[-1]:.3e}] below cond floor"
-        )
-    chart = (np.sqrt(w)[:, None]) * q.conj().T
-    return KernelSpace(points=points, gram=gram, chart=chart)
+def build_space(family, points, stack=False):
+    """Construct a KernelSpace for a family over distinct sample points.
+
+    With ``stack``, ``points`` holds several point sequences of one length,
+    built with one Gram stack, one eigh and one chart: the result holds, per
+    sequence, its space, or the BerlabError that building it alone raises.
+    Each space keeps the bits of its lone build.
+    """
+    sets = [tuple(p) for p in points] if stack else [tuple(points)]
+    out = [None] * len(sets)
+    for k, pts in enumerate(sets):
+        if len(pts) == 0:
+            out[k] = BadParams("need at least one sample point")
+        elif len(set(pts)) != len(pts):
+            out[k] = DuplicatePoints("sample points must be pairwise distinct")
+        elif family.tag in ("szego", "bergman") and any(abs(p) >= 1.0 for p in pts):
+            out[k] = BadParams(f"{family.tag} points must satisfy |p| < 1")
+    todo = [k for k, err in enumerate(out) if err is None]
+    if todo:
+        gram = family.gram([sets[k] for k in todo])  # Hermitian bit for bit: no symmetrizing pass
+        w, q = np.linalg.eigh(gram)
+        good = []
+        for j, (lo, hi) in enumerate(zip(w[:, 0].tolist(), w[:, -1].tolist())):
+            if hi <= 0 or lo < COND_FLOOR * hi:
+                out[todo[j]] = IllConditioned(
+                    f"gram spectrum [{lo:.3e}, {hi:.3e}] below cond floor")
+            else:
+                good.append(j)
+        if len(good) < len(todo):
+            w, q = w[good], q[good]
+        chart = np.sqrt(w)[..., :, None] * q.conj().mT
+        norms = np.sqrt(np.einsum("...ij,...ij->...j", chart.conj(), chart).real)
+        khat = chart / norms[..., None, :]
+        for i, j in enumerate(good):
+            out[todo[j]] = KernelSpace(points=sets[todo[j]], gram=gram[j], chart=chart[i],
+                                       _khat=khat[i])
+    if stack:
+        return out
+    if isinstance(out[0], BerlabError):
+        raise out.pop()  # no local may hold it: its traceback holds this frame
+    return out[0]
 
 
 def stack_spaces(spaces):

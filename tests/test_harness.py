@@ -1,13 +1,21 @@
 """Tests for campaign running, random ensembles, explore, reporting, CLI."""
 
+import gc
 import hashlib
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from berlab import blockops, cli, harness, numlin, report, theorems
-from berlab.errors import BadParams, BerlabError, ConfigInvalid, IllConditioned
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+
+import workloads  # noqa: E402  (first: puts this checkout's src/ on sys.path)
+from berlab import blockops, cli, harness, numlin, report, theorems  # noqa: E402
+from berlab.errors import BadParams, BerlabError, ConfigInvalid, IllConditioned  # noqa: E402
 
 
 def small_config(**kw):
@@ -253,7 +261,7 @@ def test_bucket_matches_per_draw_byte_for_byte(tid, monkeypatch):
         with monkeypatch.context() as patched:
             stacks = _stacks_seen(patched)
             bucketed = [trial and report.dumps_json([c.to_dict() for c in trial[1]])
-                        for trial in harness._trials(config, tid)]
+                        for _, trial in harness._trials(config, (tid,))]
         assert bucketed == one_by_one
         assert all(out is not None for _, out in stacks)
         draws = [draw for draw, _ in stacks]
@@ -312,14 +320,114 @@ def test_a_stack_holds_at_most_stack_cap_draws(monkeypatch):
     assert max(len(draw.trial_seed) for draw, _ in stacks) == harness.STACK_CAP == 64
 
 
+def _batches_seen(monkeypatch):
+    """Patch harness.draw_trial to record each batch as (slots, config, draws)."""
+    seen, draw_trial = [], harness.draw_trial
+
+    def recorded(theorem_id, trial_seed, config):
+        out = draw_trial(theorem_id, trial_seed, config)
+        if isinstance(trial_seed, tuple):
+            seen.append((list(zip(theorem_id, trial_seed)), config, out))
+        return out
+    monkeypatch.setattr(harness, "draw_trial", recorded)
+    return seen
+
+
+def _assert_nothing_falls_back(stacks, batches):
+    # no stack gives None and leaves its draws to be evaluated alone, and a
+    # draw batch leaves a slot empty only where the lone draw raises
+    assert stacks and all(out is not None for _, out in stacks)
+    assert batches
+    for slots, config, draws in batches:
+        assert len(draws) == len(slots)
+        for (tid, seed), draw in zip(slots, draws):
+            if draw is None:
+                with pytest.raises(BerlabError):
+                    harness.draw_trial(tid, seed, config)
+
+
 def test_default_campaign_stacks_never_fall_back(monkeypatch):
     # the benchmark's campaign_default call at seed 42 has no anomaly, so no
-    # stack may give None and leave its draws to be evaluated alone
-    stacks = _stacks_seen(monkeypatch)
+    # stack may give None and no draw batch may leave a slot empty
+    stacks, batches = _stacks_seen(monkeypatch), _batches_seen(monkeypatch)
     rep = harness.run_campaign(harness.CampaignConfig(master_seed=42, trials_per_checker=5))
     assert sum(row["anomalies"] for row in rep.results) == 0
     assert {draw.theorem_id for draw, _ in stacks} == set(STACKING_IDS)
-    assert all(out is not None for _, out in stacks)
+    _assert_nothing_falls_back(stacks, batches)
+    # one batch draws every checker's window
+    [(slots, _, draws)] = batches
+    assert {tid for tid, _ in slots} == set(harness.ALL_CHECKERS)
+    assert None not in draws
+
+
+@pytest.mark.parametrize("name", ("campaign_large", "explore_t24a"))
+def test_benchmark_calls_never_fall_back(name, monkeypatch):
+    # the benchmark's other calls at seed 42; campaign_large's Gram draws at
+    # dims 8-16 retry often and use up SPACE_ATTEMPTS in some trials
+    stacks, batches = _stacks_seen(monkeypatch), _batches_seen(monkeypatch)
+    workloads.WORKLOADS[name].call(42)
+    _assert_nothing_falls_back(stacks, batches)
+    emptied = sum(draw is None for *_, draws in batches for draw in draws)
+    assert (emptied > 0) == (name == "campaign_large")
+
+
+@pytest.mark.parametrize("dims", (harness.DEFAULT_DIMS, workloads.LARGE_DIMS),
+                         ids=("default_dims", "large_dims"))
+def test_batch_matches_lone_draws_for_every_checker(dims):
+    # a batch of every checker's trials builds its spaces and operators as
+    # stacks; each slot is its lone draw, bit for bit and key for key, or
+    # None exactly where the lone draw raises
+    config = harness.CampaignConfig(master_seed=31, dims=dims)
+    slots = [(tid, harness.derive_trial_seed(31, tid, i))
+             for tid in harness.ALL_CHECKERS for i in range(6)]
+    batch = harness.draw_trial(tuple(t for t, _ in slots), tuple(s for _, s in slots), config)
+    assert len(batch) == len(slots)
+    emptied = 0
+    for (tid, seed), got in zip(slots, batch):
+        try:
+            want = harness.draw_trial(tid, seed, config)
+        except BerlabError:
+            assert got is None, (tid, seed)
+            emptied += 1
+            continue
+        assert (got.theorem_id, got.trial_seed) == (tid, seed)
+        assert list(got.params.items()) == list(want.params.items())
+        assert list(got.scalars.items()) == list(want.scalars.items())
+        assert list(got.arrays) == list(want.arrays)
+        for name, a in want.arrays.items():
+            b = got.arrays[name]
+            assert (b.shape, b.strides, b.tobytes()) == (a.shape, a.strides, a.tobytes())
+        assert list(got.spaces) == list(want.spaces)
+        for name, sp in want.spaces.items():
+            mine = got.spaces[name]
+            assert mine.points == sp.points
+            for a, b in ((sp.gram, mine.gram), (sp.chart, mine.chart),
+                         (sp.normalized_chart(), mine.normalized_chart())):
+                assert (b.strides, b.tobytes()) == (a.strides, a.tobytes())
+        if "space2" in want.spaces:
+            assert ((got.spaces["space1"] is got.spaces["space2"])
+                    == (want.spaces["space1"] is want.spaces["space2"]))
+        assert (report.dumps_json([c.to_dict() for c in harness.evaluate_draw(got)])
+                == report.dumps_json([c.to_dict() for c in harness.evaluate_draw(want)]))
+    assert (emptied > 0) == (dims == workloads.LARGE_DIMS)
+
+
+def test_failed_draws_leave_no_reference_cycles():
+    # a stored BerlabError whose traceback holds the frame that stores it is
+    # a cycle that keeps a whole draw batch alive until the cyclic collector
+    # runs; at dims 8-16, where some trials use up SPACE_ATTEMPTS, such
+    # cycles raised the peak RSS of the benchmark's campaign_large by 40%
+    config = harness.CampaignConfig(master_seed=42, trials_per_checker=5,
+                                    dims=workloads.LARGE_DIMS,
+                                    checker_filter=("T24a", "L21b", "P39", "T36"))
+    gc.collect()
+    gc.disable()
+    try:
+        rep = harness.run_campaign(config)
+        assert sum(row["anomalies"] for row in rep.results) > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("tid", ("T24a", "C210", "L21b"))

@@ -446,6 +446,24 @@ def test_polar_invariants_random_and_rank_deficient():
         assert numlin.operator_norm(proj @ proj - proj) <= 1e-9
 
 
+def test_polar_and_norm_of_a_stack_match_per_slice_bit_for_bit():
+    # one SVD for a stack; a rank-deficient slice drops only its own null
+    # directions
+    rng = np.random.default_rng(53)
+    for n in (1, 2, 3, 6, 16):
+        t = cgauss(rng, (9, n, n))
+        t[4] = 0.0
+        if n > 1:
+            t[2, :, 0] = 0.0
+        iso, mod = numlin.polar_decompose(t)
+        norms = numlin.operator_norm(t)
+        assert iso.shape == mod.shape == t.shape and norms.shape == (9,)
+        for k in range(9):
+            u1, m1 = numlin.polar_decompose(t[k])
+            assert iso[k].tobytes() == u1.tobytes() and mod[k].tobytes() == m1.tobytes()
+            assert norms[k] == numlin.operator_norm(t[k])
+
+
 # ---------------------------------------------------------------------------
 # re_rotation
 

@@ -13,6 +13,7 @@ import pytest
 from berlab import numlin, rkhs
 from berlab.errors import (
     BadParams,
+    BerlabError,
     DimensionMismatch,
     DuplicatePoints,
     IllConditioned,
@@ -117,6 +118,7 @@ def test_gram_matches_per_pair_formula_bit_for_bit():
                 rkhs.KernelFamily("gaussian", {"sigma": 0.7}))
     for n in range(1, 17):
         for family in families:
+            point_sets, wants = [], []
             for _ in range(3):
                 if family.tag == "gaussian":
                     points = [float(x) for x in rng.normal(0.0, 2.0, n)]
@@ -128,6 +130,51 @@ def test_gram_matches_per_pair_formula_bit_for_bit():
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
                 # Hermitian bit for bit, so build_space needs no symmetrizing pass
                 assert ((got + got.conj().T) / 2.0).tobytes() == got.tobytes()
+                point_sets.append(points)
+                wants.append(want)
+            # a stack of point sets gives each set's matrix, bit for bit
+            stacked = family.gram(point_sets)
+            assert stacked.shape == (3, n, n)
+            assert [g.tobytes() for g in stacked] == [w.tobytes() for w in wants]
+
+
+def test_stacked_build_matches_lone_builds_bit_for_bit():
+    # one Gram stack, one eigh and one chart for many point sets: each slot
+    # is its lone build's space, or the error class its lone build raises
+    rng = np.random.default_rng(79)
+    fams = (rkhs.KernelFamily("szego"), rkhs.KernelFamily("bergman"),
+            rkhs.KernelFamily("gaussian", {"sigma": 1.0}))
+    for n in (1, 2, 3, 5, 8, 12, 16):
+        for family in fams:
+            sets = []
+            for _ in range(12):
+                if family.tag == "gaussian":
+                    sets.append([float(x) for x in rng.normal(0.0, 2.0, n)])
+                else:
+                    pts = 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+                    sets.append([complex(z) for z in pts])
+            bad = {}
+            if n > 1:  # a duplicate point, a near-duplicate, a point off the disk
+                sets[1][1] = sets[1][0]
+                sets[2][1] = sets[2][0] + 1e-14
+                bad = {1: DuplicatePoints, 2: IllConditioned}
+            if family.tag != "gaussian":
+                sets[3][0] = 1.5
+                bad[3] = BadParams
+            got = rkhs.build_space(family, sets, stack=True)
+            assert len(got) == len(sets)
+            for points, space in zip(sets, got):
+                try:
+                    want = rkhs.build_space(family, points)
+                except BerlabError as exc:
+                    assert type(space) is type(exc) and str(space) == str(exc)
+                    continue
+                assert space.points == want.points
+                for a, b in ((space.gram, want.gram), (space.chart, want.chart),
+                             (space.normalized_chart(), want.normalized_chart())):
+                    assert a.strides == b.strides and a.tobytes() == b.tobytes()
+                    assert not a.flags.writeable
+            assert {k: type(got[k]) for k in bad} == bad
 
 
 def test_build_space_errors():

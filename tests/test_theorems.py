@@ -295,7 +295,7 @@ def test_t29_eta_and_relation_to_t24a():
 def test_c210_refinement_term_vanishes_on_tied_draws():
     # a tied draw has Y = X and space2 = space1, so both PSD operands and
     # their Berezin symbols coincide and eta is 0 on the diagonal pair
-    trials = [t for t in harness._trials(harness.CampaignConfig(), "C210") if t]
+    trials = [t for _, t in harness._trials(harness.CampaignConfig(), ("C210",)) if t]
     assert len(trials) == harness.CampaignConfig().trials_per_checker
     etas = {c.witness["eta_inf"] for _, certs in trials for c in certs}
     assert etas == {0.0}

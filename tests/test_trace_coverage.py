@@ -50,3 +50,20 @@ def test_each_workload_traces_its_draws_and_evaluations(name):
     assert {"harness.draw_trial", "harness.evaluate_draw"} <= seen
     _, eval_ms = layertrace.layer_metrics(tracer)
     assert measure.summary(eval_ms)["n"] == len(eval_ms) > 0
+
+
+def test_anomalies_are_counted_as_the_benchmark_counts_them():
+    # perfbench counts each BerlabError that harness.draw_trial or
+    # evaluate_draw raises, and replays it by int(trial seed): a draw batch
+    # must never raise (a tuple of seeds has no int), and each trial the
+    # batch leaves empty raises once when drawn alone
+    w = workloads.WORKLOADS["campaign_large"]
+    counter = layertrace.Tracer()
+    with counter.installed(layertrace.HARNESS_TARGETS):
+        out = w.call(42)
+    raised = sum(count for count, _ in counter.anomalies.values())
+    assert raised > 0
+    assert workloads.campaign_problems(w, [out], raised) == []
+    batches = [span for span in counter.spans
+               if span[2] == "harness.draw_trial" and isinstance(span[6], tuple)]
+    assert batches and all(span[7] for span in batches)
