@@ -215,6 +215,8 @@ class TrialDraw:
     A stacked draw (``_stack_draws``) holds several draws of one stacking
     checker as one: its arrays and spaces are stacks with one slice per
     draw, and ``trial_seed`` and ``params`` are tuples with one entry each.
+    A failed draw of a batch is empty and carries, as ``error``, the
+    BerlabError that its lone draw raises.
     """
 
     theorem_id: str
@@ -223,6 +225,7 @@ class TrialDraw:
     arrays: dict
     scalars: dict
     spaces: dict
+    error: BerlabError = None
 
     def __post_init__(self):
         for a in self.arrays.values():  # certificates digest them when first read
@@ -294,7 +297,7 @@ def _plan(theorem_id, trial_seed, config):
 
 
 def _draw_batch(theorem_ids, trial_seeds, config):
-    """Per trial, its TrialDraw or the BerlabError that drawing it raises.
+    """Per trial, its TrialDraw; a failed one carries the BerlabError its lone draw raises.
 
     Every plan runs until it asks for a space. The requests of one kernel
     family (tag and params) and size go to one ``draw_space`` call, so they
@@ -314,7 +317,7 @@ def _draw_batch(theorem_ids, trial_seeds, config):
             except StopIteration as done:
                 out[k] = done.value
             except BerlabError as exc:  # its traceback would hold this frame, and out
-                out[k] = exc.with_traceback(None)
+                out[k] = {}, {}, {}, {}, exc.with_traceback(None)
         groups, replies = {}, {}
         for k, (_, family, n) in asks.items():
             key = (family.tag, repr(sorted(family.params.items())), n)  # params: a dict
@@ -324,18 +327,17 @@ def _draw_batch(theorem_ids, trial_seeds, config):
             replies.update(zip(ks, draw_space([asks[k][0] for k in ks], family, n)))
 
     by_kind = {}
-    for fields in out:
-        if isinstance(fields, tuple):
-            for name, op in fields[1].items():
-                if isinstance(op, _Operator):
-                    by_kind.setdefault((op.kind, len(op.g)), []).append((fields[1], name))
+    for _, arrays, *_ in out:
+        for name, op in arrays.items():
+            if isinstance(op, _Operator):
+                by_kind.setdefault((op.kind, len(op.g)), []).append((arrays, name))
     for (kind, _), slots in by_kind.items():
         ops = [arrays[name] for arrays, name in slots]
         masks = np.stack([op.mask for op in ops]) if kind == "partial_isometry" else None
         built = _build_operators(kind, np.stack([op.g for op in ops]), masks)
         for (arrays, name), op, full in zip(slots, ops, built):
             arrays[name] = np.ascontiguousarray(full[:op.rows, :op.cols])
-    return [TrialDraw(tid, int(seed), *fields) if isinstance(fields, tuple) else fields
+    return [TrialDraw(tid, int(seed), *fields)
             for tid, seed, fields in zip(theorem_ids, trial_seeds, out)]
 
 
@@ -343,17 +345,17 @@ def draw_trial(theorem_id, trial_seed, config):
     """Deterministically draw the inputs of one trial from its seed.
 
     Equal-length tuples of checker ids and seeds draw a batch: the result
-    holds, per slot, its draw, or None where the lone draw raises. The batch
+    holds one draw per slot, and never raises; a slot whose lone draw
+    raises carries that error for ``evaluate_draw`` to raise. The batch
     makes each trial's RNG calls of a lone draw (``_plan``) and builds its
     spaces and operators as stacks that keep each slice's bits.
     """
     if isinstance(trial_seed, tuple):
-        return [None if isinstance(d, BerlabError) else d
-                for d in _draw_batch(theorem_id, trial_seed, config)]
-    draws = _draw_batch((theorem_id,), (trial_seed,), config)
-    if isinstance(draws[0], BerlabError):
-        raise draws.pop()  # no local may hold it: its traceback holds this frame
-    return draws[0]
+        return _draw_batch(theorem_id, trial_seed, config)
+    [draw] = _draw_batch((theorem_id,), (trial_seed,), config)
+    if draw.error is not None:  # a copy: the stored one's traceback would hold draw
+        raise type(draw.error)(*draw.error.args)
+    return draw
 
 
 def _build_block(draw, shape):
@@ -395,8 +397,11 @@ def evaluate_draw(draw):
     A stacked draw gives one certificate list per slice, each with the bits
     of that draw evaluated alone. It never raises: a stack that raises
     anything gives None, and each of its draws then answers for itself, so
-    a bad draw raises its error once, from its own call.
+    a bad draw raises its error once, from its own call. A failed draw
+    raises the error that it carries.
     """
+    if draw.error is not None:  # a copy: the stored one's traceback would hold draw
+        raise type(draw.error)(*draw.error.args)
     tid = draw.theorem_id
     checker = theorems.CHECKERS[tid]
     if draw.stacked:
@@ -451,12 +456,13 @@ class Report:
 def _stacked_certs(window):
     """{index: certificates} of the window's draws that a stack evaluated.
 
-    The draws of one operand shape make one stacked draw; a shape drawn
-    once, and every draw of a stack that raises, is left to evaluate alone.
+    The draws of one operand shape make one stacked draw; a failed draw, a
+    shape drawn once, and every draw of a stack that raises, is left to
+    evaluate alone.
     """
     by_shape = {}
     for k, draw in enumerate(window):
-        if draw is not None:
+        if draw.error is None:
             by_shape.setdefault(draw.arrays["X"].shape, []).append(k)
     out = {}
     for ks in by_shape.values():
@@ -469,7 +475,7 @@ def _stacked_certs(window):
 def _evaluated(theorem_id, window):
     """Each draw of one checker's window as (draw, certificates) or None, in order.
 
-    A slot without a draw, and a draw whose evaluation raises a BerlabError,
+    A draw whose evaluation raises a BerlabError, a failed draw among them,
     gives None. A stacking checker evaluates a window's draws of one operand
     shape as one stacked draw.
     """
@@ -478,7 +484,7 @@ def _evaluated(theorem_id, window):
         trial = None
         if k in stacked:
             trial = draw, stacked[k]
-        elif draw is not None:
+        else:
             try:
                 trial = draw, evaluate_draw(draw)
             except BerlabError:
@@ -491,9 +497,8 @@ def _trials(config, theorem_ids):
 
     Trials are drawn in windows of ``STACK_CAP`` trials per checker, and
     the windows of every checker at one start are one ``draw_trial`` batch.
-    A slot the batch leaves empty is drawn again alone, so that it raises
-    its error once. Then each checker's window is evaluated and yielded in
-    trial order.
+    Then each checker's window is evaluated and yielded in trial order; a
+    failed draw raises its error once, from its ``evaluate_draw``.
     """
     total = config.trials_per_checker
     for start in range(0, total, STACK_CAP):
@@ -501,12 +506,6 @@ def _trials(config, theorem_ids):
                  for tid in theorem_ids for i in range(start, min(start + STACK_CAP, total))]
         draws = draw_trial(tuple(tid for tid, _ in slots), tuple(seed for _, seed in slots),
                            config)
-        for k, (tid, seed) in enumerate(slots):
-            if draws[k] is None:
-                try:
-                    draws[k] = draw_trial(tid, seed, config)
-                except BerlabError:
-                    pass
         size = len(slots) // len(theorem_ids)
         for j, tid in enumerate(theorem_ids):
             yield from ((tid, trial) for trial in _evaluated(tid, draws[j * size:(j + 1) * size]))

@@ -335,20 +335,22 @@ def _batches_seen(monkeypatch):
 
 def _assert_nothing_falls_back(stacks, batches):
     # no stack gives None and leaves its draws to be evaluated alone, and a
-    # draw batch leaves a slot empty only where the lone draw raises
+    # draw batch fails a slot only where the lone draw raises the same error
     assert stacks and all(out is not None for _, out in stacks)
     assert batches
     for slots, config, draws in batches:
         assert len(draws) == len(slots)
         for (tid, seed), draw in zip(slots, draws):
-            if draw is None:
-                with pytest.raises(BerlabError):
+            assert (draw.theorem_id, draw.trial_seed) == (tid, seed)
+            if draw.error is not None:
+                with pytest.raises(type(draw.error)) as lone:
                     harness.draw_trial(tid, seed, config)
+                assert lone.value.args == draw.error.args
 
 
 def test_default_campaign_stacks_never_fall_back(monkeypatch):
     # the benchmark's campaign_default call at seed 42 has no anomaly, so no
-    # stack may give None and no draw batch may leave a slot empty
+    # stack may give None and no draw batch may fail a slot
     stacks, batches = _stacks_seen(monkeypatch), _batches_seen(monkeypatch)
     rep = harness.run_campaign(harness.CampaignConfig(master_seed=42, trials_per_checker=5))
     assert sum(row["anomalies"] for row in rep.results) == 0
@@ -357,7 +359,7 @@ def test_default_campaign_stacks_never_fall_back(monkeypatch):
     # one batch draws every checker's window
     [(slots, _, draws)] = batches
     assert {tid for tid, _ in slots} == set(harness.ALL_CHECKERS)
-    assert None not in draws
+    assert all(draw.error is None for draw in draws)
 
 
 @pytest.mark.parametrize("name", ("campaign_large", "explore_t24a"))
@@ -367,30 +369,36 @@ def test_benchmark_calls_never_fall_back(name, monkeypatch):
     stacks, batches = _stacks_seen(monkeypatch), _batches_seen(monkeypatch)
     workloads.WORKLOADS[name].call(42)
     _assert_nothing_falls_back(stacks, batches)
-    emptied = sum(draw is None for *_, draws in batches for draw in draws)
-    assert (emptied > 0) == (name == "campaign_large")
+    failed = sum(draw.error is not None for *_, draws in batches for draw in draws)
+    assert (failed > 0) == (name == "campaign_large")
 
 
 @pytest.mark.parametrize("dims", (harness.DEFAULT_DIMS, workloads.LARGE_DIMS),
                          ids=("default_dims", "large_dims"))
 def test_batch_matches_lone_draws_for_every_checker(dims):
     # a batch of every checker's trials builds its spaces and operators as
-    # stacks; each slot is its lone draw, bit for bit and key for key, or
-    # None exactly where the lone draw raises
+    # stacks; each slot is its lone draw, bit for bit and key for key, or,
+    # exactly where the lone draw raises, an empty draw that carries the
+    # same error, which its evaluate_draw raises as a fresh copy
     config = harness.CampaignConfig(master_seed=31, dims=dims)
     slots = [(tid, harness.derive_trial_seed(31, tid, i))
              for tid in harness.ALL_CHECKERS for i in range(6)]
     batch = harness.draw_trial(tuple(t for t, _ in slots), tuple(s for _, s in slots), config)
     assert len(batch) == len(slots)
-    emptied = 0
+    failed = 0
     for (tid, seed), got in zip(slots, batch):
+        assert (got.theorem_id, got.trial_seed) == (tid, seed)
         try:
             want = harness.draw_trial(tid, seed, config)
-        except BerlabError:
-            assert got is None, (tid, seed)
-            emptied += 1
+        except BerlabError as exc:
+            assert (type(got.error), got.error.args) == (type(exc), exc.args), (tid, seed)
+            assert (got.params, got.arrays, got.scalars, got.spaces) == ({}, {}, {}, {})
+            with pytest.raises(type(exc)) as raised:
+                harness.evaluate_draw(got)
+            assert raised.value is not got.error and raised.value.args == exc.args
+            failed += 1
             continue
-        assert (got.theorem_id, got.trial_seed) == (tid, seed)
+        assert got.error is None
         assert list(got.params.items()) == list(want.params.items())
         assert list(got.scalars.items()) == list(want.scalars.items())
         assert list(got.arrays) == list(want.arrays)
@@ -409,7 +417,7 @@ def test_batch_matches_lone_draws_for_every_checker(dims):
                     == (want.spaces["space1"] is want.spaces["space2"]))
         assert (report.dumps_json([c.to_dict() for c in harness.evaluate_draw(got)])
                 == report.dumps_json([c.to_dict() for c in harness.evaluate_draw(want)]))
-    assert (emptied > 0) == (dims == workloads.LARGE_DIMS)
+    assert (failed > 0) == (dims == workloads.LARGE_DIMS)
 
 
 def test_failed_draws_leave_no_reference_cycles():
@@ -507,6 +515,27 @@ def test_explore_pinned_capped_chunks(tid, monkeypatch):
     text = report.dumps_json(harness.explore(small_config(), tid, 3000).to_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == EXPLORE_PINS_3000[tid]
     assert max(chunks) == harness.STACK_CAP == 64
+
+
+def test_explore_pinned_with_failed_draws(monkeypatch):
+    # the EXPLORE_PINS* tests draw at dims 2x2 and 3x2, where no space draw
+    # fails; at dims 8-16, two trials of this scan use up SPACE_ATTEMPTS,
+    # and each raises its IllConditioned once, from its evaluate_draw
+    config = harness.CampaignConfig(master_seed=42, trials_per_checker=25,
+                                    dims=workloads.LARGE_DIMS)
+    evaluate_draw, failed = harness.evaluate_draw, []
+
+    def counted(draw):
+        try:
+            return evaluate_draw(draw)
+        except IllConditioned:
+            failed.append(draw.trial_seed)
+            raise
+    monkeypatch.setattr(harness, "evaluate_draw", counted)
+    text = report.dumps_json(harness.explore(config, "T24a", 20).to_dict())
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "6e262a2371cfb1f5eb8c86a827ee28efe47085a75b9b50f94bdd58fa3492c887")
+    assert len(set(failed)) == len(failed) == 2
 
 
 def test_explore_bad_inputs():
@@ -684,6 +713,11 @@ def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
         assert out == "", argv  # rejected before any trial ran or report printed
         assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
     assert err == "error: unknown config key 'trials'\n"
+    # a trial whose space draw uses up SPACE_ATTEMPTS is one error line too
+    assert cli.main(["case", "--theorem", "T24a", "--seed", "15963511641939671877",
+                     "--dims", "8x8,12x10,16x12"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", "error: space draw failed after 5 attempts: gram "
+                                   "spectrum [6.324e-12, 6.398e+00] below cond floor\n")
     assert campaigns == []
     with pytest.raises(SystemExit) as help_exit:
         cli.main(["verify", "--help"])

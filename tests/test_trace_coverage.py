@@ -54,16 +54,24 @@ def test_each_workload_traces_its_draws_and_evaluations(name):
 
 def test_anomalies_are_counted_as_the_benchmark_counts_them():
     # perfbench counts each BerlabError that harness.draw_trial or
-    # evaluate_draw raises, and replays it by int(trial seed): a draw batch
-    # must never raise (a tuple of seeds has no int), and each trial the
-    # batch leaves empty raises once when drawn alone
+    # evaluate_draw raises, and replays it by int(trial seed). A campaign
+    # draws its trials once, in batches that never raise (a tuple of seeds
+    # has no int): a failed slot carries its error, and its evaluate_draw
+    # raises it once, with the slot's int seed
     w = workloads.WORKLOADS["campaign_large"]
-    counter = layertrace.Tracer()
-    with counter.installed(layertrace.HARNESS_TARGETS):
+    counter, seeds = layertrace.Tracer(), []
+    recording = tuple(
+        (owner, attr, name, tag_of,
+         lambda args, seed_of=seed_of: seeds.append(seed_of(args)) or seeds[-1])
+        for owner, attr, name, tag_of, seed_of in layertrace.HARNESS_TARGETS)
+    with counter.installed(recording):
         out = w.call(42)
     raised = sum(count for count, _ in counter.anomalies.values())
     assert raised > 0
     assert workloads.campaign_problems(w, [out], raised) == []
-    batches = [span for span in counter.spans
-               if span[2] == "harness.draw_trial" and isinstance(span[6], tuple)]
-    assert batches and all(span[7] for span in batches)
+    draws = [span for span in counter.spans if span[2] == "harness.draw_trial"]
+    assert draws and all(isinstance(span[6], tuple) and span[7] for span in draws)
+    failed = [span for span in counter.spans if not span[7]]
+    assert len(failed) == len(seeds) == raised
+    assert all(span[2] == "harness.evaluate_draw" for span in failed)
+    assert all(type(seed) is int for seed in seeds) and len(set(seeds)) == raised
