@@ -131,18 +131,22 @@ def aluthge_offdiag(x, y, t, space1=None, space2=None):
     """Closed-form Aluthge transform of [[0, X], [Y, 0]] with square blocks.
 
     Returns the block [[0, |Y|^t U |X|^(1-t)], [|X|^t V |Y|^(1-t), 0]] with
-    X = U|X| and Y = V|Y| the polar decompositions of the blocks.
+    X = U|X| and Y = V|Y| the polar decompositions of the blocks. Stacks of
+    X and Y, with ``t`` one exponent per slice shaped like their leading
+    axes, give the stacked block, each slice with the bits of its lone one.
     """
-    x = numlin.as_matrix(x)
-    y = numlin.as_matrix(y)
-    if x.shape[0] != x.shape[1] or y.shape != x.shape:
+    x = numlin.as_matrix(x, stack=True)
+    y = numlin.as_matrix(y, stack=True)
+    if x.shape[-2] != x.shape[-1] or y.shape != x.shape:
         raise DimensionMismatch("aluthge_offdiag needs square X, Y of equal size")
-    if not 0.0 <= t <= 1.0:
-        raise BadParams("aluthge exponent must lie in [0, 1]")
+    t = np.asarray(t, dtype=np.float64)
+    if t.shape != x.shape[:-2] or not ((0.0 <= t) & (t <= 1.0)).all():
+        raise BadParams("aluthge exponent must lie in [0, 1], one per slice of a stack")
     u, abs_x = numlin.polar_decompose(x)
     v, abs_y = numlin.polar_decompose(y)
     y_t, x_s, x_t, y_s = _support_power(
         [abs_y, abs_x, abs_x, abs_y], [t, 1.0 - t, t, 1.0 - t])
-    top = y_t @ u @ x_s
-    bottom = x_t @ v @ y_s
-    return offdiag_block(top, bottom, space1=space1, space2=space2)
+    n = x.shape[-1]
+    return BlockOperator(S=np.zeros_like(x), X=y_t @ u @ x_s, Y=x_t @ v @ y_s,
+                         R=np.zeros_like(x), space1=space1 or rkhs.identity_space(n),
+                         space2=space2 or rkhs.identity_space(n))

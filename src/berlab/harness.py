@@ -212,7 +212,7 @@ class TrialDraw:
     """Concrete inputs of one checker trial; arrays are the free operands.
 
     The arrays are made read-only: certificates digest them when first read.
-    A stacked draw (``_stack_draws``) holds several draws of one stacking
+    A stacked draw (``_stack_draws``) holds several draws of one block
     checker as one: its arrays and spaces are stacks with one slice per
     draw, and ``trial_seed`` and ``params`` are tuples with one entry each.
     A failed draw of a batch is empty and carries, as ``error``, the
@@ -383,7 +383,7 @@ def _stamped(certs, trial_seed):
 
 
 def _stack_draws(draws):
-    """Draws of one stacking checker and one operand shape as one stacked draw."""
+    """Draws of one block checker and one operand shape as one stacked draw."""
     first = draws[0]
     return TrialDraw(
         first.theorem_id, tuple(d.trial_seed for d in draws), tuple(d.params for d in draws),
@@ -456,14 +456,14 @@ class Report:
 def _stacked_certs(window):
     """{index: certificates} of the window's draws that a stack evaluated.
 
-    The draws of one operand shape make one stacked draw; a failed draw, a
-    shape drawn once, and every draw of a stack that raises, is left to
-    evaluate alone.
+    The draws whose operands all have the same shapes make one stacked
+    draw; a failed draw, shapes drawn once, and every draw of a stack that
+    raises, is left to evaluate alone.
     """
     by_shape = {}
     for k, draw in enumerate(window):
         if draw.error is None:
-            by_shape.setdefault(draw.arrays["X"].shape, []).append(k)
+            by_shape.setdefault(tuple(a.shape for a in draw.arrays.values()), []).append(k)
     out = {}
     for ks in by_shape.values():
         if len(ks) > 1:
@@ -476,10 +476,11 @@ def _evaluated(theorem_id, window):
     """Each draw of one checker's window as (draw, certificates) or None, in order.
 
     A draw whose evaluation raises a BerlabError, a failed draw among them,
-    gives None. A stacking checker evaluates a window's draws of one operand
+    gives None. A block checker evaluates a window's draws of one operand
     shape as one stacked draw.
     """
-    stacked = _stacked_certs(window) if theorems.CHECKERS[theorem_id].stacks else {}
+    is_block = theorems.lookup(theorem_id).kind == theorems.BLOCK
+    stacked = _stacked_certs(window) if is_block else {}
     for k, draw in enumerate(window):
         trial = None
         if k in stacked:
@@ -613,8 +614,8 @@ def explore(config, theorem_id, budget):
     sequential climb's, bit for bit. A chunk holds ``SPECULATE_FROM``
     candidates after an acceptance and doubles, up to ``STACK_CAP``, after
     each all-reject chunk.
-    A stacking checker evaluates a chunk as one stack; any other checker,
-    and a stack that raises, evaluates a candidate when the climb reaches it.
+    A block checker evaluates a chunk as one stack; any other checker, and
+    a stack that raises, evaluates a candidate when the climb reaches it.
     """
     config.validate()
     checker = theorems.lookup(theorem_id)
@@ -647,7 +648,8 @@ def explore(config, theorem_id, budget):
                 candidates.append(_bump(current, bump, chunk_step))
                 chunk_step /= 2.0
             chunk = min(2 * chunk, STACK_CAP)  # bounds a stack's memory
-            stacked = evaluate_draw(_stack_draws(candidates)) if checker.stacks else None
+            stacked = (evaluate_draw(_stack_draws(candidates))
+                       if checker.kind == theorems.BLOCK else None)
             for k, candidate in enumerate(candidates):
                 done += 1
                 try:

@@ -360,34 +360,48 @@ def _ber_norm(cert, space, t_mat, params, extras):
 
 
 # ---------------------------------------------------------------------------
-# block checkers: evaluate(runs, block, params), where runs holds
-# one (convention, certificate factory) pair per run of the draw. Operands
-# and right sides do not depend on the convention, so each evaluate function
-# computes them once per draw, and one kernel-pair grid gives every run its
-# Berezin peak. The certificates come back in run order: aggregation and
-# explore break ties by that order. check_block_runs has already checked the
-# block against its checker's registry shape.
-#
-# A stacking checker (T24/C25/R26, T29/C210) takes a bucket instead: a
-# stacked block, one slice per draw, and the runs and params of each slice.
-# It returns one certificate list per slice, each with the bits of a lone
-# draw's. check_block_runs passes a lone block as a stack of one.
+# block checkers: evaluate(bucket, block, params). The block is a stack with
+# one slice per draw, over shared or stacked spaces; params holds one dict
+# per slice, and the bucket, per slice, one (convention, certificate
+# factory) pair per run of the draw. The result is one certificate list per
+# slice, in run order, each with the bits of that draw evaluated alone:
+# aggregation and explore break ties by that order. Operands and right
+# sides do not depend on the convention, so they are computed once per
+# slice, and one kernel-pair grid gives every run its Berezin peak.
+# check_block_runs has already checked the block against its checker's
+# registry shape, and passes a lone block as a stack of one.
 
-def _witnessed(runs, peaks):
-    """(certificate factory, Berezin value, witness) of each run, in run order."""
-    return [(cert, value, {"j1": j1, "j2": j2})
-            for (_, cert), (value, (j1, j2)) in zip(runs, peaks)]
-
-
-def _peaks(block, runs):
-    """_witnessed peaks of one block: one kernel-pair grid serves every run."""
-    return _witnessed(runs, blockops.ber_block(block, tuple(conv for conv, _ in runs)))
-
-
-def _slice_peaks(bucket, block):
-    """_peaks of each slice of a stacked block, off one stack of grids."""
+def _peaks(bucket, block):
+    """Per slice, the (certificate factory, Berezin value, witness) of each run."""
     peaks = blockops.ber_block(block, tuple(conv for conv, _ in bucket[0]))
-    return [_witnessed(runs, slice_peaks) for runs, slice_peaks in zip(bucket, peaks)]
+    return [[(cert, value, {"j1": j1, "j2": j2})
+             for (_, cert), (value, (j1, j2)) in zip(runs, slice_peaks)]
+            for runs, slice_peaks in zip(bucket, peaks)]
+
+
+def _peak_bounds(bucket, block, params, rhs):
+    """Per slice, each run's certificate of its Berezin peak <= that slice's rhs."""
+    return [[cert(value, rhs_k, params=pr, witness=wit) for cert, value, wit in peaks]
+            for peaks, rhs_k, pr in zip(_peaks(bucket, block), rhs, params)]
+
+
+def _peak_chains(bucket, block, params, tails):
+    """Per slice, each run's chain from its Berezin peak through that slice's tail."""
+    return [[link for cert, value, wit in peaks
+             for link in _chain(cert, (value, *tail), pr, witness=wit)]
+            for peaks, tail, pr in zip(_peaks(bucket, block), tails, params)]
+
+
+def _norms(a):
+    """operator_norm of each slice of a stack, as Python floats."""
+    return numlin.operator_norm(a).tolist()
+
+
+def _slice_values(params, name, lo, hi, who):
+    """The float ``name`` of each slice's params, checked to lie in [lo, hi]."""
+    values = [float(pr[name]) for pr in params]
+    _require(all(lo <= v <= hi for v in values), who)
+    return values
 
 
 def _t24_operands(block, r, p, variant):
@@ -395,8 +409,7 @@ def _t24_operands(block, r, p, variant):
 
     variant "fg": (f^{2r}(|X|)+g^{2r}(|Y*|), f^{2r}(|Y|)+g^{2r}(|X*|))
     variant "ff": (f^{2r}(|X|)+f^{2r}(|Y*|), g^{2r}(|Y|)+g^{2r}(|X*|))
-    A stacked block takes one r and one p per slice. First operand acts on
-    space2, second on space1.
+    One r and one p per slice. First operand acts on space2, second on space1.
     """
     r, p = np.asarray(r), np.asarray(p)
     fe, ge = 2.0 * r * p, 2.0 * r * (1.0 - p)
@@ -413,38 +426,35 @@ def _psd_symbols(space, a):
     return np.clip(vals, 0.0, None)
 
 
-def _l21a(runs, block, params):
-    rhs = max(rkhs.berezin_number(block.space1, block.S),
+def _l21a(bucket, block, params):
+    rhs = map(max, rkhs.berezin_number(block.space1, block.S),
               rkhs.berezin_number(block.space2, block.R))
-    return [cert(lhs, rhs, params=params, witness=wit)
-            for cert, lhs, wit in _peaks(block, runs)]
+    return _peak_bounds(bucket, block, params, rhs)
 
 
-def _l21b(runs, block, params):
-    rhs = 0.5 * (numlin.operator_norm(block.X) + numlin.operator_norm(block.Y))
-    return [cert(lhs, rhs, params=params, witness=wit)
-            for cert, lhs, wit in _peaks(block, runs)]
+def _l21b(bucket, block, params):
+    return _peak_bounds(bucket, block, params, [
+        0.5 * (nx + ny) for nx, ny in zip(_norms(block.X), _norms(block.Y))])
 
 
-def _ineq1(runs, block, params):
-    s = float(params["s"])
-    p = float(params["p"])
-    _require(s >= 1.0, "INEQ1 needs power h(t) = t^s with s >= 1")
-    _require(0.0 <= p <= 1.0, "INEQ1 needs exponent p in [0, 1]")
-    exps = [2 * p * s, 2 * (1 - p) * s]
-    y_f, y_g, x_f, x_g = _abs_powers([block.Y, block.Y, block.X, block.X], exps + exps)
-    rhs = 0.25 * numlin.operator_norm(y_f + y_g) + 0.25 * numlin.operator_norm(x_f + x_g)
-    return [cert(value**s, rhs, params=params, witness=wit)
-            for cert, value, wit in _peaks(block, runs)]
+def _ineq1(bucket, block, params):
+    s = _slice_values(params, "s", 1.0, math.inf,
+                      "INEQ1 needs power h(t) = t^s with s >= 1")
+    p = _slice_values(params, "p", 0.0, 1.0, "INEQ1 needs exponent p in [0, 1]")
+    f = [2 * p_k * s_k for s_k, p_k in zip(s, p)]
+    g = [2 * (1 - p_k) * s_k for s_k, p_k in zip(s, p)]
+    y_f, y_g, x_f, x_g = _abs_powers([block.Y, block.Y, block.X, block.X], [f, g, f, g])
+    rhs = [0.25 * ny + 0.25 * nx for ny, nx in zip(_norms(y_f + y_g), _norms(x_f + x_g))]
+    return [[cert(value**s_k, rhs_k, params=pr, witness=wit) for cert, value, wit in peaks]
+            for peaks, s_k, rhs_k, pr in zip(_peaks(bucket, block), s, rhs, params)]
 
 
 def _slice_rp(params, who, fixed=None):
     """The checked (r, p) of each slice, r >= 1 and p in [0, 1]; or ``fixed`` for all."""
-    rps = [fixed or (float(pr["r"]), float(pr["p"])) for pr in params]
-    for r, p in rps:
-        _require(r >= 1.0, f"{who} need r >= 1")
-        _require(0.0 <= p <= 1.0, f"{who} need p in [0, 1]")
-    return rps
+    if fixed:
+        return [fixed] * len(params)
+    return list(zip(_slice_values(params, "r", 1.0, math.inf, f"{who} need r >= 1"),
+                    _slice_values(params, "p", 0.0, 1.0, f"{who} need p in [0, 1]")))
 
 
 def _t24(bucket, block, params, *, variant="fg", fixed=None):
@@ -455,27 +465,24 @@ def _t24(bucket, block, params, *, variant="fg", fixed=None):
                                          rkhs.berezin_number(block.space1, op1))]
     return [[cert(value**r, rhs_k, params=pr, witness=wit)
              for cert, value, wit in peaks]
-            for peaks, (r, _), rhs_k, pr in zip(_slice_peaks(bucket, block), rps, rhs, params)]
+            for peaks, (r, _), rhs_k, pr in zip(_peaks(bucket, block), rps, rhs, params)]
 
 
-def _c27(runs, block, params):
-    abs_x, abs_xs = numlin.matrix_abs(np.stack([block.X, block.X.conj().T]))
-    combo = abs_x + abs_xs
-    mid = 0.5 * rkhs.berezin_number(block.space1, combo)
-    top = numlin.operator_norm(block.X)
-    return [link for cert, value, wit in _peaks(block, runs)
-            for link in _chain(cert, (value, mid, top), params, witness=wit)]
+def _c27(bucket, block, params):
+    # |X| and |X*| of every slice from one stack
+    moduli = numlin.matrix_abs(np.concatenate([block.X, block.X.conj().mT]))
+    mids = rkhs.berezin_number(block.space1, moduli[:len(params)] + moduli[len(params):])
+    return _peak_chains(bucket, block, params,
+                        [(0.5 * mid, top) for mid, top in zip(mids, _norms(block.X))])
 
 
-def _c28(runs, block, params):
-    op2, op1 = _t24_operands(block, 1.0, 0.5, "fg")
-    ber2 = rkhs.berezin_number(block.space2, op2)
-    ber1 = rkhs.berezin_number(block.space1, op1)
-    prod = 0.5 * math.sqrt(ber2) * math.sqrt(ber1)
-    mean = 0.25 * (ber2 + ber1)
-    top = 0.5 * max(ber2, ber1)
-    return [link for cert, value, wit in _peaks(block, runs)
-            for link in _chain(cert, (value, prod, mean, top), params, witness=wit)]
+def _c28(bucket, block, params):
+    rps = _slice_rp(params, "C28", (1.0, 0.5))
+    op2, op1 = _t24_operands(block, *zip(*rps), "fg")
+    return _peak_chains(bucket, block, params, [
+        (0.5 * math.sqrt(ber2) * math.sqrt(ber1), 0.25 * (ber2 + ber1), 0.5 * max(ber2, ber1))
+        for ber2, ber1 in zip(rkhs.berezin_number(block.space2, op2),
+                              rkhs.berezin_number(block.space1, op1))])
 
 
 def _t29(bucket, block, params, *, tied=False):
@@ -486,7 +493,7 @@ def _t29(bucket, block, params, *, tied=False):
     eta = (np.sqrt(avals)[..., None, :] - np.sqrt(bvals)[..., :, None]) ** 2
     eta_inf = np.minimum.reduce(eta, axis=(-2, -1)).tolist()
     if tied:
-        heads = [2.0 ** (r - 1) * numlin.operator_norm(op) for (r, _), op in zip(rps, op2)]
+        heads = [2.0 ** (r - 1) * norm for (r, _), norm in zip(rps, _norms(op2))]
     else:
         heads = [2.0 ** (r - 2) * (a + b)
                  for (r, _), a, b in zip(rps, np.maximum.reduce(avals, axis=-1).tolist(),
@@ -494,57 +501,51 @@ def _t29(bucket, block, params, *, tied=False):
     return [[cert(value**r, head - 2.0 ** (r - 2) * eta_k, params=pr,
                   witness={**wit, "eta_inf": eta_k})
              for cert, value, wit in peaks]
-            for peaks, (r, _), pr, head, eta_k in zip(_slice_peaks(bucket, block), rps,
+            for peaks, (r, _), pr, head, eta_k in zip(_peaks(bucket, block), rps,
                                                       params, heads, eta_inf)]
 
 
-def _t31(runs, block, params, *, tilted):
-    t = float(params["t"])
-    _require(0.0 <= t <= 1.0, "T31/C34 need t in [0, 1]")
+def _t31(bucket, block, params, *, tilted):
+    t = _slice_values(params, "t", 0.0, 1.0, "T31/C34 need t in [0, 1]")
+    s = [1.0 - t_k for t_k in t]
     y_t, xs_s, x_t, ys_s = _abs_powers(
-        [block.Y, block.X.conj().T, block.X, block.Y.conj().T],
-        [t, 1.0 - t, t, 1.0 - t], support=True)
-    cross = 0.5 * (numlin.operator_norm(y_t @ xs_s)
-                   + numlin.operator_norm(x_t @ ys_s))
+        [block.Y, block.X.conj().mT, block.X, block.Y.conj().mT], [t, s, t, s], support=True)
+    cross = [0.5 * (a + b) for a, b in zip(_norms(y_t @ xs_s), _norms(x_t @ ys_s))]
     if tilted:
         transform = blockops.aluthge_offdiag(block.X, block.Y, t,
                                              space1=block.space1, space2=block.space2)
-        return [cert(value, cross, params=params, witness=wit)
-                for cert, value, wit in _peaks(transform, runs)]
-    rhs = 0.5 * max(numlin.operator_norm(block.X),
-                    numlin.operator_norm(block.Y)) + 0.5 * cross
-    return [cert(value, rhs, params=params, witness=wit)
-            for cert, value, wit in _peaks(block, runs)]
+        return _peak_bounds(bucket, transform, params, cross)
+    return _peak_bounds(bucket, block, params, [
+        0.5 * max(nx, ny) + 0.5 * c
+        for nx, ny, c in zip(_norms(block.X), _norms(block.Y), cross)])
 
 
-def _c35(runs, block, params):
+def _c35(bucket, block, params):
     half_y, half_xs, half_x, half_ys = _abs_powers(
-        [block.Y, block.X.conj().T, block.X, block.Y.conj().T], [0.5] * 4, support=True)
-    rhs = (max(numlin.operator_norm(block.X), numlin.operator_norm(block.Y))
-           + 0.5 * (numlin.operator_norm(half_x @ half_y)
-                    + numlin.operator_norm(half_xs @ half_ys)))
-    readings = (("sum", numlin.operator_norm(block.X + block.Y)),
-                ("adjoint_sum", numlin.operator_norm(block.X + block.Y.conj().T)))
+        [block.Y, block.X.conj().mT, block.X, block.Y.conj().mT],
+        [[0.5] * len(params)] * 4, support=True)
+    rhs = [max(nx, ny) + 0.5 * (a + b) for nx, ny, a, b in zip(
+        _norms(block.X), _norms(block.Y), _norms(half_x @ half_y), _norms(half_xs @ half_ys))]
+    readings = zip(_norms(block.X + block.Y), _norms(block.X + block.Y.conj().mT))
     # both readings of the statement are recorded, never gated
-    return [cert(lhs, rhs, params={**params, "reading": reading}, witness={},
-                 convention=None, mode=INFORMATIONAL)
-            for _, cert in runs for reading, lhs in readings]
+    return [[cert(lhs, rhs_k, params={**pr, "reading": reading}, witness={},
+                  convention=None, mode=INFORMATIONAL)
+             for _, cert in runs for reading, lhs in zip(("sum", "adjoint_sum"), lhss)]
+            for runs, rhs_k, pr, lhss in zip(bucket, rhs, params, readings)]
 
 
-def _t36(runs, block, params, *, swap=False):
-    alpha = float(params["alpha"])
-    _require(0.0 <= alpha <= 1.0, "T36/T37 need alpha in [0, 1]")
-    ber_s = rkhs.berezin_number(block.space1, block.S)
-    ber_r = rkhs.berezin_number(block.space2, block.R)
-    nx = numlin.operator_norm(block.X)
-    ny = numlin.operator_norm(block.Y)
-    if swap:  # T37 is T36 with the roles of S, X and R, Y exchanged
-        ber_s, ber_r, nx, ny = ber_r, ber_s, ny, nx
-    rhs = (0.5 * ber_s + ber_r
-           + 0.5 * math.sqrt(alpha**2 * ber_s**2 + nx**2)
-           + 0.5 * math.sqrt((1.0 - alpha) ** 2 * ber_s**2 + ny**2))
-    return [cert(value, rhs, params=params, witness=wit)
-            for cert, value, wit in _peaks(block, runs)]
+def _t36(bucket, block, params, *, swap=False):
+    alphas = _slice_values(params, "alpha", 0.0, 1.0, "T36/T37 need alpha in [0, 1]")
+    rhs = []
+    for alpha, ber_s, ber_r, nx, ny in zip(
+            alphas, rkhs.berezin_number(block.space1, block.S),
+            rkhs.berezin_number(block.space2, block.R), _norms(block.X), _norms(block.Y)):
+        if swap:  # T37 is T36 with the roles of S, X and R, Y exchanged
+            ber_s, ber_r, nx, ny = ber_r, ber_s, ny, nx
+        rhs.append(0.5 * ber_s + ber_r
+                   + 0.5 * math.sqrt(alpha**2 * ber_s**2 + nx**2)
+                   + 0.5 * math.sqrt((1.0 - alpha) ** 2 * ber_s**2 + ny**2))
+    return _peak_bounds(bucket, block, params, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +599,6 @@ class Checker:
     ``sample(rng)`` draws the params from ``PARAM_GRID`` before any operand.
     ``runs`` holds the (convention, mode) of each evaluation of a draw.
     ``evaluate`` has any variant keywords of its function already bound.
-    With ``stacks`` a block checker's ``evaluate`` takes a bucket of
-    draws as one stacked block, with params per slice (see the block
-    checkers above).
     """
 
     shape: str
@@ -608,7 +606,6 @@ class Checker:
     sample: Callable = _grid()
     runs: tuple = ((None, GATING),)
     extras: tuple = ()
-    stacks: bool = False
 
     @property
     def kind(self):
@@ -652,19 +649,18 @@ CHECKERS = {
     "L21a": Checker("diag", _l21a, runs=_JOINT_GATED),
     "L21b": Checker("offdiag", _l21b, runs=_JOINT_GATED),
     "INEQ1": Checker("offdiag", _ineq1, _grid("s", "p"), _JOINT_GATED),
-    "T24a": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED, stacks=True),
+    "T24a": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED),
     "T24b": Checker("offdiag", partial(_t24, variant="ff"), _grid("r", "p"),
-                    _PAIR_GATED, stacks=True),
-    "C25a": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED, stacks=True),
+                    _PAIR_GATED),
+    "C25a": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED),
     "C25b": Checker("offdiag", partial(_t24, variant="ff"), _grid("r", "p"),
-                    _PAIR_GATED, stacks=True),
-    "R26": Checker("offdiag", partial(_t24, fixed=(1.0, 0.5)), runs=_JOINT_GATED,
-                   stacks=True),
+                    _PAIR_GATED),
+    "R26": Checker("offdiag", partial(_t24, fixed=(1.0, 0.5)), runs=_JOINT_GATED),
     "C27": Checker("tied_square", _c27, runs=_JOINT_GATED),
     "C28": Checker("offdiag", _c28, runs=_JOINT_GATED),
-    "T29": Checker("offdiag", _t29, _grid("r", "p"), _PAIR_GATED, stacks=True),
+    "T29": Checker("offdiag", _t29, _grid("r", "p"), _PAIR_GATED),
     "C210": Checker("tied_square", partial(_t29, tied=True), _grid("r", "p"),
-                    _PAIR_GATED, stacks=True),
+                    _PAIR_GATED),
     "T31": Checker("offdiag_square", partial(_t31, tilted=True), _grid("t"), _JOINT),
     "C34": Checker("offdiag_square", partial(_t31, tilted=False), _grid("t"), _JOINT),
     "C35": Checker("offdiag_square", _c35, runs=_INFO),
@@ -724,16 +720,15 @@ def _check_shape(theorem_id, shape, block):
 def check_block_runs(theorem_id, block, params, runs):
     """Block-operator checkers at each (convention, mode) of ``runs``.
 
-    The block must have its checker's registry shape. The certificates of
-    every run share one input digest and the convention-independent
-    operands, and come back in ``runs`` order. A stacking checker also
-    takes a stacked block, a bucket, with a sequence of one params dict per
-    slice, and returns one such list per slice; it evaluates a lone block
-    as a stack of one.
+    The block must have its checker's registry shape. It is one block with
+    one params dict, or a bucket: a stacked block with a sequence of one
+    params dict per slice, which gives one certificate list per slice. The
+    certificates of a block's runs share one input digest and the
+    convention-independent operands, and come back in ``runs`` order. A
+    lone block is evaluated as a stack of one.
     """
     checker = lookup(theorem_id, BLOCK)
     lone = block.X.ndim == 2
-    _require(lone or checker.stacks, f"{theorem_id} evaluates one block at a time")
     _require(isinstance(params, dict) if lone
              else [type(pr) for pr in params] == [dict] * len(block.X),
              f"{theorem_id} needs one params dict per block")
@@ -743,9 +738,6 @@ def check_block_runs(theorem_id, block, params, runs):
         digest = _bound_digest(*arrays, dict(slice_params))
         return tuple((run[0], _factory(theorem_id, run, digest)) for run in runs)
     spaces = (block.space1, block.space2)
-    if not checker.stacks:
-        return checker.evaluate(factories(params, block.S, block.X, block.Y, block.R,
-                                          *(s.gram for s in spaces)), block, params)
     if lone:  # a stack of one
         block = blockops.BlockOperator(block.S[None], block.X[None], block.Y[None],
                                        block.R[None], *spaces)

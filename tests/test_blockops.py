@@ -216,6 +216,24 @@ def test_aluthge_offdiag_matches_general():
             assert numlin.operator_norm(closed - direct) <= 1e-8
 
 
+def test_aluthge_offdiag_stack_matches_lone_calls():
+    # a stack of X and Y with one t per slice gives, slice for slice, the
+    # lone transform bit for bit, over the spaces it is given
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 4):
+        x, y = cgauss(rng, (5, n, n)), cgauss(rng, (5, n, n))
+        y[1] = 0.0  # a rank-deficient slice
+        x[2, :, 0] = 0.0
+        t = [0.0, 0.25, 0.5, 0.75, 1.0]
+        stacked = blockops.aluthge_offdiag(x, y, t)
+        assert stacked.space1 is stacked.space2 is rkhs.identity_space(n)
+        for k in range(5):
+            lone = blockops.aluthge_offdiag(x[k], y[k], t[k])
+            for name in "SXYR":
+                got, want = getattr(stacked, name)[k], getattr(lone, name)
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+
 def test_aluthge_parameter_validation():
     eye = np.eye(2, dtype=complex)
     with pytest.raises(BadParams):
@@ -223,3 +241,10 @@ def test_aluthge_parameter_validation():
     with pytest.raises(DimensionMismatch):
         blockops.aluthge_offdiag(np.zeros((2, 3), dtype=complex),
                                  np.zeros((3, 2), dtype=complex), 0.5)
+    # a stack takes one t in [0, 1] per slice, shaped like its leading axes
+    stack = np.zeros((3, 2, 2), dtype=complex)
+    for x, t in ((stack, [0.5, 1.5, 0.5]), (stack, [0.5, -0.25, 0.5]),
+                 (stack, [0.5, float("nan"), 0.5]), (stack, 0.5), (stack, [0.5, 0.5]),
+                 (stack, [[0.5, 0.5, 0.5]]), (stack[0], [0.5]), (stack[0], 1.5)):
+        with pytest.raises(BadParams):
+            blockops.aluthge_offdiag(x, x, t)

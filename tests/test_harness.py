@@ -208,6 +208,10 @@ EXPLORE_PINS_200 = {
     "R26": "27cbc4e6b8af20bd5ed51fc418d528afc0864460fe7a63f22cf91fae8480cc3f",
     "T29": "86859fbf691e5b1cc8f65d985d907af9b5089059721c1b1176c62e476298e481",
     "C210": "90675801cbff938774a9951f9fbe7a922d3a999c6e955162341e4acd3b07a55f",
+    "L21a": "5d30fabe485e1ef5890f6507ee45f8aedc6e1c394c2a027aacdbba5b5bf8358e",
+    "C27": "9b4206335209e2bbe2b1dadc508f2ad03589efcd9630efcf0fbf893f6892ad88",
+    "T31": "6a1f536dbb0b016463d2f4dafd03a12eb38051fc9b42cdfa50a93917719ce9d3",
+    "T36": "281ce5d27bb05043c23657ced3976f855f4cac7de339addc167e21e3c0883fbd",
 }
 
 
@@ -217,7 +221,7 @@ def test_explore_pinned_long_chunks(tid):
     assert hashlib.sha256(text.encode()).hexdigest() == EXPLORE_PINS_200[tid]
 
 
-STACKING_IDS = tuple(tid for tid, c in theorems.CHECKERS.items() if c.stacks)
+STACKING_IDS = tuple(tid for tid, c in theorems.CHECKERS.items() if c.kind == theorems.BLOCK)
 
 
 def _stacks_seen(monkeypatch):
@@ -265,15 +269,20 @@ def test_bucket_matches_per_draw_byte_for_byte(tid, monkeypatch):
         assert bucketed == one_by_one
         assert all(out is not None for _, out in stacks)
         draws = [draw for draw, _ in stacks]
-        assert max(draw.arrays["X"].shape[1] for draw in draws) == 16
-        assert tid == "C210" or any(n1 != n2 for _, n1, n2 in (d.arrays["X"].shape for d in draws))
+        dims = [(d.spaces["space1"].dim, d.spaces["space2"].dim) for d in draws]
+        assert max(n1 for n1, _ in dims) == 16
+        # the square shapes draw n2 = n1; every other shape stacks some n1 != n2
+        square = theorems.CHECKERS[tid].shape in ("tied_square", "offdiag_square")
+        assert square != any(n1 != n2 for n1, n2 in dims)
         grams = [d.spaces["space1"].gram for d in draws]
         if len(families) > 1:  # some stacked space mixes identity and other kernels
             assert any(g.ndim == 3 and len({np.array_equal(s, np.eye(len(s))) for s in g}) == 2
                        for g in grams)
         else:  # identity draws share one cached space per n, while their params differ
             assert all(g.ndim == 2 for g in grams)
-            assert tid == "R26" or any(len({json.dumps(p) for p in d.params}) > 1 for d in draws)
+            # (a checker that samples no params draws {} every time)
+            assert (all(p == {} for d in draws for p in d.params)
+                    or any(len({json.dumps(p) for p in d.params}) > 1 for d in draws))
 
 
 def test_a_bad_draw_in_a_stack_is_one_anomaly(monkeypatch):
@@ -440,9 +449,8 @@ def test_failed_draws_leave_no_reference_cycles():
 
 @pytest.mark.parametrize("tid", ("T24a", "C210", "L21b"))
 def test_explore_falls_back_when_the_stack_raises(tid, monkeypatch):
-    # a stack that raises, like every chunk of a checker that does not stack
-    # (L21b), leaves each scanned draw, and each candidate the climb
-    # reaches, to a lone evaluate_draw: every bit stays the same
+    # a stack that raises leaves each scanned draw, and each candidate the
+    # climb reaches, to a lone evaluate_draw: every bit stays the same
     want = report.dumps_json(harness.explore(small_config(), tid, 200).to_dict())
     check_block_runs, evaluate_draw, bump = (
         theorems.check_block_runs, harness.evaluate_draw, harness._bump)
@@ -464,7 +472,7 @@ def test_explore_falls_back_when_the_stack_raises(tid, monkeypatch):
     harness.explore(small_config(), tid, 0)
     scan = len(lone)
     assert report.dumps_json(harness.explore(small_config(), tid, 200).to_dict()) == want
-    assert bool(stacks) == theorems.CHECKERS[tid].stacks
+    assert bool(stacks) == (theorems.CHECKERS[tid].kind == theorems.BLOCK)
     # each of the 200 rounds is reached once; the chunks dropped candidates
     # after acceptances, and none of those was evaluated
     assert len(lone) - 2 * scan == 200 < len(built)
