@@ -31,7 +31,6 @@ from .rkhs import (
     KernelSpace,
     ber_via_rotations,
     berezin_number,
-    berezin_peak,
     berezin_symbols,
     build_space,
     identity_space,
@@ -42,9 +41,8 @@ __all__ = [
     "BlockOperator", "CampaignConfig", "Certificate", "KernelFamily",
     "KernelSpace", "Report", "aluthge_general", "aluthge_offdiag",
     "apply_spectral_function", "assemble", "ber_block", "ber_via_rotations",
-    "berezin_number", "berezin_peak", "berezin_symbols", "build_space",
-    "check_block_runs", "check_scalar", "check_single", "derive_trial_seed",
-    "explore", "hermitian_eig", "identity_space", "matrix_abs",
-    "offdiag_block", "operator_norm", "polar_decompose", "re_rotation",
-    "run_campaign",
+    "berezin_number", "berezin_symbols", "build_space", "check_block_runs",
+    "check_scalar", "check_single", "derive_trial_seed", "explore",
+    "hermitian_eig", "identity_space", "matrix_abs", "offdiag_block",
+    "operator_norm", "polar_decompose", "re_rotation", "run_campaign",
 ]

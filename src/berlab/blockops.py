@@ -118,10 +118,18 @@ def _support_power(moduli, exps):
     return numlin.matrix_power_psd(np.stack(moduli), exps, support=True)
 
 
+def _exponents(t, lead):
+    """The Aluthge exponent ``t`` as an array shaped like a stack's leading axes."""
+    t = np.asarray(t, dtype=np.float64)
+    if t.shape != lead or not ((0.0 <= t) & (t <= 1.0)).all():
+        raise BadParams("aluthge exponent must lie in [0, 1], one per slice of a stack")
+    return t
+
+
 def aluthge_general(t_mat, t):
-    """Generalized Aluthge transform |T|^t U |T|^(1-t)."""
-    if not 0.0 <= t <= 1.0:
-        raise BadParams("aluthge exponent must lie in [0, 1]")
+    """Generalized Aluthge transform |T|^t U |T|^(1-t); also of a stack of T,
+    with ``t`` one exponent per slice, each slice with the bits of its lone one."""
+    t = _exponents(t, np.shape(t_mat)[:-2])
     iso, modulus = numlin.polar_decompose(t_mat)
     left, right = _support_power([modulus] * 2, [t, 1.0 - t])
     return left @ iso @ right
@@ -139,9 +147,7 @@ def aluthge_offdiag(x, y, t, space1=None, space2=None):
     y = numlin.as_matrix(y, stack=True)
     if x.shape[-2] != x.shape[-1] or y.shape != x.shape:
         raise DimensionMismatch("aluthge_offdiag needs square X, Y of equal size")
-    t = np.asarray(t, dtype=np.float64)
-    if t.shape != x.shape[:-2] or not ((0.0 <= t) & (t <= 1.0)).all():
-        raise BadParams("aluthge exponent must lie in [0, 1], one per slice of a stack")
+    t = _exponents(t, x.shape[:-2])
     u, abs_x = numlin.polar_decompose(x)
     v, abs_y = numlin.polar_decompose(y)
     y_t, x_s, x_t, y_s = _support_power(

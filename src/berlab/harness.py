@@ -212,7 +212,7 @@ class TrialDraw:
     """Concrete inputs of one checker trial; arrays are the free operands.
 
     The arrays are made read-only: certificates digest them when first read.
-    A stacked draw (``_stack_draws``) holds several draws of one block
+    A stacked draw (``_stack_draws``) holds several draws of one operator
     checker as one: its arrays and spaces are stacks with one slice per
     draw, and ``trial_seed`` and ``params`` are tuples with one entry each.
     A failed draw of a batch is empty and carries, as ``error``, the
@@ -363,16 +363,13 @@ def _build_block(draw, shape):
 
     A draw whose operands are stacks gives the stacked block.
     """
-    sp1, sp2 = draw.spaces["space1"], draw.spaces["space2"]
-    n1, n2 = sp1.dim, sp2.dim
-    arrays = draw.arrays
+    sp1, sp2, arrays = draw.spaces["space1"], draw.spaces["space2"], draw.arrays
     lead = next(iter(arrays.values())).shape[:-2]
-    zero = lambda r, c: np.zeros(lead + (r, c), dtype=np.complex128)
-    x = arrays.get("X", zero(n1, n2))
-    y = x.copy() if shape == "tied_square" else arrays.get("Y", zero(n2, n1))
-    return blockops.BlockOperator(S=arrays.get("S", zero(n1, n1)), X=x, Y=y,
-                                  R=arrays.get("R", zero(n2, n2)),
-                                  space1=sp1, space2=sp2)
+    zero = lambda r, c: np.zeros(lead + (r.dim, c.dim), dtype=np.complex128)
+    x = arrays.get("X", zero(sp1, sp2))
+    y = x.copy() if shape == "tied_square" else arrays.get("Y", zero(sp2, sp1))
+    return blockops.BlockOperator(S=arrays.get("S", zero(sp1, sp1)), X=x, Y=y,
+                                  R=arrays.get("R", zero(sp2, sp2)), space1=sp1, space2=sp2)
 
 
 def _stamped(certs, trial_seed):
@@ -383,7 +380,7 @@ def _stamped(certs, trial_seed):
 
 
 def _stack_draws(draws):
-    """Draws of one block checker and one operand shape as one stacked draw."""
+    """Draws of one checker and one operand shape as one stacked draw."""
     first = draws[0]
     return TrialDraw(
         first.theorem_id, tuple(d.trial_seed for d in draws), tuple(d.params for d in draws),
@@ -402,28 +399,25 @@ def evaluate_draw(draw):
     """
     if draw.error is not None:  # a copy: the stored one's traceback would hold draw
         raise type(draw.error)(*draw.error.args)
-    tid = draw.theorem_id
-    checker = theorems.CHECKERS[tid]
-    if draw.stacked:
-        try:
-            per_slice = theorems.check_block_runs(
-                tid, _build_block(draw, checker.shape), draw.params, checker.runs)
-        except Exception:  # anything: a lone evaluate_draw raises it again
+    tid, seeds, checker = draw.theorem_id, draw.trial_seed, theorems.CHECKERS[draw.theorem_id]
+    try:
+        if checker.kind == theorems.SCALAR:  # a, b (and e) in the order they were drawn
+            certs = theorems.check_scalar(tid, draw.params,
+                                          tuple((draw.scalars or draw.arrays).values()))
+        elif checker.kind == theorems.SINGLE:
+            extras = dict(draw.arrays)
+            certs = theorems.check_single(tid, draw.spaces["space"], extras.pop("T"),
+                                          draw.params, extras)
+        else:
+            certs = theorems.check_block_runs(tid, _build_block(draw, checker.shape),
+                                              draw.params, checker.runs)
+    except Exception:  # anything: each draw of the stack raises it again alone
+        if draw.stacked:
             return None
-        return [_stamped(certs, seed) for certs, seed in zip(per_slice, draw.trial_seed)]
-    if checker.kind == theorems.SCALAR:
-        # a, b (and e) in the order they were drawn
-        inputs = tuple((draw.scalars or draw.arrays).values())
-        certs = theorems.check_scalar(tid, draw.params, inputs)
-    elif checker.kind == theorems.SINGLE:
-        extras = {k: v for k, v in draw.arrays.items() if k != "T"}
-        certs = theorems.check_single(tid, draw.spaces["space"],
-                                      draw.arrays["T"], draw.params,
-                                      extras=extras)
-    else:
-        block = _build_block(draw, checker.shape)
-        certs = theorems.check_block_runs(tid, block, draw.params, checker.runs)
-    return _stamped(certs, draw.trial_seed)
+        raise
+    if draw.stacked:
+        return [_stamped(per_slice, seed) for per_slice, seed in zip(certs, seeds)]
+    return _stamped(certs, seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -453,44 +447,26 @@ class Report:
         return d
 
 
-def _stacked_certs(window):
-    """{index: certificates} of the window's draws that a stack evaluated.
-
-    The draws whose operands all have the same shapes make one stacked
-    draw; a failed draw, shapes drawn once, and every draw of a stack that
-    raises, is left to evaluate alone.
-    """
-    by_shape = {}
-    for k, draw in enumerate(window):
-        if draw.error is None:
-            by_shape.setdefault(tuple(a.shape for a in draw.arrays.values()), []).append(k)
-    out = {}
-    for ks in by_shape.values():
-        if len(ks) > 1:
-            per_slice = evaluate_draw(_stack_draws([window[k] for k in ks]))
-            out.update(zip(ks, per_slice or ()))
-    return out
-
-
 def _evaluated(theorem_id, window):
     """Each draw of one checker's window as (draw, certificates) or None, in order.
 
     A draw whose evaluation raises a BerlabError, a failed draw among them,
-    gives None. A block checker evaluates a window's draws of one operand
-    shape as one stacked draw.
+    gives None. An operator checker's draws whose operands all have the
+    same shapes make one stacked draw; a failed draw, a shape drawn once
+    and every draw of a stack that raises are evaluated alone.
     """
-    is_block = theorems.lookup(theorem_id).kind == theorems.BLOCK
-    stacked = _stacked_certs(window) if is_block else {}
+    by_shape, stacked = {}, {}
     for k, draw in enumerate(window):
-        trial = None
-        if k in stacked:
-            trial = draw, stacked[k]
-        else:
-            try:
-                trial = draw, evaluate_draw(draw)
-            except BerlabError:
-                pass
-        yield trial
+        if draw.error is None and theorem_id not in theorems.SCALAR_IDS:
+            by_shape.setdefault(tuple(a.shape for a in draw.arrays.values()), []).append(k)
+    for ks in by_shape.values():
+        if len(ks) > 1:
+            stacked.update(zip(ks, evaluate_draw(_stack_draws([window[k] for k in ks])) or ()))
+    for k, draw in enumerate(window):
+        try:
+            yield draw, stacked[k] if k in stacked else evaluate_draw(draw)
+        except BerlabError:
+            yield None
 
 
 def _trials(config, theorem_ids):
@@ -614,11 +590,11 @@ def explore(config, theorem_id, budget):
     sequential climb's, bit for bit. A chunk holds ``SPECULATE_FROM``
     candidates after an acceptance and doubles, up to ``STACK_CAP``, after
     each all-reject chunk.
-    A block checker evaluates a chunk as one stack; any other checker, and
-    a stack that raises, evaluates a candidate when the climb reaches it.
+    An operator checker evaluates a chunk as one stack; a scalar checker,
+    and a stack that raises, evaluates a candidate when the climb reaches it.
     """
     config.validate()
-    checker = theorems.lookup(theorem_id)
+    theorems.lookup(theorem_id)
     if budget < 0:
         raise BadParams("budget must be >= 0")
     best_draw, best_cert = None, None
@@ -649,7 +625,7 @@ def explore(config, theorem_id, budget):
                 chunk_step /= 2.0
             chunk = min(2 * chunk, STACK_CAP)  # bounds a stack's memory
             stacked = (evaluate_draw(_stack_draws(candidates))
-                       if checker.kind == theorems.BLOCK else None)
+                       if theorem_id not in theorems.SCALAR_IDS else None)
             for k, candidate in enumerate(candidates):
                 done += 1
                 try:

@@ -117,13 +117,11 @@ class KernelSpace:
         """Read-only matrix whose column j is the normalized kernel at point j."""
         return self._khat
 
-    def check_operator(self, a, stack=False):
-        """A as a validated dim x dim matrix (or, with ``stack``, a stack of them)."""
-        a = numlin.as_matrix(a, stack=stack)
+    def check_operator(self, a):
+        """A as a validated dim x dim matrix, or a stack of them."""
+        a = numlin.as_matrix(a, stack=True)
         if a.shape[-2:] != (self.dim, self.dim):
-            raise DimensionMismatch(
-                f"operator is {a.shape}, space has dim {self.dim}"
-            )
+            raise DimensionMismatch(f"operator is {a.shape}, space has dim {self.dim}")
         return a
 
 
@@ -187,6 +185,14 @@ def stack_spaces(spaces):
                        _khat=np.stack([space.normalized_chart() for space in spaces]))
 
 
+def unstack_space(space, count):
+    """The inverse of ``stack_spaces``: the space of each of ``count`` slices."""
+    if space.gram.ndim == 2:
+        return [space] * count
+    return [KernelSpace(*slices) for slices in
+            zip(space.points, space.gram, space.chart, space.normalized_chart())]
+
+
 @functools.lru_cache(maxsize=32)
 def identity_space(n):
     """Orthonormal-kernel space on n abstract indices, built once per n."""
@@ -199,18 +205,9 @@ def berezin_symbols(space, a):
     A stack of operators of shape (..., dim, dim) gives shape (..., dim); a
     stacked space gives slice k the symbols of operator k over its slice.
     """
-    a = space.check_operator(a, stack=True)
+    a = space.check_operator(a)
     khat = space.normalized_chart()
     return np.einsum("...ji,...jk,...ki->...i", khat.conj(), a, khat)
-
-
-def berezin_peak(space, a):
-    """(ber(A), argmax point index)."""
-    vals = np.abs(berezin_symbols(space, a))
-    if vals.ndim != 1:
-        raise ValueError(f"expected one operator, got a stack of shape {np.shape(a)}")
-    j = int(np.argmax(vals))
-    return float(vals[j]), j
 
 
 def berezin_number(space, a):
@@ -222,9 +219,16 @@ def berezin_number(space, a):
 
 
 def ber_via_rotations(space, a, grid):
-    """max over a uniform theta grid of ber(Re(e^{i theta} A))."""
-    if grid < 4:
-        raise BadParams("rotation grid must have at least 4 points")
+    """max over a uniform theta grid of ber(Re(e^{i theta} A)).
+
+    A stack of operators, with one grid size per slice, gives one maximum
+    per slice, holding one slice's ``(grid, n, n)`` rotations at a time.
+    """
     a = space.check_operator(a)
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    return float(np.abs(berezin_symbols(space, numlin.re_rotation(a, thetas))).max())
+    if a.ndim == 2:
+        return ber_via_rotations(space, a[None], [grid])[0]
+    if min(grid) < 4:
+        raise BadParams("rotation grid must have at least 4 points")
+    return [float(np.abs(berezin_symbols(sp, numlin.re_rotation(
+                op, np.linspace(0.0, 2.0 * math.pi, g, endpoint=False)))).max())
+            for sp, op, g in zip(unstack_space(space, len(a)), a, grid)]

@@ -201,175 +201,200 @@ def _s310(cert, params, inputs):
 
 
 # ---------------------------------------------------------------------------
-# single-operator checkers: evaluate(cert, space, T, params, extras)
+# operator checkers evaluate a bucket: operand stacks with one slice per draw
+# over shared or stacked spaces, one params dict and certificate factories
+# per slice. They return one certificate list per slice, with the bits of
+# that draw evaluated alone: exponents and scalars stay Python floats per
+# slice, and where a stacked numpy spelling rounds differently the checker
+# loops over the slices. A lone draw comes as a stack of one.
+#
+# single-operator checkers: evaluate(bucket, space, T, params, extras), with
+# one stack per extra operand and one certificate factory per slice
 
 def _abs_powers(ops, exps, support=False):
-    """|A_k|^{p_k} for each operator A_k, in input order.
+    """|A_k|^{p_k} for each stack of operators A_k, with p_k one exponent per slice.
 
-    An A_k may also be a stack of operators, with p_k a sequence of one
-    exponent per slice. Operands of one shape share one stack: one modulus
-    eigh and one power eigh per shape. ``support`` takes
-    ``matrix_power_psd``'s support power.
+    Operands of one shape share one stack: one modulus eigh and one power
+    eigh per shape. ``support`` takes ``matrix_power_psd``'s support power.
     """
-    out = [None] * len(ops)
-    by_shape = {}
+    out, by_shape = {}, {}
     for k, op in enumerate(ops):
         by_shape.setdefault(op.shape, []).append(k)
     for ks in by_shape.values():
-        stack = np.stack([ops[k] for k in ks])
-        per_slice = [exps[k] for k in ks]
-        for k, power in zip(ks, numlin.matrix_abs(stack, per_slice, support)):
-            out[k] = power
+        out.update(zip(ks, numlin.matrix_abs(np.stack([ops[k] for k in ks]),
+                                             [exps[k] for k in ks], support)))
+    return [out[k] for k in range(len(ops))]
+
+
+def _norms(a):
+    """operator_norm of each slice of a stack, as Python floats."""
+    return numlin.operator_norm(a).tolist()
+
+
+def _slice_values(params, name, lo, hi, who):
+    """The float ``name`` of each slice's params, checked to lie in [lo, hi]."""
+    values = [float(pr[name]) for pr in params]
+    _require(all(lo <= v <= hi for v in values), who)
+    return values
+
+
+def _symbol_peaks(space, a):
+    """Per slice of a stack, (ber(A), the point index attaining it)."""
+    vals = np.abs(rkhs.berezin_symbols(space, a))
+    return zip(np.maximum.reduce(vals, axis=-1).tolist(), vals.argmax(axis=-1).tolist())
+
+
+def _l21c(bucket, space, t_mat, params, extras):
+    grids = [int(pr.get("theta_grid", PARAM_GRID["theta_grid"])) for pr in params]
+    # grid of spacing 2*pi/G misses the optimal phase by at most pi/G
+    return [[cert(ber, grid_sup + (1.0 - math.cos(math.pi / grid)) * ber,
+                  params={"theta_grid": grid}, witness={"j": j})]
+            for cert, (ber, j), grid_sup, grid in zip(
+                bucket, _symbol_peaks(space, t_mat),
+                rkhs.ber_via_rotations(space, t_mat, grids), grids)]
+
+
+def _p39_r310(bucket, space, t_mat, params, extras, *, chain):
+    rs = _slice_values(params, "r", 1.0, math.inf, "P39/R310 need r >= 1")
+    out = []
+    for cert, (ber, j), r, norm, ber_sq in zip(
+            bucket, _symbol_peaks(space, t_mat), rs, _norms(t_mat),
+            rkhs.berezin_number(space, t_mat @ t_mat)):
+        top = norm ** (2 * r)
+        mid = 0.5 * (ber_sq**r + top)
+        out.append(_chain(cert, (ber ** (2 * r), mid, top), {"r": r}, witness={"j": j})
+                   if chain else [cert(ber ** (2 * r), mid, params={"r": r}, witness={"j": j})])
     return out
 
 
-def _t311_combo(t_mat, r, p, q, e):
-    """(1/p) f^{pr}(|T^2|) + (1/q) g^{qr}(|(T^2)*|) with f = s^e, g = s^(1-e)."""
+def _t311(bucket, space, t_mat, params, extras, *, statement):
+    prs = [{name: float(pr[name]) for name in "rpqe"} for pr in params]
+    for r, p, q, e in (pr.values() for pr in prs):
+        _conjugate_pair(p, q)
+        _require(p >= q, "T311 needs p >= q")
+        _require(r >= 1.0 and q * r >= 2.0, "T311 needs r >= 1 and q*r >= 2")
+        _require(0.0 <= e <= 1.0, "T311 exponent pair needs e in [0, 1]")
+    # (1/p) f^{pr}(|T^2|) + (1/q) g^{qr}(|(T^2)*|) with f = s^e, g = s^(1-e)
     t2 = t_mat @ t_mat
-    left, right = _abs_powers([t2, t2.conj().T], [e * p * r, (1.0 - e) * q * r])
-    return left / p + right / q
-
-
-def _l21c(cert, space, t_mat, params, extras):
-    grid = int(params.get("theta_grid", PARAM_GRID["theta_grid"]))
-    ber, j = rkhs.berezin_peak(space, t_mat)
-    grid_sup = rkhs.ber_via_rotations(space, t_mat, grid)
-    # grid of spacing 2*pi/G misses the optimal phase by at most pi/G
-    rhs = grid_sup + (1.0 - math.cos(math.pi / grid)) * ber
-    return [cert(ber, rhs, params={"theta_grid": grid}, witness={"j": j})]
-
-
-def _p39_r310(cert, space, t_mat, params, extras, *, chain):
-    r = float(params["r"])
-    _require(r >= 1.0, "P39/R310 need r >= 1")
-    ber, j = rkhs.berezin_peak(space, t_mat)
-    top = numlin.operator_norm(t_mat) ** (2 * r)
-    mid = 0.5 * (rkhs.berezin_number(space, t_mat @ t_mat) ** r + top)
-    if chain:
-        return _chain(cert, (ber ** (2 * r), mid, top), {"r": r}, witness={"j": j})
-    return [cert(ber ** (2 * r), mid, params={"r": r}, witness={"j": j})]
-
-
-def _t311(cert, space, t_mat, params, extras, *, statement):
-    r, p, q = float(params["r"]), float(params["p"]), float(params["q"])
-    e = float(params["e"])
-    _conjugate_pair(p, q)
-    _require(p >= q, "T311 needs p >= q")
-    _require(r >= 1.0 and q * r >= 2.0, "T311 needs r >= 1 and q*r >= 2")
-    _require(0.0 <= e <= 1.0, "T311 exponent pair needs e in [0, 1]")
-    combo = _t311_combo(t_mat, r, p, q, e)
-    pr = {"r": r, "p": p, "q": q, "e": e}
+    left, right = _abs_powers([t2, t2.conj().mT], list(zip(
+        *[(e * p * r, (1.0 - e) * q * r) for r, p, q, e in (pr.values() for pr in prs)])))
+    p_col, q_col = (np.array([pr[name] for pr in prs])[:, None, None] for name in "pq")
+    combos = left / p_col + right / q_col
     if statement:
-        ber, j = rkhs.berezin_peak(space, t_mat)
-        rhs = 0.5 * (numlin.operator_norm(t_mat) ** (2 * r)
-                     + rkhs.berezin_number(space, combo))
-        return [cert(ber ** (2 * r), rhs, params=pr, witness={"j": j})]
-    pairs = []
-    for k in space.normalized_chart().T:
-        tk = t_mat @ k
-        tsk = t_mat.conj().T @ k
-        pairs.append((abs(_inner(tk, k)) ** (2 * r),
-                      0.5 * (np.linalg.norm(tk) ** r * np.linalg.norm(tsk) ** r
-                             + (np.conj(k) @ (combo @ k)).real)))
-    return _tightest(cert, pairs, params=pr)
+        return [[cert(ber ** (2 * pr["r"]), 0.5 * (norm ** (2 * pr["r"]) + ber_c),
+                      params=pr, witness={"j": j})]
+                for cert, (ber, j), pr, norm, ber_c in zip(
+                    bucket, _symbol_peaks(space, t_mat), prs, _norms(t_mat),
+                    rkhs.berezin_number(space, combos))]
+    out = []
+    for cert, t, sp, combo, pr in zip(bucket, t_mat, rkhs.unstack_space(space, len(prs)),
+                                      combos, prs):
+        r, pairs = pr["r"], []
+        for k in sp.normalized_chart().T:
+            tk, tsk = t @ k, t.conj().T @ k
+            pairs.append((abs(_inner(tk, k)) ** (2 * r),
+                          0.5 * (np.linalg.norm(tk) ** r * np.linalg.norm(tsk) ** r
+                                 + (np.conj(k) @ (combo @ k)).real)))
+        out.append(_tightest(cert, pairs, params=pr))
+    return out
 
 
-def _t312(cert, space, t_mat, params, extras, *, statement):
-    nu, tshift = float(params["nu"]), float(params["t"])
-    _require(0.0 <= nu <= 1.0, "T312 needs nu in [0, 1]")
-    eye = np.eye(space.dim, dtype=np.complex128)
-    ber = rkhs.berezin_number(space, t_mat)
-    rhs = (((1.0 - nu) ** 2 + nu**2) * ber**2
-           + nu * numlin.operator_norm(t_mat - tshift * eye) ** 2
-           + (1.0 - nu) * numlin.operator_norm(t_mat - 1j * tshift * eye) ** 2)
-    pr = {"nu": nu, "t": tshift}
+def _t312(bucket, space, t_mat, params, extras, *, statement):
+    nus = _slice_values(params, "nu", 0.0, 1.0, "T312 needs nu in [0, 1]")
+    ts = [float(pr["t"]) for pr in params]
+    shift, eye = np.array(ts)[:, None, None], np.eye(space.dim, dtype=np.complex128)
     if statement:
-        return [cert(numlin.operator_norm(t_mat) ** 2, rhs, params=pr, witness={})]
-    norms = np.linalg.norm(t_mat @ space.normalized_chart(), axis=0) ** 2
-    j = int(np.argmax(norms))
-    return [cert(float(norms[j]), rhs, params=pr, witness={"j": j})]
+        lhs = [(norm**2, {}) for norm in _norms(t_mat)]
+    else:  # the squared norms of T k over the normalized kernels k of each slice
+        norms = np.linalg.norm(t_mat @ space.normalized_chart(), axis=-2) ** 2
+        lhs = [(row[j], {"j": j})
+               for row, j in zip(norms.tolist(), norms.argmax(axis=-1).tolist())]
+    return [[cert(value, ((1.0 - nu) ** 2 + nu**2) * ber**2 + nu * n_re**2 + (1.0 - nu) * n_im**2,
+                  params={"nu": nu, "t": t}, witness=wit)]
+            for cert, (value, wit), ber, nu, t, n_re, n_im in zip(
+                bucket, lhs, rkhs.berezin_number(space, t_mat), nus, ts,
+                _norms(t_mat - shift * eye), _norms(t_mat - 1j * shift * eye))]
 
 
-def _t32(cert, space, t_mat, params, extras):
-    t = float(params["t"])
-    _require(0.0 <= t <= 1.0, "T32 needs t in [0, 1]")
+def _t32(bucket, space, t_mat, params, extras):
+    ts = _slice_values(params, "t", 0.0, 1.0, "T32 needs t in [0, 1]")
     iso, modulus = numlin.polar_decompose(t_mat)
-    ber, j = rkhs.berezin_peak(space, t_mat)
     # one polar and one power stack: the factors of aluthge_general(T, t), then
     # the powers of the norm term
-    left, right, p2t, p2s = blockops._support_power(
-        [modulus] * 4, [t, 1.0 - t, 2.0 * t, 2.0 * (1.0 - t)])
-    rhs = (0.25 * numlin.operator_norm(p2t + p2s)
-           + 0.5 * rkhs.berezin_number(space, left @ iso @ right))
-    return [cert(ber, rhs, params={"t": t}, witness={"j": j})]
+    left, right, p2t, p2s = blockops._support_power([modulus] * 4, list(zip(
+        *[(t, 1.0 - t, 2.0 * t, 2.0 * (1.0 - t)) for t in ts])))
+    return [[cert(ber, 0.25 * norm + 0.5 * ber_a, params={"t": t}, witness={"j": j})]
+            for cert, (ber, j), t, norm, ber_a in zip(
+                bucket, _symbol_peaks(space, t_mat), ts, _norms(p2t + p2s),
+                rkhs.berezin_number(space, left @ iso @ right))]
 
 
-def _r33(cert, space, t_mat, params, extras):
-    ber, j = rkhs.berezin_peak(space, t_mat)
-    rhs = (0.5 * numlin.operator_norm(t_mat)
-           + 0.5 * rkhs.berezin_number(space, blockops.aluthge_general(t_mat, 0.5)))
-    return [cert(ber, rhs, params={"t": 0.5}, witness={"j": j})]
+def _r33(bucket, space, t_mat, params, extras):
+    tilde = blockops.aluthge_general(t_mat, [0.5] * len(params))
+    return [[cert(ber, 0.5 * norm + 0.5 * ber_a, params={"t": 0.5}, witness={"j": j})]
+            for cert, (ber, j), norm, ber_a in zip(
+                bucket, _symbol_peaks(space, t_mat), _norms(t_mat),
+                rkhs.berezin_number(space, tilde))]
 
 
-def _l22(cert, space, t_mat, params, extras, *, convex):
-    r = float(params["r"])
-    if convex:
-        _require(r >= 1.0, "L22a needs r >= 1")
-    else:
-        _require(0.0 < r <= 1.0, "L22b needs 0 < r <= 1")
-    tr_pow = numlin.matrix_power_psd(t_mat, r)
-    pairs = []
-    for k in space.normalized_chart().T:
-        base = max((np.conj(k) @ (t_mat @ k)).real, 0.0) ** r
-        powd = (np.conj(k) @ (tr_pow @ k)).real
-        pairs.append((base, powd) if convex else (powd, base))
-    return _tightest(cert, pairs, params={"r": r})
+def _l22(bucket, space, t_mat, params, extras, *, convex):
+    rs = [float(pr["r"]) for pr in params]
+    _require(all(r >= 1.0 if convex else 0.0 < r <= 1.0 for r in rs),
+             "L22a needs r >= 1" if convex else "L22b needs 0 < r <= 1")
+    out = []
+    for cert, t, sp, tr_pow, r in zip(bucket, t_mat, rkhs.unstack_space(space, len(rs)),
+                                      numlin.matrix_power_psd(t_mat, rs), rs):
+        pairs = []
+        for k in sp.normalized_chart().T:
+            base = max((np.conj(k) @ (t @ k)).real, 0.0) ** r
+            powd = (np.conj(k) @ (tr_pow @ k)).real
+            pairs.append((base, powd) if convex else (powd, base))
+        out.append(_tightest(cert, pairs, params={"r": r}))
+    return out
 
 
-def _l23(cert, space, t_mat, params, extras):
-    p = float(params["p"])
-    _require(0.0 <= p <= 1.0, "L23 needs exponent p in [0, 1]")
-    x = np.asarray(extras["x"], dtype=np.complex128)
-    y = np.asarray(extras["y"], dtype=np.complex128)
-    lhs = abs(_inner(t_mat @ x, y)) ** 2
-    f2, g2 = _abs_powers([t_mat, t_mat.conj().T], [2.0 * p, 2.0 * (1.0 - p)])
-    rhs = ((np.conj(x) @ (f2 @ x)).real * (np.conj(y) @ (g2 @ y)).real)
-    return [cert(lhs, rhs, params={"p": p}, witness={},
-                 digest=_bound_digest(t_mat, x, y, dict(params)))]
+def _l23(bucket, space, t_mat, params, extras):
+    ps = _slice_values(params, "p", 0.0, 1.0, "L23 needs exponent p in [0, 1]")
+    f2, g2 = _abs_powers([t_mat, t_mat.conj().mT],
+                         [[2.0 * p for p in ps], [2.0 * (1.0 - p) for p in ps]])
+    return [[cert(abs(_inner(t @ x, y)) ** 2,
+                  (np.conj(x) @ (f2k @ x)).real * (np.conj(y) @ (g2k @ y)).real,
+                  params={"p": p}, witness={}, digest=_bound_digest(t, x, y, dict(pr)))]
+            for cert, t, x, y, f2k, g2k, p, pr in zip(
+                bucket, t_mat, extras["x"], extras["y"], f2, g2, ps, params)]
 
 
-def _ber_hom(cert, space, t_mat, params, extras):
-    alpha = complex(params.get("alpha_re", 1.0), params.get("alpha_im", 0.0))
-    lhs = rkhs.berezin_number(space, alpha * t_mat)
-    rhs = abs(alpha) * rkhs.berezin_number(space, t_mat)
-    return [cert(lhs, rhs, params={"alpha_re": alpha.real, "alpha_im": alpha.imag},
-                 witness={}, equality=True)]
+def _ber_hom(bucket, space, t_mat, params, extras):
+    alphas = [complex(pr.get("alpha_re", 1.0), pr.get("alpha_im", 0.0)) for pr in params]
+    scaled = np.array(alphas)[:, None, None] * t_mat
+    return [[cert(lhs, abs(alpha) * ber, witness={}, equality=True,
+                  params={"alpha_re": alpha.real, "alpha_im": alpha.imag})]
+            for cert, alpha, lhs, ber in zip(bucket, alphas, rkhs.berezin_number(space, scaled),
+                                             rkhs.berezin_number(space, t_mat))]
 
 
-def _ber_sub(cert, space, t_mat, params, extras):
+def _ber_sub(bucket, space, t_mat, params, extras):
     b_mat = space.check_operator(extras["B"])
-    lhs = rkhs.berezin_number(space, t_mat + b_mat)
-    rhs = rkhs.berezin_number(space, t_mat) + rkhs.berezin_number(space, b_mat)
-    return [cert(lhs, rhs, params={}, witness={},
-                 digest=_bound_digest(t_mat, b_mat, space.gram))]
+    grams = space.gram if space.gram.ndim == 3 else [space.gram] * len(params)
+    return [[cert(lhs, ber_t + ber_b, params={}, witness={}, digest=_bound_digest(t, b, gram))]
+            for cert, lhs, ber_t, ber_b, t, b, gram in zip(
+                bucket, rkhs.berezin_number(space, t_mat + b_mat),
+                rkhs.berezin_number(space, t_mat), rkhs.berezin_number(space, b_mat),
+                t_mat, b_mat, grams)]
 
 
-def _ber_norm(cert, space, t_mat, params, extras):
-    ber, j = rkhs.berezin_peak(space, t_mat)
-    return [cert(ber, numlin.operator_norm(t_mat), params={}, witness={"j": j})]
+def _ber_norm(bucket, space, t_mat, params, extras):
+    return [[cert(ber, norm, params={}, witness={"j": j})]
+            for cert, (ber, j), norm in zip(bucket, _symbol_peaks(space, t_mat), _norms(t_mat))]
 
 
 # ---------------------------------------------------------------------------
-# block checkers: evaluate(bucket, block, params). The block is a stack with
-# one slice per draw, over shared or stacked spaces; params holds one dict
-# per slice, and the bucket, per slice, one (convention, certificate
-# factory) pair per run of the draw. The result is one certificate list per
-# slice, in run order, each with the bits of that draw evaluated alone:
-# aggregation and explore break ties by that order. Operands and right
-# sides do not depend on the convention, so they are computed once per
-# slice, and one kernel-pair grid gives every run its Berezin peak.
-# check_block_runs has already checked the block against its checker's
-# registry shape, and passes a lone block as a stack of one.
+# block checkers: evaluate(bucket, block, params), with per slice one
+# (convention, certificate factory) pair per run, and each slice's
+# certificates in run order: aggregation and explore break ties by that
+# order. Operands and right sides do not depend on the convention, so one
+# kernel-pair grid gives every run its Berezin peak. check_block_runs has
+# already checked the block against its checker's registry shape.
 
 def _peaks(bucket, block):
     """Per slice, the (certificate factory, Berezin value, witness) of each run."""
@@ -392,18 +417,6 @@ def _peak_chains(bucket, block, params, tails):
             for peaks, tail, pr in zip(_peaks(bucket, block), tails, params)]
 
 
-def _norms(a):
-    """operator_norm of each slice of a stack, as Python floats."""
-    return numlin.operator_norm(a).tolist()
-
-
-def _slice_values(params, name, lo, hi, who):
-    """The float ``name`` of each slice's params, checked to lie in [lo, hi]."""
-    values = [float(pr[name]) for pr in params]
-    _require(all(lo <= v <= hi for v in values), who)
-    return values
-
-
 def _t24_operands(block, r, p, variant):
     """PSD combination operators for the two-sided product bounds.
 
@@ -419,11 +432,6 @@ def _t24_operands(block, r, p, variant):
     x2, ys2, y1, xs1 = _abs_powers(
         [block.X, block.Y.conj().mT, block.Y, block.X.conj().mT], exps)
     return x2 + ys2, y1 + xs1
-
-
-def _psd_symbols(space, a):
-    vals = rkhs.berezin_symbols(space, a).real
-    return np.clip(vals, 0.0, None)
 
 
 def _l21a(bucket, block, params):
@@ -488,8 +496,8 @@ def _c28(bucket, block, params):
 def _t29(bucket, block, params, *, tied=False):
     rps = _slice_rp(params, "T29/C210")
     op2, op1 = _t24_operands(block, *zip(*rps), "fg")
-    avals = _psd_symbols(block.space2, op2)
-    bvals = _psd_symbols(block.space1, op1)
+    avals = np.clip(rkhs.berezin_symbols(block.space2, op2).real, 0.0, None)
+    bvals = np.clip(rkhs.berezin_symbols(block.space1, op1).real, 0.0, None)
     eta = (np.sqrt(avals)[..., None, :] - np.sqrt(bvals)[..., :, None]) ** 2
     eta_inf = np.minimum.reduce(eta, axis=(-2, -1)).tolist()
     if tied:
@@ -679,27 +687,51 @@ def lookup(theorem_id, kind=None):
     return checker
 
 
-def _factory(theorem_id, run, digest):
-    """Certificate factory for one (convention, mode) run of a checker."""
-    conv, mode = run
-    return partial(make_certificate, theorem_id, convention=conv,
-                   mode=mode, digest=digest)
-
-
 def check_scalar(theorem_id, params, inputs):
     """Scalar / vector inequality checkers. Returns a list of Certificates."""
     checker = lookup(theorem_id, SCALAR)
-    cert = _factory(theorem_id, checker.runs[0], None)
-    return checker.evaluate(cert, params, inputs)
+    [(conv, mode)] = checker.runs
+    return checker.evaluate(partial(make_certificate, theorem_id, convention=conv, mode=mode),
+                            params, inputs)
+
+
+def _bucket(theorem_id, runs, params, arrays, spaces):
+    """(lone, arrays, params, bucket) of one operand set or a stack of them.
+
+    A stack of arrays (the first decides) takes one params dict per slice;
+    one lone operand set with one dict is a stack of one. The bucket holds,
+    per slice, one (convention, certificate factory) pair per run, sharing one
+    digest over the slice's arrays, the Gram matrices of its spaces and params.
+    """
+    lone = np.ndim(arrays[0]) == 2
+    _require(isinstance(params, dict) if lone
+             else [type(pr) for pr in params] == [dict] * len(arrays[0]),
+             f"{theorem_id} needs one params dict per slice")
+    if lone:
+        arrays, params = [np.asarray(a, dtype=np.complex128)[None] for a in arrays], [params]
+    grams = [s.gram if s.gram.ndim == 3 else [s.gram] * len(params) for s in spaces]
+
+    def factories(slice_params, *inputs):  # one certificate factory per run
+        digest = _bound_digest(*inputs, dict(slice_params))
+        return tuple((conv, partial(make_certificate, theorem_id, convention=conv, mode=mode,
+                                    digest=digest)) for conv, mode in runs)
+    return lone, arrays, params, [factories(*inputs) for inputs in zip(params, *arrays, *grams)]
 
 
 def check_single(theorem_id, space, t_mat, params, extras=None):
-    """Single-operator checkers on one kernel space. Returns Certificates."""
-    t_mat = space.check_operator(t_mat)
-    digest = _bound_digest(t_mat, space.gram, dict(params))
+    """Single-operator checkers on a kernel space. Returns Certificates.
+
+    Takes one operator T with one params dict, or a bucket: stacks of T and
+    of each extra operand, over a shared or stacked space, with one params
+    dict per slice, which gives one certificate list per slice.
+    """
     checker = lookup(theorem_id, SINGLE)
-    cert = _factory(theorem_id, checker.runs[0], digest)
-    return checker.evaluate(cert, space, t_mat, params, extras or {})
+    extras = extras or {}
+    lone, (t_mat, *rest), params, bucket = _bucket(
+        theorem_id, checker.runs, params, (space.check_operator(t_mat), *extras.values()), [space])
+    per_slice = checker.evaluate([cert for ((_, cert),) in bucket], space, t_mat, params,
+                                 dict(zip(extras, rest)))
+    return per_slice[0] if lone else per_slice
 
 
 def _check_shape(theorem_id, shape, block):
@@ -724,28 +756,12 @@ def check_block_runs(theorem_id, block, params, runs):
     one params dict, or a bucket: a stacked block with a sequence of one
     params dict per slice, which gives one certificate list per slice. The
     certificates of a block's runs share one input digest and the
-    convention-independent operands, and come back in ``runs`` order. A
-    lone block is evaluated as a stack of one.
+    convention-independent operands, and come back in ``runs`` order.
     """
     checker = lookup(theorem_id, BLOCK)
-    lone = block.X.ndim == 2
-    _require(isinstance(params, dict) if lone
-             else [type(pr) for pr in params] == [dict] * len(block.X),
-             f"{theorem_id} needs one params dict per block")
-    _check_shape(theorem_id, checker.shape, block)
-
-    def factories(slice_params, *arrays):
-        digest = _bound_digest(*arrays, dict(slice_params))
-        return tuple((run[0], _factory(theorem_id, run, digest)) for run in runs)
     spaces = (block.space1, block.space2)
-    if lone:  # a stack of one
-        block = blockops.BlockOperator(block.S[None], block.X[None], block.Y[None],
-                                       block.R[None], *spaces)
-        params = [params]
-    # every slice gets its own digest, over that slice's blocks, Grams and params;
-    # a space shared by every slice gives each slice its one Gram matrix
-    grams = [s.gram if s.gram.ndim == 3 else [s.gram] * len(params) for s in spaces]
-    bucket = [factories(*inputs)
-              for inputs in zip(params, block.S, block.X, block.Y, block.R, *grams)]
-    per_slice = checker.evaluate(bucket, block, params)
+    lone, arrays, params, bucket = _bucket(theorem_id, runs, params,
+                                           (block.S, block.X, block.Y, block.R), spaces)
+    _check_shape(theorem_id, checker.shape, block)
+    per_slice = checker.evaluate(bucket, blockops.BlockOperator(*arrays, *spaces), params)
     return per_slice[0] if lone else per_slice

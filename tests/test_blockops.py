@@ -234,6 +234,21 @@ def test_aluthge_offdiag_stack_matches_lone_calls():
                 assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
 
+def test_aluthge_general_stack_matches_lone_calls():
+    # a stack of T with one t per slice gives, slice for slice, the lone
+    # transform bit for bit
+    rng = np.random.default_rng(37)
+    for n in (1, 2, 4):
+        stack = cgauss(rng, (5, n, n))
+        stack[1] = 0.0  # a rank-deficient slice
+        stack[2, :, 0] = 0.0
+        t = [0.0, 0.25, 0.5, 0.75, 1.0]
+        stacked = blockops.aluthge_general(stack, t)
+        for k in range(5):
+            lone = blockops.aluthge_general(stack[k], t[k])
+            assert (stacked[k].shape, stacked[k].tobytes()) == (lone.shape, lone.tobytes())
+
+
 def test_aluthge_parameter_validation():
     eye = np.eye(2, dtype=complex)
     with pytest.raises(BadParams):
@@ -248,3 +263,5 @@ def test_aluthge_parameter_validation():
                  (stack, [[0.5, 0.5, 0.5]]), (stack[0], [0.5]), (stack[0], 1.5)):
         with pytest.raises(BadParams):
             blockops.aluthge_offdiag(x, x, t)
+        with pytest.raises(BadParams):
+            blockops.aluthge_general(x, t)

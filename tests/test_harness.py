@@ -212,6 +212,11 @@ EXPLORE_PINS_200 = {
     "C27": "9b4206335209e2bbe2b1dadc508f2ad03589efcd9630efcf0fbf893f6892ad88",
     "T31": "6a1f536dbb0b016463d2f4dafd03a12eb38051fc9b42cdfa50a93917719ce9d3",
     "T36": "281ce5d27bb05043c23657ced3976f855f4cac7de339addc167e21e3c0883fbd",
+    "L23": "6f1cfa020e2e563f5477aded89e7662daea2f7561328d615c47a23e66d5e9a20",
+    "L22a": "5dc17febed7e2fa87f11fffbb4bd220e03061d68e9621b8bbab86c479d32d974",
+    "T311_proof": "34f7f27e6b048ea52cb5138a735e4534f13b5240fa7039662bd9f7e3e535306e",
+    "R33": "78f7c9722dacb8c74643af439295ba6d8e7fe9636b1ec3e945a0f1b659dba806",
+    "BER_SUB": "41f28ec57c3803081abb27a950b169bce782cbf7eb392446cf1ce8fc5900078c",
 }
 
 
@@ -221,7 +226,7 @@ def test_explore_pinned_long_chunks(tid):
     assert hashlib.sha256(text.encode()).hexdigest() == EXPLORE_PINS_200[tid]
 
 
-STACKING_IDS = tuple(tid for tid, c in theorems.CHECKERS.items() if c.kind == theorems.BLOCK)
+STACKING_IDS = tuple(tid for tid in theorems.CHECKERS if tid not in theorems.SCALAR_IDS)
 
 
 def _stacks_seen(monkeypatch):
@@ -269,36 +274,54 @@ def test_bucket_matches_per_draw_byte_for_byte(tid, monkeypatch):
         assert bucketed == one_by_one
         assert all(out is not None for _, out in stacks)
         draws = [draw for draw, _ in stacks]
-        dims = [(d.spaces["space1"].dim, d.spaces["space2"].dim) for d in draws]
-        assert max(n1 for n1, _ in dims) == 16
-        # the square shapes draw n2 = n1; every other shape stacks some n1 != n2
-        square = theorems.CHECKERS[tid].shape in ("tied_square", "offdiag_square")
-        assert square != any(n1 != n2 for n1, n2 in dims)
-        grams = [d.spaces["space1"].gram for d in draws]
+        # a single draw has one space, a block draw space1 and space2
+        sizes = [tuple(sp.dim for sp in d.spaces.values()) for d in draws]
+        assert max(n[0] for n in sizes) == 16
+        # the square block shapes draw n2 = n1; every other block shape stacks
+        # some n1 != n2
+        if theorems.CHECKERS[tid].kind == theorems.BLOCK:
+            square = theorems.CHECKERS[tid].shape in ("tied_square", "offdiag_square")
+            assert square != any(n1 != n2 for n1, n2 in sizes)
+        grams = [next(iter(d.spaces.values())).gram for d in draws]
         if len(families) > 1:  # some stacked space mixes identity and other kernels
             assert any(g.ndim == 3 and len({np.array_equal(s, np.eye(len(s))) for s in g}) == 2
                        for g in grams)
         else:  # identity draws share one cached space per n, while their params differ
             assert all(g.ndim == 2 for g in grams)
-            # (a checker that samples no params draws {} every time)
-            assert (all(p == {} for d in draws for p in d.params)
+            # (a checker whose params are fixed, {} or L21c's grid, draws them every time)
+            assert (len({json.dumps(p) for d in draws for p in d.params}) == 1
                     or any(len({json.dumps(p) for p in d.params}) > 1 for d in draws))
+
+
+# where each checker kind's stacked path reaches theorems: the check function,
+# the drawn operand it stacks and where its arguments hold that stack
+STACKED_CALLS = {theorems.SINGLE: ("check_single", "T", lambda args: args[2]),
+                 theorems.BLOCK: ("check_block_runs", "X", lambda args: args[1].X)}
 
 
 def test_a_bad_draw_in_a_stack_is_one_anomaly(monkeypatch):
     # a stack holding a draw that raises gives None, and each of its draws is
-    # then evaluated alone: the bad one raises once and counts one anomaly
-    config = small_config(trials_per_checker=40, checker_filter=("L21b", "T24a", "T29"))
+    # then evaluated alone: the bad one raises once and counts one anomaly;
+    # for a block checker and for a single-operator one
+    for tid in ("T24a", "L23"):
+        with monkeypatch.context() as patched:
+            _assert_one_bad_draw_is_one_anomaly(tid, patched)
+
+
+def _assert_one_bad_draw_is_one_anomaly(tid, monkeypatch):
+    config = small_config(trials_per_checker=40, checker_filter=("L21b", tid, "T29"))
     want = harness.run_campaign(config).to_dict()["results"]
-    bad_seed = harness.derive_trial_seed(config.master_seed, "T24a", 7)
-    bad = harness.draw_trial("T24a", bad_seed, config).arrays["X"]
-    check_block_runs, evaluate_draw = theorems.check_block_runs, harness.evaluate_draw
+    name, operand, operand_of = STACKED_CALLS[theorems.CHECKERS[tid].kind]
+    bad_seed = harness.derive_trial_seed(config.master_seed, tid, 7)
+    bad = harness.draw_trial(tid, bad_seed, config).arrays[operand]
+    check, evaluate_draw = getattr(theorems, name), harness.evaluate_draw
     raised, stacked = [], []
 
-    def failing(theorem_id, block, *args):
-        if any(np.array_equal(x, bad) for x in block.X.reshape((-1,) + block.X.shape[-2:])):
+    def failing(*args):
+        ops = operand_of(args)
+        if any(np.array_equal(a, bad) for a in ops.reshape((-1,) + ops.shape[-2:])):
             raise IllConditioned("the chosen draw")
-        return check_block_runs(theorem_id, block, *args)
+        return check(*args)
 
     def counted(draw):  # like perfbench's anomaly counter
         if draw.stacked:
@@ -308,13 +331,13 @@ def test_a_bad_draw_in_a_stack_is_one_anomaly(monkeypatch):
         except BerlabError:
             raised.append(draw.trial_seed)
             raise
-    monkeypatch.setattr(theorems, "check_block_runs", failing)
+    monkeypatch.setattr(theorems, name, failing)
     monkeypatch.setattr(harness, "evaluate_draw", counted)
     got = harness.run_campaign(config).to_dict()["results"]
     assert bad_seed in stacked and raised == [bad_seed]
     assert [r["theorem_id"] for r in got] == [r["theorem_id"] for r in want]
     for row, before in zip(got, want):
-        if row["theorem_id"] == "T24a":
+        if row["theorem_id"] == tid:
             assert (row["anomalies"], row["trials"]) == (before["anomalies"] + 1,
                                                          before["trials"] - 1)
         else:
@@ -363,12 +386,21 @@ def test_default_campaign_stacks_never_fall_back(monkeypatch):
     stacks, batches = _stacks_seen(monkeypatch), _batches_seen(monkeypatch)
     rep = harness.run_campaign(harness.CampaignConfig(master_seed=42, trials_per_checker=5))
     assert sum(row["anomalies"] for row in rep.results) == 0
-    assert {draw.theorem_id for draw, _ in stacks} == set(STACKING_IDS)
     _assert_nothing_falls_back(stacks, batches)
     # one batch draws every checker's window
     [(slots, _, draws)] = batches
     assert {tid for tid, _ in slots} == set(harness.ALL_CHECKERS)
     assert all(draw.error is None for draw in draws)
+    # every operator checker whose window repeats an operand shape stacks; at
+    # seed 42 only T32's five draws all differ in shape
+    shapes = {}
+    for draw in draws:
+        if draw.theorem_id in STACKING_IDS:
+            shapes.setdefault(draw.theorem_id, []).append(
+                tuple(a.shape for a in draw.arrays.values()))
+    repeated = {tid for tid, seen in shapes.items() if len(set(seen)) < len(seen)}
+    assert {draw.theorem_id for draw, _ in stacks} == repeated
+    assert set(STACKING_IDS) - repeated == {"T32"}
 
 
 @pytest.mark.parametrize("name", ("campaign_large", "explore_t24a"))
@@ -447,32 +479,35 @@ def test_failed_draws_leave_no_reference_cycles():
         gc.enable()
 
 
-@pytest.mark.parametrize("tid", ("T24a", "C210", "L21b"))
+@pytest.mark.parametrize("tid", ("T24a", "C210", "L21b", "P39", "YOUNG2"))
 def test_explore_falls_back_when_the_stack_raises(tid, monkeypatch):
     # a stack that raises leaves each scanned draw, and each candidate the
-    # climb reaches, to a lone evaluate_draw: every bit stays the same
+    # climb reaches, to a lone evaluate_draw: every bit stays the same. A
+    # scalar checker never stacks
     want = report.dumps_json(harness.explore(small_config(), tid, 200).to_dict())
-    check_block_runs, evaluate_draw, bump = (
-        theorems.check_block_runs, harness.evaluate_draw, harness._bump)
+    evaluate_draw, bump = harness.evaluate_draw, harness._bump
     lone, built, stacks = [], [], []
 
-    def unstackable(theorem_id, block, *args):
-        if block.X.ndim > 2:
-            stacks.append(block.X.shape[0])
-            raise RuntimeError("no stacks")
-        return check_block_runs(theorem_id, block, *args)
+    def unstackable(check, operand_of):
+        def check_lone(*args):
+            if operand_of(args).ndim > 2:
+                stacks.append(operand_of(args).shape[0])
+                raise RuntimeError("no stacks")
+            return check(*args)
+        return check_lone
 
     def counted(draw):
         if not draw.stacked:
             lone.append(draw)
         return evaluate_draw(draw)
-    monkeypatch.setattr(theorems, "check_block_runs", unstackable)
+    for name, _, operand_of in STACKED_CALLS.values():
+        monkeypatch.setattr(theorems, name, unstackable(getattr(theorems, name), operand_of))
     monkeypatch.setattr(harness, "evaluate_draw", counted)
     monkeypatch.setattr(harness, "_bump", lambda *args: built.append(1) or bump(*args))
     harness.explore(small_config(), tid, 0)
     scan = len(lone)
     assert report.dumps_json(harness.explore(small_config(), tid, 200).to_dict()) == want
-    assert bool(stacks) == (theorems.CHECKERS[tid].kind == theorems.BLOCK)
+    assert bool(stacks) == (tid not in theorems.SCALAR_IDS)
     # each of the 200 rounds is reached once; the chunks dropped candidates
     # after acceptances, and none of those was evaluated
     assert len(lone) - 2 * scan == 200 < len(built)

@@ -234,10 +234,12 @@ def test_berezin_number_brute_force_oracle():
     for _ in range(50):
         sp = random_space(rng, int(rng.integers(1, 7)))
         a = cgauss(rng, (sp.dim, sp.dim))
-        got, j = rkhs.berezin_peak(sp, a)
+        got = rkhs.berezin_number(sp, a)
         want = gram_ratio_ber(sp, a)
         assert abs(got - want) <= 1e-10 * (1.0 + want)
-        assert abs(abs(rkhs.berezin_symbols(sp, a)[j]) - got) <= 1e-12 * (1.0 + got)
+        # the peak is the symbol of largest modulus
+        moduli = np.abs(rkhs.berezin_symbols(sp, a))
+        assert moduli[np.argmax(moduli)] == got
 
 
 def test_berezin_dimension_mismatch():
@@ -380,10 +382,33 @@ def test_berezin_symbols_of_a_stack_match_per_slice():
         # a stack's Berezin numbers are its slices', bit for bit
         assert rkhs.berezin_number(sp, stack) == [rkhs.berezin_number(sp, a)
                                                   for a in stack]
-        with pytest.raises(ValueError):
-            rkhs.berezin_peak(sp, stack)  # one operator only
 
 
 def test_rotations_grid_minimum():
     with pytest.raises(BadParams):
         rkhs.ber_via_rotations(rkhs.identity_space(1), np.eye(1), 3)
+
+
+def test_rotation_sweep_of_a_stack_matches_lone_calls():
+    # a stack with one grid per slice, over a stacked or a shared space,
+    # gives each slice's lone sweep bit for bit; unstack_space hands each
+    # slice its own space back
+    rng = np.random.default_rng(79)
+    grids = [4, 7, 720, 16]
+    for n in (1, 2, 4):
+        spaces = [space_of_dim(n), rkhs.identity_space(n)] + [random_space(rng, n)
+                                                              for _ in range(2)]
+        stack = cgauss(rng, (4, n, n))
+        stacked = rkhs.stack_spaces(spaces)
+        for space, own in ((stacked, spaces), (spaces[1], [spaces[1]] * 4)):
+            slices = rkhs.unstack_space(space, 4)
+            for mine, sp in zip(slices, own):
+                assert mine.points == sp.points
+                for a, b in ((sp.gram, mine.gram), (sp.normalized_chart(),
+                                                    mine.normalized_chart())):
+                    assert (b.strides, b.tobytes()) == (a.strides, a.tobytes())
+            assert rkhs.ber_via_rotations(space, stack, grids) == [
+                rkhs.ber_via_rotations(sp, a, g) for sp, a, g in zip(own, stack, grids)]
+        assert all(sp is spaces[1] for sp in rkhs.unstack_space(spaces[1], 4))
+        with pytest.raises(BadParams):
+            rkhs.ber_via_rotations(stacked, stack, [4, 3, 4, 4])

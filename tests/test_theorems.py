@@ -137,9 +137,10 @@ def test_t32_r33_counterexample_is_recorded_honestly():
 def test_t32_takes_one_polar_and_one_power_stack(monkeypatch):
     # T32 reads the Aluthge factors and its norm term's powers off one polar
     # decomposition and one eigh stack, with aluthge_general's bits; R33
-    # still goes through aluthge_general
+    # still goes through aluthge_general. A stack of K draws takes these
+    # calls once, not K times
     config = harness.CampaignConfig(master_seed=42, dims=((1, 1), (3, 3), (5, 5)))
-    calls = {}
+    calls = dict.fromkeys(("polar_decompose", "hermitian_eig", "aluthge_general"), 0)
 
     def count(module, name):
         inner = getattr(module, name)
@@ -155,8 +156,16 @@ def test_t32_takes_one_polar_and_one_power_stack(monkeypatch):
     expected = {"T32": {"polar_decompose": 1, "hermitian_eig": 1, "aluthge_general": 0},
                 "R33": {"polar_decompose": 1, "hermitian_eig": 1, "aluthge_general": 1}}
     for tid, want in expected.items():
-        for i in range(20):
-            draw = harness.draw_trial(tid, harness.derive_trial_seed(42, tid, i), config)
+        draws = [harness.draw_trial(tid, harness.derive_trial_seed(42, tid, i), config)
+                 for i in range(20)]
+        by_shape = {}
+        for draw in draws:
+            by_shape.setdefault(draw.arrays["T"].shape, []).append(draw)
+        for group in by_shape.values():
+            calls.update(dict.fromkeys(want, 0))
+            per_slice = harness.evaluate_draw(harness._stack_draws(group))
+            assert len(per_slice) == len(group) > 1 and calls == want, tid
+        for i, draw in enumerate(draws):
             calls.update(dict.fromkeys(want, 0))
             cert, = harness.evaluate_draw(draw)
             assert calls == want, (tid, i)
@@ -214,6 +223,24 @@ def test_ber_axiom_checkers():
                                 extras={"B": cgauss(rng, (3, 3))})[0]
     assert sub.holds
     assert theorems.check_single("BER_NORM", sp, t_mat, {})[0].holds
+
+
+def test_single_bucket_takes_one_params_dict_per_slice():
+    # a stack of operators over one space gives one certificate list per
+    # slice, each that of its operator alone; a lone operator takes one
+    # dict, a stack one dict per slice
+    rng = np.random.default_rng(19)
+    sp = rkhs.identity_space(3)
+    stack = cgauss(rng, (2, 3, 3))
+    params = [{"r": 1.0}, {"r": 2.0}]
+    per_slice = theorems.check_single("R310", sp, stack, params)
+    assert [[c.to_dict() for c in certs] for certs in per_slice] == [
+        [c.to_dict() for c in theorems.check_single("R310", sp, t, pr)]
+        for t, pr in zip(stack, params)]
+    for t_mat, bad in ((stack, params[:1]), (stack, params[0]), (stack[0], params),
+                       (stack, [params[0], {"r": 0.5}])):
+        with pytest.raises(BadParams):
+            theorems.check_single("R310", sp, t_mat, bad)
 
 
 def test_l22_l23_checkers():
