@@ -35,7 +35,7 @@ def main():
     print(f"\ntightest gating row: {result_label(tightest)} "
           f"with slack {tightest['min_slack']:+.3e}")
     print(f"replaying trial seed {wit['witness']['trial_seed']} ...")
-    draw = draw_trial(tightest["theorem_id"], wit["witness"]["trial_seed"], config)
+    [draw] = draw_trial((tightest["theorem_id"],), (wit["witness"]["trial_seed"],), config)
     certs = evaluate_draw(draw)
     again = [c for c in certs if c.convention == tightest["convention"]
              and c.params.get("link", 0) == tightest["link"]][0]

@@ -31,7 +31,7 @@ def main():
     print(f"  ber = {berezin_number(sp, a):.3f}  (max diagonal modulus)")
 
     print("\n== szego kernel on two disk points ==")
-    sp = build_space(KernelFamily("szego"), [0.0, 0.5])
+    [sp] = build_space(KernelFamily("szego"), [[0.0, 0.5]])
     print("  gram =")
     print(np.array_str(sp.gram.real, precision=4))
     a = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
@@ -41,7 +41,7 @@ def main():
     print("\n== gaussian kernel: correlated kernels shrink ber ==")
     fam = KernelFamily("gaussian", {"sigma": 1.0})
     for spread in (4.0, 1.0, 0.25):
-        sp = build_space(fam, [0.0, spread])
+        [sp] = build_space(fam, [[0.0, spread]])
         val = berezin_number(sp, a)
         print(f"  points (0, {spread:4.2f}): ber = {val:.4f} "
               f"(gram off-diagonal {sp.gram[0, 1].real:.3f})")

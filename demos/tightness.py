@@ -30,8 +30,8 @@ def main():
           f"(witness a={tuned.witness['a']:.6f}, b={tuned.witness['b']:.6f})")
 
     print("\n== a bound that is genuinely false on kernel models ==")
-    space = build_space(KernelFamily("gaussian", {"sigma": 1.0}),
-                        [-2.913518783488913, -0.6539410760925704])
+    [space] = build_space(KernelFamily("gaussian", {"sigma": 1.0}),
+                          [[-2.913518783488913, -0.6539410760925704]])
     t_mat = np.array([[0.0, -0.32 + 0.92j], [0.0, -0.171 + 0.146j]])
     for t in (0.0, 0.5, 1.0):
         cert = check_single("T32", space, t_mat, {"t": t})[0]

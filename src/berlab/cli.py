@@ -177,8 +177,8 @@ def cmd_case(args):
     if args.seed is None or args.seed < 0:
         raise ConfigInvalid("case needs --seed (the per-trial seed, >= 0)")
     config = build_config(args)
-    draw = harness.draw_trial(args.theorem, args.seed, config)
-    certs = harness.evaluate_draw(draw)
+    [draw] = harness.draw_trial((args.theorem,), (args.seed,), config)
+    certs = harness.evaluate_draw(draw)  # a failed draw raises its error here
     sys.stdout.write(reporting.dumps_json([c.to_dict() for c in certs]))
     return EXIT_OK
 

@@ -150,12 +150,6 @@ def _build_operators(kind, g, mask):
     raise BadParams(f"unknown operator kind {kind!r}")
 
 
-def _draw_operator(rng, kind, dim):
-    """One ensemble draw: its random part, then a build of one."""
-    op = _draw_gaussians(rng, kind, dim)
-    return _build_operators(kind, op.g[None], None if op.mask is None else op.mask[None])[0]
-
-
 def _draw_points(rng, family, n):
     """One random point set of a kernel space of a family other than identity."""
     if family.tag in ("szego", "bergman"):
@@ -165,36 +159,27 @@ def _draw_points(rng, family, n):
     return [float(x) for x in rng.normal(0.0, 2.0, n)]
 
 
-def draw_space(rng, family, n):
-    """Sample a kernel space; ill-conditioned point draws are retried.
+def draw_space(rngs, family, n):
+    """Sample one kernel space per generator; ill-conditioned point draws are retried.
 
-    ``rng`` may be a list of generators, one per trial: each attempt then
-    builds the point sets of every trial still drawing as one stack, and a
-    trial draws its retries from its own generator, as it does alone. The
-    result holds, per generator, its space or the IllConditioned that its
-    lone draw raises.
+    Each attempt builds the point sets of every generator still drawing as
+    one stack, and each draws its retries from its own generator. The
+    result holds, per generator, its space or an IllConditioned that quotes
+    its last attempt's error; it never raises one.
     """
-    rngs = rng if isinstance(rng, list) else [rng]
     if family.tag == "identity":
-        out = [rkhs.identity_space(n)] * len(rngs)
-    else:
-        out, todo = [None] * len(rngs), range(len(rngs))
-        for _ in range(SPACE_ATTEMPTS):
-            built = rkhs.build_space(family, [_draw_points(rngs[k], family, n) for k in todo],
-                                     stack=True)
-            for k, space in zip(todo, built):
-                out[k] = space
-            todo = [k for k in todo if isinstance(out[k], BerlabError)]
-            if not todo:
-                break
-        for k in todo:
-            out[k] = IllConditioned(
-                f"space draw failed after {SPACE_ATTEMPTS} attempts: {out[k]}")
-    if isinstance(rng, list):
-        return out
-    if isinstance(out[0], BerlabError):
-        raise out.pop()  # no local may hold it: its traceback holds this frame
-    return out[0]
+        return [rkhs.identity_space(n)] * len(rngs)
+    out, todo = [None] * len(rngs), range(len(rngs))
+    for _ in range(SPACE_ATTEMPTS):
+        built = rkhs.build_space(family, [_draw_points(rngs[k], family, n) for k in todo])
+        for k, space in zip(todo, built):
+            out[k] = space
+        todo = [k for k in todo if isinstance(out[k], BerlabError)]
+        if not todo:
+            break
+    for k in todo:
+        out[k] = IllConditioned(f"space draw failed after {SPACE_ATTEMPTS} attempts: {out[k]}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +200,8 @@ class TrialDraw:
     A stacked draw (``_stack_draws``) holds several draws of one operator
     checker as one: its arrays and spaces are stacks with one slice per
     draw, and ``trial_seed`` and ``params`` are tuples with one entry each.
-    A failed draw of a batch is empty and carries, as ``error``, the
-    BerlabError that its lone draw raises.
+    A failed draw is empty and carries, as ``error``, the BerlabError that
+    ruled it out; its ``evaluate_draw`` raises a copy.
     """
 
     theorem_id: str
@@ -296,14 +281,16 @@ def _plan(theorem_id, trial_seed, config):
     return params, arrays, scalars, spaces
 
 
-def _draw_batch(theorem_ids, trial_seeds, config):
-    """Per trial, its TrialDraw; a failed one carries the BerlabError its lone draw raises.
+def draw_trial(theorem_ids, trial_seeds, config):
+    """Deterministically draw the inputs of each (checker id, trial seed) slot.
 
-    Every plan runs until it asks for a space. The requests of one kernel
-    family (tag and params) and size go to one ``draw_space`` call, so they
-    share a stacked build per attempt; each plan then resumes on its own
-    generator. Last, the operators of one ensemble and size are built as
-    one stack.
+    The result holds one TrialDraw per slot and never raises: a failed slot
+    carries its BerlabError for ``evaluate_draw`` to raise. Every plan runs
+    until it asks for a space. The requests of one kernel family (tag and
+    params) and size go to one ``draw_space`` call, so they share a stacked
+    build per attempt; each plan then resumes on its own generator. Last,
+    the operators of one ensemble and size are built as one stack. Each
+    slot's RNG calls and bits are those of a batch of one.
     """
     plans = [_plan(tid, seed, config) for tid, seed in zip(theorem_ids, trial_seeds)]
     out = [None] * len(plans)
@@ -339,23 +326,6 @@ def _draw_batch(theorem_ids, trial_seeds, config):
             arrays[name] = np.ascontiguousarray(full[:op.rows, :op.cols])
     return [TrialDraw(tid, int(seed), *fields)
             for tid, seed, fields in zip(theorem_ids, trial_seeds, out)]
-
-
-def draw_trial(theorem_id, trial_seed, config):
-    """Deterministically draw the inputs of one trial from its seed.
-
-    Equal-length tuples of checker ids and seeds draw a batch: the result
-    holds one draw per slot, and never raises; a slot whose lone draw
-    raises carries that error for ``evaluate_draw`` to raise. The batch
-    makes each trial's RNG calls of a lone draw (``_plan``) and builds its
-    spaces and operators as stacks that keep each slice's bits.
-    """
-    if isinstance(trial_seed, tuple):
-        return _draw_batch(theorem_id, trial_seed, config)
-    [draw] = _draw_batch((theorem_id,), (trial_seed,), config)
-    if draw.error is not None:  # a copy: the stored one's traceback would hold draw
-        raise type(draw.error)(*draw.error.args)
-    return draw
 
 
 def _build_block(draw, shape):
@@ -566,14 +536,21 @@ def _draw_bump(draw, rng):
 
 
 def _bump(draw, bump, step):
-    """``draw`` with one coordinate moved by ``step * z``, in a copy."""
+    """``draw`` with one coordinate moved by ``step * z``, in a copy.
+
+    A psd draw's T stays Hermitian: a diagonal entry moves by the real part
+    of the step, and an off-diagonal one takes its mirror entry along.
+    """
     name, idx, z = bump
     arrays, scalars = dict(draw.arrays), dict(draw.scalars)
     if idx is None:
         scalars[name] = abs(scalars[name] + step * z)
     else:
         arr = arrays[name] = arrays[name].copy()
-        arr[idx] += step * z
+        hermitian = theorems.CHECKERS[draw.theorem_id].shape == "psd"
+        arr[idx] += step * (z.real if hermitian and idx[0] == idx[1] else z)
+        if hermitian and idx[0] != idx[1]:
+            arr[idx[::-1]] = arr[idx].conjugate()
     return TrialDraw(draw.theorem_id, draw.trial_seed, draw.params, arrays, scalars,
                      draw.spaces)
 

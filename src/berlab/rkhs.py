@@ -16,7 +16,6 @@ import numpy as np
 from . import numlin
 from .errors import (
     BadParams,
-    BerlabError,
     DimensionMismatch,
     DuplicatePoints,
     IllConditioned,
@@ -125,15 +124,15 @@ class KernelSpace:
         return a
 
 
-def build_space(family, points, stack=False):
-    """Construct a KernelSpace for a family over distinct sample points.
+def build_space(family, point_sets):
+    """The KernelSpaces of a family, one per sequence of distinct sample points.
 
-    With ``stack``, ``points`` holds several point sequences of one length,
-    built with one Gram stack, one eigh and one chart: the result holds, per
-    sequence, its space, or the BerlabError that building it alone raises.
-    Each space keeps the bits of its lone build.
+    The sequences share one length and are built with one Gram stack, one
+    eigh and one chart. The result holds, per sequence, its space or the
+    BerlabError that rules it out; it never raises one. Each space keeps the
+    bits of its build in a batch of one.
     """
-    sets = [tuple(p) for p in points] if stack else [tuple(points)]
+    sets = [tuple(p) for p in point_sets]
     out = [None] * len(sets)
     for k, pts in enumerate(sets):
         if len(pts) == 0:
@@ -161,11 +160,7 @@ def build_space(family, points, stack=False):
         for i, j in enumerate(good):
             out[todo[j]] = KernelSpace(points=sets[todo[j]], gram=gram[j], chart=chart[i],
                                        _khat=khat[i])
-    if stack:
-        return out
-    if isinstance(out[0], BerlabError):
-        raise out.pop()  # no local may hold it: its traceback holds this frame
-    return out[0]
+    return out
 
 
 def stack_spaces(spaces):
@@ -196,7 +191,7 @@ def unstack_space(space, count):
 @functools.lru_cache(maxsize=32)
 def identity_space(n):
     """Orthonormal-kernel space on n abstract indices, built once per n."""
-    return build_space(KernelFamily("identity"), range(n))
+    return build_space(KernelFamily("identity"), [range(n)])[0]
 
 
 def berezin_symbols(space, a):

@@ -73,7 +73,7 @@ def campaign():
 
 def random_space(rng, n):
     family = harness.DEFAULT_FAMILIES[int(rng.integers(3))]
-    return harness.draw_space(rng, family, n)
+    return harness.draw_space([rng], family, n)[0]
 
 
 # Bounds documented as false on finite kernel models (README, "A note on
@@ -119,7 +119,7 @@ def replay_gating_failures(config, row):
     for i in range(config.trials_per_checker):
         seed = harness.derive_trial_seed(config.master_seed, row["theorem_id"], i)
         try:
-            draw = harness.draw_trial(row["theorem_id"], seed, config)
+            [draw] = harness.draw_trial((row["theorem_id"],), (seed,), config)
             certs = harness.evaluate_draw(draw)
         except BerlabError:
             continue
@@ -196,20 +196,25 @@ def test_criterion_2_equality_witnesses():
 def test_criterion_3_decomposition_oracles():
     rng = np.random.default_rng(2024)
     worst_polar, worst_iso, worst_fg = 0.0, 0.0, 0.0
+    by_kind = {}  # one stacked build per ensemble and size, as a campaign builds them
     for i in range(1000):
         dim = 1 + i % 8
         kind = harness.OPERATOR_KINDS[i % len(harness.OPERATOR_KINDS)]
         seed = int(rng.integers(2**63))
-        t_mat = harness._draw_operator(np.random.default_rng(seed), kind, dim)
-        scale = 1.0 + numlin.operator_norm(t_mat)
-        u, mod = numlin.polar_decompose(t_mat)
-        worst_polar = max(worst_polar,
-                          numlin.operator_norm(u @ mod - t_mat) / scale)
-        worst_iso = max(worst_iso, numlin.operator_norm(u @ u.conj().T @ u - u))
-        ab = numlin.matrix_abs(t_mat)
-        for p in (0.25, 0.5, 0.75):
-            prod = numlin.matrix_power_psd(ab, p) @ numlin.matrix_power_psd(ab, 1.0 - p)
-            worst_fg = max(worst_fg, numlin.operator_norm(prod - ab) / scale)
+        op = harness._draw_gaussians(np.random.default_rng(seed), kind, dim)
+        by_kind.setdefault((kind, dim), []).append(op)
+    for (kind, _), ops in by_kind.items():
+        masks = np.stack([op.mask for op in ops]) if kind == "partial_isometry" else None
+        for t_mat in harness._build_operators(kind, np.stack([op.g for op in ops]), masks):
+            scale = 1.0 + numlin.operator_norm(t_mat)
+            u, mod = numlin.polar_decompose(t_mat)
+            worst_polar = max(worst_polar,
+                              numlin.operator_norm(u @ mod - t_mat) / scale)
+            worst_iso = max(worst_iso, numlin.operator_norm(u @ u.conj().T @ u - u))
+            ab = numlin.matrix_abs(t_mat)
+            for p in (0.25, 0.5, 0.75):
+                prod = numlin.matrix_power_psd(ab, p) @ numlin.matrix_power_psd(ab, 1.0 - p)
+                worst_fg = max(worst_fg, numlin.operator_norm(prod - ab) / scale)
     ok = worst_polar <= 1e-9 and worst_iso <= 1e-9 and worst_fg <= 1e-9
     announce(3, ok, f"worst defects: polar {worst_polar:.2e}, "
                     f"isometry {worst_iso:.2e}, f*g {worst_fg:.2e} over 1000 draws")
@@ -277,8 +282,8 @@ def test_criterion_7_determinism(campaign):
     checked = 0
     for res in rep.results:
         wit = res["witness"]
-        draw = harness.draw_trial(res["theorem_id"], wit["witness"]["trial_seed"],
-                                  config)
+        [draw] = harness.draw_trial((res["theorem_id"],), (wit["witness"]["trial_seed"],),
+                                    config)
         certs = harness.evaluate_draw(draw)
         match = [c for c in certs
                  if c.convention == res["convention"]

@@ -129,7 +129,8 @@ def test_ber_block_skips_zero_blocks_without_moving_bits():
                        ("T31", "offdiag_square"), ("T36", "full")):
         for index in range(25):
             seed = harness.derive_trial_seed(config.master_seed, tid, index)
-            block = harness._build_block(harness.draw_trial(tid, seed, config), shape)
+            [draw] = harness.draw_trial((tid,), (seed,), config)
+            block = harness._build_block(draw, shape)
             want = dense_peaks(block)
             assert blockops.ber_block(block, ("pair", "joint")) == want
             assert [blockops.ber_block(block, c) for c in ("pair", "joint")] == want

@@ -33,41 +33,47 @@ def small_config(**kw):
 # operator ensembles
 
 
-def draw_operator(kind, dim, seed):
-    return harness._draw_operator(np.random.default_rng(seed), kind, dim)
+def draw_operators(kind, dim, seeds):
+    """The ensemble draws of ``seeds`` as one stacked build, as a campaign builds them."""
+    ops = [harness._draw_gaussians(np.random.default_rng(seed), kind, dim) for seed in seeds]
+    masks = np.stack([op.mask for op in ops]) if kind == "partial_isometry" else None
+    return harness._build_operators(kind, np.stack([op.g for op in ops]), masks)
+
+
+def draw_one(theorem_id, trial_seed, config):
+    """The draw of one trial, from a batch of one."""
+    [draw] = harness.draw_trial((theorem_id,), (trial_seed,), config)
+    return draw
 
 
 def test_draw_operator_deterministic():
-    a = draw_operator("ginibre", 4, 99)
-    b = draw_operator("ginibre", 4, 99)
-    assert np.array_equal(a, b)
-    c = draw_operator("ginibre", 4, 100)
-    assert not np.array_equal(a, c)
+    a = draw_operators("ginibre", 4, (99, 100))
+    assert np.array_equal(a, draw_operators("ginibre", 4, (99, 100)))
+    assert not np.array_equal(a[0], a[1])
+    # each slice of a stacked build is its draw built alone, bit for bit
+    for kind in harness.OPERATOR_KINDS:
+        for seed, op in enumerate(draw_operators(kind, 4, range(8))):
+            assert op.tobytes() == draw_operators(kind, 4, (seed,))[0].tobytes(), kind
 
 
 def test_ensemble_contracts():
-    for seed in range(8):
-        psd = draw_operator("psd", 4, seed)
+    stacks = {kind: draw_operators(kind, 4, range(8)) for kind in harness.OPERATOR_KINDS}
+    for psd in stacks["psd"]:
         w = np.linalg.eigvalsh((psd + psd.conj().T) / 2.0)
         assert w.min() >= -1e-12 * max(1.0, w.max())
-
-        u = draw_operator("unitary", 4, seed)
+    for u in stacks["unitary"]:
         assert numlin.operator_norm(u.conj().T @ u - np.eye(4)) <= 1e-10
-
-        v = draw_operator("partial_isometry", 4, seed)
+    for v in stacks["partial_isometry"]:
         assert numlin.operator_norm(v @ v.conj().T @ v - v) <= 1e-9
-
-        k = draw_operator("contraction", 4, seed)
+    for k in stacks["contraction"]:
         assert numlin.operator_norm(k) <= 1.0 + 1e-12
-
-        n = draw_operator("nilpotent", 4, seed)
+    for n in stacks["nilpotent"]:
         assert np.count_nonzero(np.tril(n)) == 0
-
-        h = draw_operator("hermitian", 4, seed)
+    for h in stacks["hermitian"]:
         assert numlin.operator_norm(h - h.conj().T) <= 1e-14
 
     with pytest.raises(BadParams):
-        draw_operator("cauchy", 3, 0)
+        draw_operators("cauchy", 3, (0, 1))
 
 
 def test_trial_seed_derivation():
@@ -82,8 +88,8 @@ def test_trial_seed_derivation():
 def test_draw_trial_reproducible():
     config = small_config()
     seed = harness.derive_trial_seed(config.master_seed, "R26", 3)
-    d1 = harness.draw_trial("R26", seed, config)
-    d2 = harness.draw_trial("R26", seed, config)
+    d1 = draw_one("R26", seed, config)
+    d2 = draw_one("R26", seed, config)
     assert d1.params == d2.params
     for key in d1.arrays:
         assert np.array_equal(d1.arrays[key], d2.arrays[key])
@@ -145,7 +151,7 @@ def test_witness_reproduces_from_seed():
     rep = harness.run_campaign(config)
     res = rep.results[0]
     wit = res["witness"]
-    draw = harness.draw_trial("T24a", wit["witness"]["trial_seed"], config)
+    draw = draw_one("T24a", wit["witness"]["trial_seed"], config)
     certs = harness.evaluate_draw(draw)
     match = [c for c in certs if c.convention == res["convention"]]
     assert match and match[0].to_dict() == wit
@@ -175,6 +181,21 @@ def test_explore_finds_young2_equality():
     assert cert.slack <= 1e-6
 
 
+def test_explore_climbs_a_psd_draw():
+    # a bump keeps a psd draw's T Hermitian (the real part of the step on the
+    # diagonal, the mirrored conjugate off it), so the climb on L22a moves; a
+    # complex step on one entry made every candidate raise NotHermitian
+    config = small_config()
+    draw = draw_one("L22a", harness.derive_trial_seed(123, "L22a", 0), config)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        t_mat = harness._bump(draw, harness._draw_bump(draw, rng), 0.5).arrays["T"]
+        assert (numlin.operator_norm(t_mat - t_mat.conj().T)
+                <= numlin.HERM_TOL * numlin.operator_norm(t_mat))
+    start, end = harness.explore(config, "L22a", 0), harness.explore(config, "L22a", 200)
+    assert end.slack < start.slack
+
+
 # sha256 of the explore certificate, one checker per draw path; explore
 # perturbs a key chosen among the sorted draw keys, so these pin both the
 # RNG call order of draw_trial and the names of the drawn operands
@@ -184,7 +205,7 @@ EXPLORE_PINS = {
     "L23": "4eb48c65482e24b6ddcf8780327ec9850968e93591a7d9dff3f470c4a7e49213",
     "BER_SUB": "41f28ec57c3803081abb27a950b169bce782cbf7eb392446cf1ce8fc5900078c",
     "BER_HOM": "4cabbe0f4c3e2e9f730cbf949c489f0ef5a4e5b19bede214b6ab8d38ef54dfa8",
-    "L22b": "948ee72844d2cfa1787da087098ee2bccd591a5d95404b781643d508ef605b7a",
+    "L22b": "d93905c71580663de734a0a954b6e08753744c845f353cff1239300fd1bbb6ea",
     "L21a": "c44a794b88216388d7c11689760b5c69930f66117f4f01c9ba3271b33f71b5ad",
     "C27": "9b4206335209e2bbe2b1dadc508f2ad03589efcd9630efcf0fbf893f6892ad88",
     "T31": "df3932901f9ea955842d475ec1cd7706cfb6ef2c83f9895bce728273bd7c15c2",
@@ -213,7 +234,7 @@ EXPLORE_PINS_200 = {
     "T31": "6a1f536dbb0b016463d2f4dafd03a12eb38051fc9b42cdfa50a93917719ce9d3",
     "T36": "281ce5d27bb05043c23657ced3976f855f4cac7de339addc167e21e3c0883fbd",
     "L23": "6f1cfa020e2e563f5477aded89e7662daea2f7561328d615c47a23e66d5e9a20",
-    "L22a": "5dc17febed7e2fa87f11fffbb4bd220e03061d68e9621b8bbab86c479d32d974",
+    "L22a": "0785e81c4736791b88e610a759a0e4fece42b54ace5ff77742dbabe995b370c0",
     "T311_proof": "34f7f27e6b048ea52cb5138a735e4534f13b5240fa7039662bd9f7e3e535306e",
     "R33": "78f7c9722dacb8c74643af439295ba6d8e7fe9636b1ec3e945a0f1b659dba806",
     "BER_SUB": "41f28ec57c3803081abb27a950b169bce782cbf7eb392446cf1ce8fc5900078c",
@@ -247,8 +268,7 @@ def _per_draw_trials(config, tid):
     out = []
     for i in range(config.trials_per_checker):
         try:
-            draw = harness.draw_trial(tid, harness.derive_trial_seed(config.master_seed, tid, i),
-                                      config)
+            draw = draw_one(tid, harness.derive_trial_seed(config.master_seed, tid, i), config)
             out.append(report.dumps_json([c.to_dict() for c in harness.evaluate_draw(draw)]))
         except BerlabError:  # an ill-conditioned Gram draw
             out.append(None)
@@ -313,7 +333,7 @@ def _assert_one_bad_draw_is_one_anomaly(tid, monkeypatch):
     want = harness.run_campaign(config).to_dict()["results"]
     name, operand, operand_of = STACKED_CALLS[theorems.CHECKERS[tid].kind]
     bad_seed = harness.derive_trial_seed(config.master_seed, tid, 7)
-    bad = harness.draw_trial(tid, bad_seed, config).arrays[operand]
+    bad = draw_one(tid, bad_seed, config).arrays[operand]
     check, evaluate_draw = getattr(theorems, name), harness.evaluate_draw
     raised, stacked = [], []
 
@@ -356,10 +376,9 @@ def _batches_seen(monkeypatch):
     """Patch harness.draw_trial to record each batch as (slots, config, draws)."""
     seen, draw_trial = [], harness.draw_trial
 
-    def recorded(theorem_id, trial_seed, config):
-        out = draw_trial(theorem_id, trial_seed, config)
-        if isinstance(trial_seed, tuple):
-            seen.append((list(zip(theorem_id, trial_seed)), config, out))
+    def recorded(theorem_ids, trial_seeds, config):
+        out = draw_trial(theorem_ids, trial_seeds, config)
+        seen.append((list(zip(theorem_ids, trial_seeds)), config, out))
         return out
     monkeypatch.setattr(harness, "draw_trial", recorded)
     return seen
@@ -367,17 +386,16 @@ def _batches_seen(monkeypatch):
 
 def _assert_nothing_falls_back(stacks, batches):
     # no stack gives None and leaves its draws to be evaluated alone, and a
-    # draw batch fails a slot only where the lone draw raises the same error
+    # draw batch fails a slot only where a batch of one fails with the same error
     assert stacks and all(out is not None for _, out in stacks)
     assert batches
-    for slots, config, draws in batches:
+    for slots, config, draws in list(batches):  # draw_one's batches are recorded too
         assert len(draws) == len(slots)
         for (tid, seed), draw in zip(slots, draws):
             assert (draw.theorem_id, draw.trial_seed) == (tid, seed)
             if draw.error is not None:
-                with pytest.raises(type(draw.error)) as lone:
-                    harness.draw_trial(tid, seed, config)
-                assert lone.value.args == draw.error.args
+                alone = draw_one(tid, seed, config).error
+                assert (type(alone), alone.args) == (type(draw.error), draw.error.args)
 
 
 def test_default_campaign_stacks_never_fall_back(monkeypatch):
@@ -409,8 +427,8 @@ def test_benchmark_calls_never_fall_back(name, monkeypatch):
     # dims 8-16 retry often and use up SPACE_ATTEMPTS in some trials
     stacks, batches = _stacks_seen(monkeypatch), _batches_seen(monkeypatch)
     workloads.WORKLOADS[name].call(42)
-    _assert_nothing_falls_back(stacks, batches)
     failed = sum(draw.error is not None for *_, draws in batches for draw in draws)
+    _assert_nothing_falls_back(stacks, batches)
     assert (failed > 0) == (name == "campaign_large")
 
 
@@ -418,8 +436,8 @@ def test_benchmark_calls_never_fall_back(name, monkeypatch):
                          ids=("default_dims", "large_dims"))
 def test_batch_matches_lone_draws_for_every_checker(dims):
     # a batch of every checker's trials builds its spaces and operators as
-    # stacks; each slot is its lone draw, bit for bit and key for key, or,
-    # exactly where the lone draw raises, an empty draw that carries the
+    # stacks; each slot is its draw in a batch of one, bit for bit and key for
+    # key, or, exactly where that draw fails, an empty draw that carries the
     # same error, which its evaluate_draw raises as a fresh copy
     config = harness.CampaignConfig(master_seed=31, dims=dims)
     slots = [(tid, harness.derive_trial_seed(31, tid, i))
@@ -429,11 +447,12 @@ def test_batch_matches_lone_draws_for_every_checker(dims):
     failed = 0
     for (tid, seed), got in zip(slots, batch):
         assert (got.theorem_id, got.trial_seed) == (tid, seed)
-        try:
-            want = harness.draw_trial(tid, seed, config)
-        except BerlabError as exc:
+        want = draw_one(tid, seed, config)
+        if want.error is not None:
+            exc = want.error
             assert (type(got.error), got.error.args) == (type(exc), exc.args), (tid, seed)
-            assert (got.params, got.arrays, got.scalars, got.spaces) == ({}, {}, {}, {})
+            for draw in (got, want):
+                assert (draw.params, draw.arrays, draw.scalars, draw.spaces) == ({}, {}, {}, {})
             with pytest.raises(type(exc)) as raised:
                 harness.evaluate_draw(got)
             assert raised.value is not got.error and raised.value.args == exc.args
@@ -767,6 +786,23 @@ def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
     assert help_exit.value.code == 0
 
 
+def test_cli_case_raises_the_error_a_failed_draw_carries(capsys):
+    # campaign_large at seed 42 has trials whose space draw uses up
+    # SPACE_ATTEMPTS; berlab case on each such seed draws a batch of one, and
+    # its evaluate_draw raises the slot's carried error: one line, exit 2
+    w = workloads.WORKLOADS["campaign_large"]
+    slots = [(tid, harness.derive_trial_seed(42, tid, i))
+             for tid in w.checkers for i in range(w.trials)]
+    draws = harness.draw_trial(*zip(*slots), w.config(42))
+    failed = [draw for draw in draws if draw.error is not None]
+    assert failed and all(type(draw.error) is IllConditioned for draw in failed)
+    for draw in failed:
+        assert cli.main(["case", "--theorem", draw.theorem_id, "--seed", str(draw.trial_seed),
+                         "--dims", "8x8,12x10,16x12"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {draw.error}\n")
+        assert str(draw.error).startswith("space draw failed after 5 attempts: gram spectrum")
+
+
 def test_cli_failed_verify_keeps_the_previous_report(tmp_path, capsys, monkeypatch):
     out = tmp_path / "r.json"
     assert cli.main(["verify", "--theorems", "YOUNG2", "--trials", "2",
@@ -894,7 +930,7 @@ def test_block_draw_evaluates_shared_operands_once(monkeypatch):
     count(theorems, "digest_inputs")
     for tid, index, x_shape, expected in BLOCK_DRAW_CALLS:
         seed = harness.derive_trial_seed(config.master_seed, tid, index)
-        draw = harness.draw_trial(tid, seed, config)
+        draw = draw_one(tid, seed, config)
         assert draw.arrays["X"].shape == x_shape
         calls.update(dict.fromkeys(expected, 0))
         certs = harness.evaluate_draw(draw)
@@ -912,7 +948,7 @@ def test_drawn_operands_are_read_only():
     config = small_config()
     rng = np.random.default_rng(5)
     for tid, checker in theorems.CHECKERS.items():
-        draw = harness.draw_trial(tid, harness.derive_trial_seed(7, tid, 0), config)
+        draw = draw_one(tid, harness.derive_trial_seed(7, tid, 0), config)
         bumped = [harness._bump(draw, harness._draw_bump(draw, rng), 0.5)
                   for _ in range(6)]
         for d in [draw] + bumped:
@@ -927,7 +963,7 @@ def test_drawn_operands_are_read_only():
     assert not built.arrays["X"].flags.writeable
     # a bump leaves the operand it copied from as it was
     tid = "T24a"
-    draw = harness.draw_trial(tid, harness.derive_trial_seed(7, tid, 0), config)
+    draw = draw_one(tid, harness.derive_trial_seed(7, tid, 0), config)
     before = {k: v.copy() for k, v in draw.arrays.items()}
     for _ in range(20):
         harness._bump(draw, harness._draw_bump(draw, rng), 0.5)
@@ -938,7 +974,7 @@ def test_lazy_digests_equal_eager_ones(monkeypatch):
     # every certificate of 5 draws per checker, serialized after all of them
     # were evaluated, carries the digest an eager hash of its inputs gives
     config = small_config()
-    draws = [harness.draw_trial(tid, harness.derive_trial_seed(11, tid, i), config)
+    draws = [draw_one(tid, harness.derive_trial_seed(11, tid, i), config)
              for tid in theorems.CHECKERS for i in range(5)]
     lazy = [harness.evaluate_draw(d) for d in draws]
 

@@ -1,8 +1,8 @@
 """Property tests for the laws the checkers rely on.
 
 Each law is checked on operators from the campaign's own ensembles
-(``harness._draw_operator``), drawn by hypothesis with a fixed
-derandomized search so the suite stays reproducible.
+(``harness._draw_gaussians``, then ``harness._build_operators``), drawn by
+hypothesis with a fixed derandomized search so the suite stays reproducible.
 """
 
 import numpy as np
@@ -22,7 +22,9 @@ families = st.sampled_from(harness.DEFAULT_FAMILIES)
 
 
 def operator(kind, n, seed):
-    return harness._draw_operator(np.random.default_rng(seed), kind, n)
+    op = harness._draw_gaussians(np.random.default_rng(seed), kind, n)
+    mask = None if op.mask is None else op.mask[None]
+    return harness._build_operators(kind, op.g[None], mask)[0]
 
 
 def modulus(kind, n, seed):
@@ -55,10 +57,9 @@ def test_support_power_zero_is_the_range_projection(kind, n, seed):
 
 
 def draw_space(family, n, seed):
-    try:
-        return harness.draw_space(np.random.default_rng(seed), family, n)
-    except IllConditioned:
-        assume(False)
+    [space] = harness.draw_space([np.random.default_rng(seed)], family, n)
+    assume(not isinstance(space, IllConditioned))
+    return space
 
 
 @PROPERTY_SETTINGS

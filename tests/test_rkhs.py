@@ -6,6 +6,7 @@ symbol modulus is checked at a finite grid.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,10 +31,10 @@ def random_space(rng, n):
         return rkhs.identity_space(n)
     if tag == "szego":
         pts = 0.8 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
-        return rkhs.build_space(rkhs.KernelFamily("szego"), [complex(z) for z in pts])
+        return rkhs.build_space(rkhs.KernelFamily("szego"), [[complex(z) for z in pts]])[0]
     pts = rng.normal(0.0, 2.0, n)
     return rkhs.build_space(rkhs.KernelFamily("gaussian", {"sigma": 1.0}),
-                            [float(x) for x in pts])
+                            [[float(x) for x in pts]])[0]
 
 
 def gram_ratio_ber(space, a):
@@ -61,12 +62,12 @@ def test_identity_space():
 
 
 def test_szego_gram_by_hand():
-    sp = rkhs.build_space(rkhs.KernelFamily("szego"), [0.0, 0.5])
+    [sp] = rkhs.build_space(rkhs.KernelFamily("szego"), [[0.0, 0.5]])
     assert np.allclose(sp.gram, [[1.0, 1.0], [1.0, 4.0 / 3.0]])
 
 
 def test_szego_single_point():
-    sp = rkhs.build_space(rkhs.KernelFamily("szego"), [0.0])
+    [sp] = rkhs.build_space(rkhs.KernelFamily("szego"), [[0.0]])
     assert np.allclose(sp.gram, [[1.0]])
 
 
@@ -140,7 +141,7 @@ def test_gram_matches_per_pair_formula_bit_for_bit():
 
 def test_stacked_build_matches_lone_builds_bit_for_bit():
     # one Gram stack, one eigh and one chart for many point sets: each slot
-    # is its lone build's space, or the error class its lone build raises
+    # is its space in a batch of one, or the same error
     rng = np.random.default_rng(79)
     fams = (rkhs.KernelFamily("szego"), rkhs.KernelFamily("bergman"),
             rkhs.KernelFamily("gaussian", {"sigma": 1.0}))
@@ -161,13 +162,12 @@ def test_stacked_build_matches_lone_builds_bit_for_bit():
             if family.tag != "gaussian":
                 sets[3][0] = 1.5
                 bad[3] = BadParams
-            got = rkhs.build_space(family, sets, stack=True)
+            got = rkhs.build_space(family, sets)
             assert len(got) == len(sets)
             for points, space in zip(sets, got):
-                try:
-                    want = rkhs.build_space(family, points)
-                except BerlabError as exc:
-                    assert type(space) is type(exc) and str(space) == str(exc)
+                [want] = rkhs.build_space(family, [points])
+                if isinstance(want, BerlabError):
+                    assert type(space) is type(want) and str(space) == str(want)
                     continue
                 assert space.points == want.points
                 for a, b in ((space.gram, want.gram), (space.chart, want.chart),
@@ -178,15 +178,16 @@ def test_stacked_build_matches_lone_builds_bit_for_bit():
 
 
 def test_build_space_errors():
+    # a bad point set is a slot holding its error, never a raise
     fam = rkhs.KernelFamily("szego")
-    with pytest.raises(DuplicatePoints):
-        rkhs.build_space(fam, [0.1, 0.1])
-    with pytest.raises(BadParams):
-        rkhs.build_space(fam, [0.5, 1.2])
-    with pytest.raises(IllConditioned):
-        rkhs.build_space(fam, [0.5, 0.5 + 1e-14])
-    with pytest.raises(BadParams):
-        rkhs.build_space(fam, [])
+    got = rkhs.build_space(fam, [[0.1, 0.1], [0.5, 1.2], [0.5, 0.5 + 1e-14], [0.0, 0.5]])
+    assert [type(slot) for slot in got] == [DuplicatePoints, BadParams, IllConditioned,
+                                            rkhs.KernelSpace]
+    assert str(got[0]) == "sample points must be pairwise distinct"
+    assert str(got[1]) == "szego points must satisfy |p| < 1"
+    assert re.fullmatch(r"gram spectrum \[\S+, \S+\] below cond floor", str(got[2]))
+    [empty] = rkhs.build_space(fam, [[]])
+    assert type(empty) is BadParams and str(empty) == "need at least one sample point"
     with pytest.raises(BadParams):
         rkhs.KernelFamily("gaussian", {"sigma": 0.0})
     with pytest.raises(BadParams):
@@ -351,8 +352,8 @@ def space_of_dim(n):
         return rkhs.identity_space(n)
     if n % 3 == 1:
         pts = [0.7 * np.exp(2j * np.pi * j / n) if j else 0.0 for j in range(n)]
-        return rkhs.build_space(rkhs.KernelFamily("szego"), pts)
-    return rkhs.build_space(rkhs.KernelFamily("gaussian"), [1.5 * j for j in range(n)])
+        return rkhs.build_space(rkhs.KernelFamily("szego"), [pts])[0]
+    return rkhs.build_space(rkhs.KernelFamily("gaussian"), [[1.5 * j for j in range(n)]])[0]
 
 
 def test_rotation_sweep_matches_per_angle_loop_bit_for_bit():

@@ -125,7 +125,7 @@ def test_t32_r33_counterexample_is_recorded_honestly():
     and a kernel well aligned with v, the left side exceeds the right for
     every t. The checkers must report the violation, not mask it."""
     fam = rkhs.KernelFamily("gaussian", {"sigma": 1.0})
-    sp = rkhs.build_space(fam, [-2.913518783488913, -0.6539410760925704])
+    [sp] = rkhs.build_space(fam, [[-2.913518783488913, -0.6539410760925704]])
     t_mat = np.array([[0.0, -0.32 + 0.92j], [0.0, -0.171 + 0.146j]])
     for tid, params in (("T32", {"t": 0.5}), ("T32", {"t": 1.0}), ("R33", {})):
         cert = theorems.check_single(tid, sp, t_mat, params)[0]
@@ -156,8 +156,9 @@ def test_t32_takes_one_polar_and_one_power_stack(monkeypatch):
     expected = {"T32": {"polar_decompose": 1, "hermitian_eig": 1, "aluthge_general": 0},
                 "R33": {"polar_decompose": 1, "hermitian_eig": 1, "aluthge_general": 1}}
     for tid, want in expected.items():
-        draws = [harness.draw_trial(tid, harness.derive_trial_seed(42, tid, i), config)
-                 for i in range(20)]
+        draws = harness.draw_trial((tid,) * 20,
+                                   [harness.derive_trial_seed(42, tid, i) for i in range(20)],
+                                   config)
         by_shape = {}
         for draw in draws:
             by_shape.setdefault(draw.arrays["T"].shape, []).append(draw)
@@ -367,8 +368,8 @@ def test_t37_is_t36_of_the_swapped_block():
     for _ in range(20):
         n1, n2 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         family = harness.DEFAULT_FAMILIES[int(rng.integers(3))]
-        sp1 = harness.draw_space(rng, family, n1)
-        sp2 = harness.draw_space(rng, family, n2)
+        [sp1] = harness.draw_space([rng], family, n1)
+        [sp2] = harness.draw_space([rng], family, n2)
         s, x = cgauss(rng, (n1, n1)), cgauss(rng, (n1, n2))
         y, r = cgauss(rng, (n2, n1)), cgauss(rng, (n2, n2))
         params = {"alpha": float(rng.choice([0.0, 0.25, 0.5, 1.0]))}
@@ -399,7 +400,7 @@ def test_block_shape_preconditions(tid):
     checker = theorems.CHECKERS[tid]
     shape = checker.shape
     config = harness.CampaignConfig(master_seed=47, dims=((2, 3),))
-    draw = harness.draw_trial(tid, harness.derive_trial_seed(47, tid, 0), config)
+    [draw] = harness.draw_trial((tid,), (harness.derive_trial_seed(47, tid, 0),), config)
     block = harness._build_block(draw, shape)
     run = checker.runs[:1]
     assert theorems.check_block_runs(tid, block, draw.params, run)
@@ -450,7 +451,7 @@ def test_block_runs_match_per_run_check_block(tid):
                                     dims=((1, 1), (2, 2), (3, 2), (4, 3)))
     for i in range(config.trials_per_checker):
         seed = harness.derive_trial_seed(config.master_seed, tid, i)
-        draw = harness.draw_trial(tid, seed, config)
+        [draw] = harness.draw_trial((tid,), (seed,), config)
         at_once = [c.to_dict() for c in harness.evaluate_draw(draw)]
         for cert in at_once:
             assert cert["witness"].pop("trial_seed") == seed
@@ -471,8 +472,8 @@ def test_block_runs_read_each_convention_off_ber_block():
         n2 = n1 if i % 2 == 0 else n1 % 4 + 1
         family = harness.DEFAULT_FAMILIES[int(rng.integers(3))]
         blk = blockops.offdiag_block(cgauss(rng, (n1, n2)), cgauss(rng, (n2, n1)),
-                                     space1=harness.draw_space(rng, family, n1),
-                                     space2=harness.draw_space(rng, family, n2))
+                                     space1=harness.draw_space([rng], family, n1)[0],
+                                     space2=harness.draw_space([rng], family, n2)[0])
         for runs in orders:
             certs = theorems.check_block_runs("L21b", blk, {}, runs)
             assert [c.convention for c in certs] == [conv for conv, _ in runs]
