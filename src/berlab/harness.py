@@ -53,12 +53,18 @@ class CampaignConfig:
     format: str = "json"
 
     def validate(self):
+        integer = lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+        if not (integer(self.master_seed) and integer(self.trials_per_checker)):
+            raise ConfigInvalid("master_seed and trials_per_checker must be integers")
         if self.trials_per_checker < 1:
             raise ConfigInvalid("trials_per_checker must be >= 1")
-        if not self.dims or any(n1 < 1 or n2 < 1 for n1, n2 in self.dims):
-            raise ConfigInvalid("dims entries must be >= 1")
+        if not self.dims or any(np.shape(d) != (2,) or not all(integer(n) and n >= 1 for n in d)
+                                for d in self.dims):
+            raise ConfigInvalid("dims entries must be pairs of integers >= 1")
         if not self.kernel_families:
             raise ConfigInvalid("need at least one kernel family")
+        if isinstance(self.checker_filter, str):
+            raise ConfigInvalid("checker_filter must be a sequence of checker ids, not a string")
         for tid in self.checker_filter:
             if tid not in theorems.CHECKERS:
                 raise ConfigInvalid(f"unknown checker id {tid!r}")
@@ -72,8 +78,8 @@ class CampaignConfig:
 
     def echo(self):
         return {
-            "master_seed": self.master_seed,
-            "trials_per_checker": self.trials_per_checker,
+            "master_seed": int(self.master_seed),
+            "trials_per_checker": int(self.trials_per_checker),
             "dims": [f"{n1}x{n2}" for n1, n2 in self.dims],
             "kernel_families": [
                 {"tag": f.tag, "params": dict(f.params)} for f in self.kernel_families
@@ -185,21 +191,15 @@ def draw_space(rngs, family, n):
 # ---------------------------------------------------------------------------
 # per-checker trial drawing
 
-def _draw_scalar_pair(rng):
-    # occasional exact zeros exercise the boundary of each inequality
-    a = 0.0 if rng.random() < 0.1 else float(4.0 * rng.random())
-    b = 0.0 if rng.random() < 0.1 else float(4.0 * rng.random())
-    return a, b
-
-
 @dataclass
 class TrialDraw:
     """Concrete inputs of one checker trial; arrays are the free operands.
 
     The arrays are made read-only: certificates digest them when first read.
-    A stacked draw (``_stack_draws``) holds several draws of one operator
-    checker as one: its arrays and spaces are stacks with one slice per
-    draw, and ``trial_seed`` and ``params`` are tuples with one entry each.
+    A pair draw's a and b are 0-d float arrays. A stacked draw
+    (``_stack_draws``) holds several draws of one checker as one: its
+    arrays and spaces are stacks with one slice per draw, and
+    ``trial_seed`` and ``params`` are tuples with one entry each.
     A failed draw is empty and carries, as ``error``, the BerlabError that
     ruled it out; its ``evaluate_draw`` raises a copy.
     """
@@ -208,7 +208,6 @@ class TrialDraw:
     trial_seed: int
     params: dict
     arrays: dict
-    scalars: dict
     spaces: dict
     error: BerlabError = None
 
@@ -228,20 +227,20 @@ def _plan(theorem_id, trial_seed, config):
     the checker's ``theorems.Checker`` record name. This call order fixes
     every trial's inputs, so changing it changes every report. The plan
     yields each space it needs as ``(rng, family, n)`` and is sent the space,
-    or thrown its IllConditioned. It returns ``(params, arrays, scalars,
-    spaces)``, each operator still an ``_Operator`` to build.
+    or thrown its IllConditioned. It returns ``(params, arrays, spaces)``,
+    each operator still an ``_Operator`` to build.
     """
     checker = theorems.lookup(theorem_id)
     shape = checker.shape
     rng = np.random.default_rng(int(trial_seed))
     params = checker.sample(rng)
-    arrays, scalars, spaces = {}, {}, {}
+    arrays, spaces = {}, {}
 
-    if shape == "pair":
-        scalars = dict(zip("ab", _draw_scalar_pair(rng)))
+    if shape == "pair":  # occasional exact zeros exercise each inequality's boundary
+        arrays = {name: np.array(0.0 if rng.random() < 0.1 else 4.0 * rng.random())
+                  for name in "ab"}
     elif shape == "vectors":
-        n1, _ = _choice(rng, config.dims)
-        n = max(n1, 2)
+        n = max(_choice(rng, config.dims)[0], 2)
         arrays = {name: _complex_gaussian(rng, n) for name in "abe"}
     elif checker.kind == theorems.SINGLE:
         n1, _ = _choice(rng, config.dims)
@@ -278,7 +277,7 @@ def _plan(theorem_id, trial_seed, config):
             arrays["X"] = _draw_gaussians(rng, kind, max(n1, n2), n1, n2)
             arrays["Y"] = _draw_gaussians(rng, _choice(rng, OPERATOR_KINDS), max(n1, n2),
                                           n2, n1)
-    return params, arrays, scalars, spaces
+    return params, arrays, spaces
 
 
 def draw_trial(theorem_ids, trial_seeds, config):
@@ -304,7 +303,7 @@ def draw_trial(theorem_ids, trial_seeds, config):
             except StopIteration as done:
                 out[k] = done.value
             except BerlabError as exc:  # its traceback would hold this frame, and out
-                out[k] = {}, {}, {}, {}, exc.with_traceback(None)
+                out[k] = {}, {}, {}, exc.with_traceback(None)
         groups, replies = {}, {}
         for k, (_, family, n) in asks.items():
             key = (family.tag, repr(sorted(family.params.items())), n)  # params: a dict
@@ -354,7 +353,7 @@ def _stack_draws(draws):
     first = draws[0]
     return TrialDraw(
         first.theorem_id, tuple(d.trial_seed for d in draws), tuple(d.params for d in draws),
-        {name: np.stack([d.arrays[name] for d in draws]) for name in first.arrays}, {},
+        {name: np.stack([d.arrays[name] for d in draws]) for name in first.arrays},
         {name: rkhs.stack_spaces([d.spaces[name] for d in draws]) for name in first.spaces})
 
 
@@ -372,8 +371,7 @@ def evaluate_draw(draw):
     tid, seeds, checker = draw.theorem_id, draw.trial_seed, theorems.CHECKERS[draw.theorem_id]
     try:
         if checker.kind == theorems.SCALAR:  # a, b (and e) in the order they were drawn
-            certs = theorems.check_scalar(tid, draw.params,
-                                          tuple((draw.scalars or draw.arrays).values()))
+            certs = theorems.check_scalar(tid, draw.params, tuple(draw.arrays.values()))
         elif checker.kind == theorems.SINGLE:
             extras = dict(draw.arrays)
             certs = theorems.check_single(tid, draw.spaces["space"], extras.pop("T"),
@@ -417,17 +415,17 @@ class Report:
         return d
 
 
-def _evaluated(theorem_id, window):
+def _evaluated(window):
     """Each draw of one checker's window as (draw, certificates) or None, in order.
 
     A draw whose evaluation raises a BerlabError, a failed draw among them,
-    gives None. An operator checker's draws whose operands all have the
-    same shapes make one stacked draw; a failed draw, a shape drawn once
-    and every draw of a stack that raises are evaluated alone.
+    gives None. The draws whose operands all have the same shapes make one
+    stacked draw; a failed draw, a shape drawn once and every draw of a
+    stack that raises are evaluated alone.
     """
     by_shape, stacked = {}, {}
     for k, draw in enumerate(window):
-        if draw.error is None and theorem_id not in theorems.SCALAR_IDS:
+        if draw.error is None:
             by_shape.setdefault(tuple(a.shape for a in draw.arrays.values()), []).append(k)
     for ks in by_shape.values():
         if len(ks) > 1:
@@ -451,11 +449,10 @@ def _trials(config, theorem_ids):
     for start in range(0, total, STACK_CAP):
         slots = [(tid, derive_trial_seed(config.master_seed, tid, i))
                  for tid in theorem_ids for i in range(start, min(start + STACK_CAP, total))]
-        draws = draw_trial(tuple(tid for tid, _ in slots), tuple(seed for _, seed in slots),
-                           config)
+        draws = draw_trial(*zip(*slots), config)  # (checker ids), (trial seeds)
         size = len(slots) // len(theorem_ids)
         for j, tid in enumerate(theorem_ids):
-            yield from ((tid, trial) for trial in _evaluated(tid, draws[j * size:(j + 1) * size]))
+            yield from ((tid, trial) for trial in _evaluated(draws[j * size:(j + 1) * size]))
 
 
 def _new_row(theorem_id, convention, link, reading, mode):
@@ -522,37 +519,36 @@ def _worst_cert(certs):
 
 
 def _draw_bump(draw, rng):
-    """The random part of one climb round: (operand name, index or None, z).
+    """The random part of one climb round: (operand name, index, z).
 
     It reads only the names and shapes of the draw's operands, which a
     climb never changes, so a round's numbers do not depend on what earlier
-    rounds accepted.
+    rounds accepted. A 0-d operand, a pair's real a or b, takes a real z.
     """
-    name = _choice(rng, sorted(draw.arrays) + sorted(draw.scalars))
-    if name in draw.arrays:
-        idx = tuple(int(rng.integers(s)) for s in draw.arrays[name].shape)
-        return name, idx, complex(_complex_gaussian(rng, ()))
-    return name, None, rng.standard_normal()
+    name = _choice(rng, sorted(draw.arrays))
+    shape = draw.arrays[name].shape
+    if not shape:
+        return name, (), rng.standard_normal()
+    return name, tuple(int(rng.integers(s)) for s in shape), complex(_complex_gaussian(rng, ()))
 
 
 def _bump(draw, bump, step):
     """``draw`` with one coordinate moved by ``step * z``, in a copy.
 
     A psd draw's T stays Hermitian: a diagonal entry moves by the real part
-    of the step, and an off-diagonal one takes its mirror entry along.
+    of the step, and an off-diagonal one takes its mirror entry along. A
+    pair's a and b stay >= 0: a 0-d operand moves to ``abs(a + step * z)``.
     """
     name, idx, z = bump
-    arrays, scalars = dict(draw.arrays), dict(draw.scalars)
-    if idx is None:
-        scalars[name] = abs(scalars[name] + step * z)
-    else:
-        arr = arrays[name] = arrays[name].copy()
-        hermitian = theorems.CHECKERS[draw.theorem_id].shape == "psd"
-        arr[idx] += step * (z.real if hermitian and idx[0] == idx[1] else z)
-        if hermitian and idx[0] != idx[1]:
-            arr[idx[::-1]] = arr[idx].conjugate()
-    return TrialDraw(draw.theorem_id, draw.trial_seed, draw.params, arrays, scalars,
-                     draw.spaces)
+    arrays = dict(draw.arrays)
+    arr = arrays[name] = arrays[name].copy()
+    hermitian = theorems.CHECKERS[draw.theorem_id].shape == "psd"
+    arr[idx] += step * (z.real if hermitian and idx[0] == idx[1] else z)
+    if hermitian and idx[0] != idx[1]:
+        arr[idx[::-1]] = arr[idx].conjugate()
+    if not idx:
+        arr[()] = abs(arr)
+    return TrialDraw(draw.theorem_id, draw.trial_seed, draw.params, arrays, draw.spaces)
 
 
 def explore(config, theorem_id, budget):
@@ -567,8 +563,8 @@ def explore(config, theorem_id, budget):
     sequential climb's, bit for bit. A chunk holds ``SPECULATE_FROM``
     candidates after an acceptance and doubles, up to ``STACK_CAP``, after
     each all-reject chunk.
-    An operator checker evaluates a chunk as one stack; a scalar checker,
-    and a stack that raises, evaluates a candidate when the climb reaches it.
+    A chunk is evaluated as one stack; a stack that raises evaluates a
+    candidate when the climb reaches it.
     """
     config.validate()
     theorems.lookup(theorem_id)
@@ -601,8 +597,7 @@ def explore(config, theorem_id, budget):
                 candidates.append(_bump(current, bump, chunk_step))
                 chunk_step /= 2.0
             chunk = min(2 * chunk, STACK_CAP)  # bounds a stack's memory
-            stacked = (evaluate_draw(_stack_draws(candidates))
-                       if theorem_id not in theorems.SCALAR_IDS else None)
+            stacked = evaluate_draw(_stack_draws(candidates))
             for k, candidate in enumerate(candidates):
                 done += 1
                 try:

@@ -145,10 +145,20 @@ def _tightest(cert, pairs, **kw):
 
 
 # ---------------------------------------------------------------------------
-# scalar checkers: evaluate(cert, params, inputs)
+# Every checker evaluates a bucket: operand stacks with one slice per draw,
+# one params dict and certificate factories per slice. It returns one
+# certificate list per slice, with the bits of that draw evaluated alone.
+#
+# scalar checkers: evaluate(bucket, params, inputs), one stack per input
 
-def _young2(cert, params, inputs):
-    a, b = float(inputs[0]), float(inputs[1])
+def _per_slice(evaluate):
+    """Bucket evaluate of a per-slice ``evaluate(cert, params, *inputs)``; 0-d inputs as floats."""
+    return lambda bucket, params, inputs: [
+        evaluate(cert, pr, *(float(x) if np.ndim(x) == 0 else x for x in slice_inputs))
+        for cert, pr, *slice_inputs in zip(bucket, params, *inputs)]
+
+
+def _young2(cert, params, a, b):
     m = params["m"]
     _require(a >= 0 and b >= 0, "YOUNG2 needs a, b >= 0")
     _require(int(m) == m and m >= 1, "YOUNG2 needs positive integer m")
@@ -159,8 +169,7 @@ def _young2(cert, params, inputs):
                  digest=_bound_digest(a, b, m))]
 
 
-def _i37(cert, params, inputs):
-    a, b = float(inputs[0]), float(inputs[1])
+def _i37(cert, params, a, b):
     nu, r = float(params["nu"]), float(params["r"])
     _require(a >= 0 and b >= 0, "I37 needs a, b >= 0")
     _require(0.0 <= nu <= 1.0, "I37 needs nu in [0, 1]")
@@ -172,8 +181,7 @@ def _i37(cert, params, inputs):
                   witness={"a": a, "b": b}, digest=_bound_digest(a, b, nu, r))
 
 
-def _i38(cert, params, inputs):
-    a, b = float(inputs[0]), float(inputs[1])
+def _i38(cert, params, a, b):
     p, q, r = float(params["p"]), float(params["q"]), float(params["r"])
     _require(a >= 0 and b >= 0, "I38 needs a, b >= 0")
     _conjugate_pair(p, q)
@@ -184,16 +192,12 @@ def _i38(cert, params, inputs):
                   witness={"a": a, "b": b}, digest=_bound_digest(a, b, p, q, r))
 
 
-def _s310(cert, params, inputs):
-    a = np.asarray(inputs[0], dtype=np.complex128)
-    b = np.asarray(inputs[1], dtype=np.complex128)
-    e = np.asarray(inputs[2], dtype=np.complex128)
+def _s310(cert, params, a, b, e):
+    a, b, e = (np.asarray(v, dtype=np.complex128) for v in (a, b, e))
     norm_e = np.linalg.norm(e)
     _require(norm_e > 0, "S310 needs a nonzero unit vector e")
     e = e / norm_e
-    ab = _inner(a, b)
-    ae = _inner(a, e)
-    eb = _inner(e, b)
+    ab, ae, eb = _inner(a, b), _inner(a, e), _inner(e, b)
     lhs = abs(ab - ae * eb) + abs(ae * eb)
     rhs = float(np.linalg.norm(a) * np.linalg.norm(b))
     return [cert(lhs, rhs, params={}, witness={"dim": int(a.shape[0])},
@@ -201,12 +205,9 @@ def _s310(cert, params, inputs):
 
 
 # ---------------------------------------------------------------------------
-# operator checkers evaluate a bucket: operand stacks with one slice per draw
-# over shared or stacked spaces, one params dict and certificate factories
-# per slice. They return one certificate list per slice, with the bits of
-# that draw evaluated alone: exponents and scalars stay Python floats per
-# slice, and where a stacked numpy spelling rounds differently the checker
-# loops over the slices. A lone draw comes as a stack of one.
+# operator checkers' stacks are over shared or stacked spaces. Exponents and
+# scalars stay Python floats per slice; where a stacked numpy spelling
+# rounds differently the checker loops over the slices.
 #
 # single-operator checkers: evaluate(bucket, space, T, params, extras), with
 # one stack per extra operand and one certificate factory per slice
@@ -598,7 +599,7 @@ def _sample_t311(rng):
 class Checker:
     """How a campaign draws, runs and evaluates one checker.
 
-    ``shape`` names the operands ``harness.draw_trial`` draws: scalars
+    ``shape`` names the operands ``harness.draw_trial`` draws: 0-d arrays
     a, b ("pair"); vectors a, b, e ("vectors"); a space and an operator T
     from a random ensemble ("operator") or the psd one ("psd"); or a block
     ("diag", "offdiag", "tied_square", "offdiag_square", "full").
@@ -606,7 +607,7 @@ class Checker:
     operands drawn after T; a complex one becomes params name_re, name_im.
     ``sample(rng)`` draws the params from ``PARAM_GRID`` before any operand.
     ``runs`` holds the (convention, mode) of each evaluation of a draw.
-    ``evaluate`` has any variant keywords of its function already bound.
+    ``evaluate`` takes a bucket and has any variant keywords already bound.
     """
 
     shape: str
@@ -628,11 +629,11 @@ _PAIR_GATED = (("pair", GATING), ("joint", INFORMATIONAL))
 _JOINT_GATED = (("joint", GATING), ("pair", INFORMATIONAL))
 
 CHECKERS = {
-    "YOUNG2": Checker("pair", _young2,
+    "YOUNG2": Checker("pair", _per_slice(_young2),
                       lambda rng: {"m": int(choice(rng, PARAM_GRID["m"]))}),
-    "I37": Checker("pair", _i37, _grid("nu", "r")),
-    "I38": Checker("pair", _i38, _sample_i38),
-    "S310": Checker("vectors", _s310),
+    "I37": Checker("pair", _per_slice(_i37), _grid("nu", "r")),
+    "I38": Checker("pair", _per_slice(_i38), _sample_i38),
+    "S310": Checker("vectors", _per_slice(_s310)),
     "L21c": Checker("operator", _l21c,
                     lambda rng: {"theta_grid": PARAM_GRID["theta_grid"]}),
     "P39": Checker("operator", partial(_p39_r310, chain=False), _grid("r")),
@@ -676,6 +677,7 @@ CHECKERS = {
     "T37": Checker("full", partial(_t36, swap=True), _grid("alpha"), _JOINT),
 }
 
+# perfbench's campaign_large leaves these out: only its operator checkers scale with dims
 SCALAR_IDS = tuple(tid for tid, c in CHECKERS.items() if c.kind == SCALAR)
 
 
@@ -687,28 +689,20 @@ def lookup(theorem_id, kind=None):
     return checker
 
 
-def check_scalar(theorem_id, params, inputs):
-    """Scalar / vector inequality checkers. Returns a list of Certificates."""
-    checker = lookup(theorem_id, SCALAR)
-    [(conv, mode)] = checker.runs
-    return checker.evaluate(partial(make_certificate, theorem_id, convention=conv, mode=mode),
-                            params, inputs)
-
-
-def _bucket(theorem_id, runs, params, arrays, spaces):
+def _bucket(theorem_id, runs, params, arrays, spaces, ndim=2):
     """(lone, arrays, params, bucket) of one operand set or a stack of them.
 
-    A stack of arrays (the first decides) takes one params dict per slice;
-    one lone operand set with one dict is a stack of one. The bucket holds,
-    per slice, one (convention, certificate factory) pair per run, sharing one
-    digest over the slice's arrays, the Gram matrices of its spaces and params.
+    A stack (a first array of more than ``ndim`` axes) takes one params dict
+    per slice; a lone operand set with one dict is a stack of one. The bucket
+    holds, per slice, one (convention, certificate factory) pair per run,
+    sharing one digest over the slice's arrays, Gram matrices and params.
     """
-    lone = np.ndim(arrays[0]) == 2
+    lone = np.ndim(arrays[0]) == ndim
     _require(isinstance(params, dict) if lone
              else [type(pr) for pr in params] == [dict] * len(arrays[0]),
              f"{theorem_id} needs one params dict per slice")
     if lone:
-        arrays, params = [np.asarray(a, dtype=np.complex128)[None] for a in arrays], [params]
+        arrays, params = [np.asarray(a)[None] for a in arrays], [params]
     grams = [s.gram if s.gram.ndim == 3 else [s.gram] * len(params) for s in spaces]
 
     def factories(slice_params, *inputs):  # one certificate factory per run
@@ -716,6 +710,16 @@ def _bucket(theorem_id, runs, params, arrays, spaces):
         return tuple((conv, partial(make_certificate, theorem_id, convention=conv, mode=mode,
                                     digest=digest)) for conv, mode in runs)
     return lone, arrays, params, [factories(*inputs) for inputs in zip(params, *arrays, *grams)]
+
+
+def check_scalar(theorem_id, params, inputs):
+    """Scalar and vector checkers on floats a, b or vectors a, b, e. Returns Certificates;
+    a bucket, a stack of each with one params dict per slice, gives one list per slice."""
+    checker = lookup(theorem_id, SCALAR)
+    lone, inputs, params, bucket = _bucket(theorem_id, checker.runs, params, inputs, [],
+                                           ndim=1 if checker.shape == "vectors" else 0)
+    per_slice = checker.evaluate([cert for ((_, cert),) in bucket], params, inputs)
+    return per_slice[0] if lone else per_slice
 
 
 def check_single(theorem_id, space, t_mat, params, extras=None):

@@ -113,6 +113,38 @@ def test_config_validation():
         small_config(format="xml").validate()
 
 
+@pytest.mark.parametrize("field, value, valid", [
+    ("trials_per_checker", 2.5, False),
+    ("trials_per_checker", True, False),
+    ("trials_per_checker", "3", False),
+    ("master_seed", "x", False),
+    ("master_seed", 7.0, False),
+    ("master_seed", False, False),
+    ("dims", ((2.5, 2),), False),
+    ("dims", ((2, True),), False),
+    ("dims", ((2, 2, 2),), False),
+    ("dims", (2, 2), False),
+    ("checker_filter", "T24a", False),
+    ("trials_per_checker", np.int64(3), True),
+    ("master_seed", np.uint32(7), True),
+    ("dims", ((np.int64(2), np.int32(3)),), True),
+])
+def test_config_validation_checks_types(field, value, valid):
+    # a non-integer count, seed or dimension, a bool, and a checker filter
+    # that is a string (whose letters are not ids) are config errors, not a
+    # traceback from deep in a campaign; numpy integers are integers
+    config = small_config(**{"checker_filter": ("YOUNG2", "T24a"), field: value})
+    if not valid:  # the one-line error names the field
+        with pytest.raises(ConfigInvalid, match=field):
+            config.validate()
+        return
+    plain = small_config(checker_filter=("YOUNG2", "T24a"), **{field: (
+        tuple((int(n1), int(n2)) for n1, n2 in value) if field == "dims" else int(value))})
+    got, want = (harness.run_campaign(c).to_dict() for c in (config, plain))
+    got["wall_time_ms"] = want["wall_time_ms"] = 0
+    assert report.dumps_json(got) == report.dumps_json(want)
+
+
 def test_default_filter_covers_all_checkers():
     assert small_config().checkers() == harness.ALL_CHECKERS
     # campaign order: every trial seed and report row follows it
@@ -247,7 +279,7 @@ def test_explore_pinned_long_chunks(tid):
     assert hashlib.sha256(text.encode()).hexdigest() == EXPLORE_PINS_200[tid]
 
 
-STACKING_IDS = tuple(tid for tid in theorems.CHECKERS if tid not in theorems.SCALAR_IDS)
+STACKING_IDS = tuple(theorems.CHECKERS)
 
 
 def _stacks_seen(monkeypatch):
@@ -294,6 +326,12 @@ def test_bucket_matches_per_draw_byte_for_byte(tid, monkeypatch):
         assert bucketed == one_by_one
         assert all(out is not None for _, out in stacks)
         draws = [draw for draw, _ in stacks]
+        if theorems.CHECKERS[tid].kind == theorems.SCALAR:
+            # a pair's 0-d a and b stack every draw; vectors stack by length,
+            # up to the largest n1; each slice keeps its own params
+            assert max(d.arrays["a"].shape[1:] for d in draws) == ((16,) if tid == "S310" else ())
+            assert tid == "S310" or any(len({json.dumps(p) for p in d.params}) > 1 for d in draws)
+            continue
         # a single draw has one space, a block draw space1 and space2
         sizes = [tuple(sp.dim for sp in d.spaces.values()) for d in draws]
         assert max(n[0] for n in sizes) == 16
@@ -314,9 +352,13 @@ def test_bucket_matches_per_draw_byte_for_byte(tid, monkeypatch):
 
 
 # where each checker kind's stacked path reaches theorems: the check function,
-# the drawn operand it stacks and where its arguments hold that stack
-STACKED_CALLS = {theorems.SINGLE: ("check_single", "T", lambda args: args[2]),
-                 theorems.BLOCK: ("check_block_runs", "X", lambda args: args[1].X)}
+# the drawn operand it stacks, where its arguments hold that stack and where
+# they hold the params, one dict per slice of a stack or one lone dict
+STACKED_CALLS = {
+    theorems.SCALAR: ("check_scalar", "a", lambda args: args[2][0], lambda args: args[1]),
+    theorems.SINGLE: ("check_single", "T", lambda args: args[2], lambda args: args[3]),
+    theorems.BLOCK: ("check_block_runs", "X", lambda args: args[1].X, lambda args: args[2]),
+}
 
 
 def test_a_bad_draw_in_a_stack_is_one_anomaly(monkeypatch):
@@ -331,7 +373,7 @@ def test_a_bad_draw_in_a_stack_is_one_anomaly(monkeypatch):
 def _assert_one_bad_draw_is_one_anomaly(tid, monkeypatch):
     config = small_config(trials_per_checker=40, checker_filter=("L21b", tid, "T29"))
     want = harness.run_campaign(config).to_dict()["results"]
-    name, operand, operand_of = STACKED_CALLS[theorems.CHECKERS[tid].kind]
+    name, operand, operand_of, _ = STACKED_CALLS[theorems.CHECKERS[tid].kind]
     bad_seed = harness.derive_trial_seed(config.master_seed, tid, 7)
     bad = draw_one(tid, bad_seed, config).arrays[operand]
     check, evaluate_draw = getattr(theorems, name), harness.evaluate_draw
@@ -409,8 +451,8 @@ def test_default_campaign_stacks_never_fall_back(monkeypatch):
     [(slots, _, draws)] = batches
     assert {tid for tid, _ in slots} == set(harness.ALL_CHECKERS)
     assert all(draw.error is None for draw in draws)
-    # every operator checker whose window repeats an operand shape stacks; at
-    # seed 42 only T32's five draws all differ in shape
+    # every checker whose window repeats an operand shape stacks, the scalar
+    # ones too; at seed 42 only T32's five draws all differ in shape
     shapes = {}
     for draw in draws:
         if draw.theorem_id in STACKING_IDS:
@@ -452,7 +494,7 @@ def test_batch_matches_lone_draws_for_every_checker(dims):
             exc = want.error
             assert (type(got.error), got.error.args) == (type(exc), exc.args), (tid, seed)
             for draw in (got, want):
-                assert (draw.params, draw.arrays, draw.scalars, draw.spaces) == ({}, {}, {}, {})
+                assert (draw.params, draw.arrays, draw.spaces) == ({}, {}, {})
             with pytest.raises(type(exc)) as raised:
                 harness.evaluate_draw(got)
             assert raised.value is not got.error and raised.value.args == exc.args
@@ -460,7 +502,6 @@ def test_batch_matches_lone_draws_for_every_checker(dims):
             continue
         assert got.error is None
         assert list(got.params.items()) == list(want.params.items())
-        assert list(got.scalars.items()) == list(want.scalars.items())
         assert list(got.arrays) == list(want.arrays)
         for name, a in want.arrays.items():
             b = got.arrays[name]
@@ -502,15 +543,15 @@ def test_failed_draws_leave_no_reference_cycles():
 def test_explore_falls_back_when_the_stack_raises(tid, monkeypatch):
     # a stack that raises leaves each scanned draw, and each candidate the
     # climb reaches, to a lone evaluate_draw: every bit stays the same. A
-    # scalar checker never stacks
+    # scalar checker stacks too
     want = report.dumps_json(harness.explore(small_config(), tid, 200).to_dict())
     evaluate_draw, bump = harness.evaluate_draw, harness._bump
     lone, built, stacks = [], [], []
 
-    def unstackable(check, operand_of):
+    def unstackable(check, params_of):
         def check_lone(*args):
-            if operand_of(args).ndim > 2:
-                stacks.append(operand_of(args).shape[0])
+            if not isinstance(params_of(args), dict):
+                stacks.append(len(params_of(args)))
                 raise RuntimeError("no stacks")
             return check(*args)
         return check_lone
@@ -519,14 +560,14 @@ def test_explore_falls_back_when_the_stack_raises(tid, monkeypatch):
         if not draw.stacked:
             lone.append(draw)
         return evaluate_draw(draw)
-    for name, _, operand_of in STACKED_CALLS.values():
-        monkeypatch.setattr(theorems, name, unstackable(getattr(theorems, name), operand_of))
+    for name, _, _, params_of in STACKED_CALLS.values():
+        monkeypatch.setattr(theorems, name, unstackable(getattr(theorems, name), params_of))
     monkeypatch.setattr(harness, "evaluate_draw", counted)
     monkeypatch.setattr(harness, "_bump", lambda *args: built.append(1) or bump(*args))
     harness.explore(small_config(), tid, 0)
     scan = len(lone)
     assert report.dumps_json(harness.explore(small_config(), tid, 200).to_dict()) == want
-    assert bool(stacks) == (tid not in theorems.SCALAR_IDS)
+    assert stacks
     # each of the 200 rounds is reached once; the chunks dropped candidates
     # after acceptances, and none of those was evaluated
     assert len(lone) - 2 * scan == 200 < len(built)
@@ -947,19 +988,19 @@ def test_drawn_operands_are_read_only():
     # was evaluated on must not change under it
     config = small_config()
     rng = np.random.default_rng(5)
-    for tid, checker in theorems.CHECKERS.items():
+    for tid in theorems.CHECKERS:
         draw = draw_one(tid, harness.derive_trial_seed(7, tid, 0), config)
         bumped = [harness._bump(draw, harness._draw_bump(draw, rng), 0.5)
                   for _ in range(6)]
         for d in [draw] + bumped:
-            assert (d.arrays == {}) == (checker.shape == "pair"), tid
+            assert d.arrays, tid  # a pair's a and b are 0-d arrays
             for arr in d.arrays.values():
                 with pytest.raises(ValueError):
                     arr[(0,) * arr.ndim] = 1.0
                 with pytest.raises(ValueError):
                     arr += 1.0
     # the type freezes them, so a draw built by hand is read-only too
-    built = harness.TrialDraw("T24a", 0, {}, {"X": np.ones((2, 2), dtype=complex)}, {}, {})
+    built = harness.TrialDraw("T24a", 0, {}, {"X": np.ones((2, 2), dtype=complex)}, {})
     assert not built.arrays["X"].flags.writeable
     # a bump leaves the operand it copied from as it was
     tid = "T24a"

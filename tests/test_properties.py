@@ -5,6 +5,8 @@ Each law is checked on operators from the campaign's own ensembles
 hypothesis with a fixed derandomized search so the suite stays reproducible.
 """
 
+import math
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ dims = st.integers(min_value=1, max_value=6)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 exponents = st.floats(min_value=0.0, max_value=3.0)
 families = st.sampled_from(harness.DEFAULT_FAMILIES)
+block_shapes = st.sampled_from(("diag", "offdiag", "full"))
 
 
 def operator(kind, n, seed):
@@ -102,3 +105,37 @@ def test_aluthge_transform_keeps_the_spectrum(kind, n, seed, t):
         want = np.trace(np.linalg.matrix_power(a, k))
         got = np.trace(np.linalg.matrix_power(tilde, k))
         assert abs(got - want) <= 1e-9 * (1.0 + numlin.operator_norm(a) ** k)
+
+
+def random_block(shape, family, kind, n1, n2, seed):
+    """A block of ``shape`` over two drawn spaces; the blocks it leaves out are 0."""
+    space1, space2 = draw_space(family, n1, seed), draw_space(family, n2, seed + 1)
+    n = max(n1, n2)
+    s, r = operator(kind, n1, seed), operator(kind, n2, seed + 1)
+    x, y = operator(kind, n, seed + 2)[:n1, :n2], operator(kind, n, seed + 3)[:n2, :n1]
+    if shape == "diag":
+        x, y = np.zeros_like(x), np.zeros_like(y)
+    if shape == "offdiag":
+        s, r = np.zeros_like(s), np.zeros_like(r)
+    return blockops.BlockOperator(S=s, X=x, Y=y, R=r, space1=space1, space2=space2)
+
+
+@PROPERTY_SETTINGS
+@given(shape=block_shapes, family=families, kind=kinds, n1=dims, n2=dims, seed=seeds)
+def test_block_conventions_against_the_assembled_operator(shape, family, kind, n1, n2, seed):
+    # the joint convention is |<T u, u>| for the unit vector u = (k1 + k2)/sqrt(2)
+    # that puts the normalized kernels of a pair side by side, on the dense
+    # assembled T, maximized over the pairs; pair is twice joint at that pair
+    block = random_block(shape, family, kind, n1, n2, seed)
+    dense = blockops.assemble(block)
+    k1, k2 = block.space1.normalized_chart(), block.space2.normalized_chart()
+    values = np.empty((n1, n2))
+    for j1 in range(n1):
+        for j2 in range(n2):
+            u = np.concatenate([k1[:, j1], k2[:, j2]]) / math.sqrt(2.0)
+            values[j1, j2] = abs(np.vdot(u, dense @ u))
+    joint, (j1, j2) = blockops.ber_block(block, "joint")
+    tol = 1e-12 * (1.0 + abs(joint))
+    assert abs(joint - values[j1, j2]) <= tol
+    assert abs(joint - values.max()) <= tol
+    assert blockops.ber_block(block, "pair") == (2.0 * joint, (j1, j2))

@@ -83,6 +83,28 @@ def test_scalar_preconditions():
         theorems.check_scalar("I38", {"p": 3.0, "q": 2.0, "r": 1.0}, (1.0, 1.0))
 
 
+def test_scalar_bucket_takes_one_params_dict_per_slice():
+    # stacks of a and b, or of a, b and e, give one certificate list per
+    # slice, each that of its inputs alone, input digest included; a lone
+    # input set takes one dict, a stack one dict per slice
+    rng = np.random.default_rng(23)
+    a, b = 4.0 * rng.random(3), 4.0 * rng.random(3)
+    params = [{"m": 1}, {"m": 2}, {"m": 3}]
+    per_slice = theorems.check_scalar("YOUNG2", params, (a, b))
+    assert [[c.to_dict() for c in certs] for certs in per_slice] == [
+        [c.to_dict() for c in theorems.check_scalar("YOUNG2", pr, (float(x), float(y)))]
+        for x, y, pr in zip(a, b, params)]
+    vectors = cgauss(rng, (3, 2, 4))
+    per_slice = theorems.check_scalar("S310", [{}, {}], tuple(vectors))
+    assert [[c.to_dict() for c in certs] for certs in per_slice] == [
+        [c.to_dict() for c in theorems.check_scalar("S310", {}, tuple(vectors[:, k]))]
+        for k in range(2)]
+    for inputs, bad in (((a, b), params[:2]), ((a, b), params[0]), ((1.0, 1.0), params),
+                        ((a, b), [params[0], params[1], {"m": 0}])):
+        with pytest.raises(BadParams):
+            theorems.check_scalar("YOUNG2", bad, inputs)
+
+
 # ---------------------------------------------------------------------------
 # single-operator checkers
 
@@ -606,15 +628,14 @@ def tight_draw(tid):
     """The TIGHT_INPUTS entry of ``tid`` as a read-only trial draw."""
     checker = theorems.CHECKERS[tid]
     params, operands = TIGHT_INPUTS[tid]
-    scalars = operands if checker.shape == "pair" else {}
-    arrays = {} if scalars else {k: np.array(v) for k, v in operands.items()}
+    arrays = {k: np.array(v) for k, v in operands.items()}  # a pair's a, b are 0-d
     if checker.kind == theorems.SINGLE:
         spaces = {"space": rkhs.identity_space(2)}
     elif checker.kind == theorems.BLOCK:
         spaces = {"space1": rkhs.identity_space(1), "space2": rkhs.identity_space(1)}
     else:
         spaces = {}
-    return harness.TrialDraw(tid, 0, dict(params), arrays, dict(scalars), spaces)
+    return harness.TrialDraw(tid, 0, dict(params), arrays, spaces)
 
 
 def test_tight_inputs_cover_every_gating_checker():
@@ -633,3 +654,24 @@ def test_gating_bound_is_tight(tid):
     assert certs
     for cert in certs:
         assert cert.holds and cert.slack <= 0.005 * (1.0 + abs(cert.rhs)), cert
+
+
+def test_every_certificate_is_made_through_the_module_global(monkeypatch):
+    # tests/mutate_bounds.py loosens a bound by replacing
+    # theorems.make_certificate; a certificate made through a reference bound
+    # earlier would escape it, and the script would print UNCAUGHT, not fail
+    made, make = [], theorems.make_certificate
+
+    def recorded(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
+    monkeypatch.setattr(theorems, "make_certificate", recorded)
+    certs, seen = [], set()
+    for tid, trial in harness._trials(harness.CampaignConfig(trials_per_checker=2),
+                                      harness.ALL_CHECKERS):
+        assert trial is not None and trial[1]
+        certs += trial[1]
+        seen.add(tid)
+    assert seen == set(theorems.CHECKERS) and len(seen) == 36
+    made_ids = {id(cert) for cert in made}  # made keeps each alive: the ids are unique
+    assert all(id(cert) in made_ids for cert in certs)
