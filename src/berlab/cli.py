@@ -173,9 +173,10 @@ def cmd_explore(args):
 
 
 def cmd_case(args):
-    # here --seed is the per-trial seed recorded in a report witness
-    if args.seed is None or args.seed < 0:
-        raise ConfigInvalid("case needs --seed (the per-trial seed, >= 0)")
+    # here --seed is the per-trial seed recorded in a report witness;
+    # draw_trial rejects one outside [0, 2**64)
+    if args.seed is None:
+        raise ConfigInvalid("case needs --seed (the per-trial seed)")
     config = build_config(args)
     [draw] = harness.draw_trial((args.theorem,), (args.seed,), config)
     certs = harness.evaluate_draw(draw)  # a failed draw raises its error here

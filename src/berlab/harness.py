@@ -7,6 +7,7 @@ statistics into a deterministic Report.
 """
 
 import dataclasses
+import functools
 import hashlib
 import time
 from dataclasses import dataclass
@@ -61,8 +62,9 @@ class CampaignConfig:
         if not self.dims or any(np.shape(d) != (2,) or not all(integer(n) and n >= 1 for n in d)
                                 for d in self.dims):
             raise ConfigInvalid("dims entries must be pairs of integers >= 1")
-        if not self.kernel_families:
-            raise ConfigInvalid("need at least one kernel family")
+        if not (isinstance(self.kernel_families, (tuple, list)) and self.kernel_families and all(
+                isinstance(f, rkhs.KernelFamily) for f in self.kernel_families)):
+            raise ConfigInvalid("kernel_families must be a non-empty sequence of KernelFamily")
         if isinstance(self.checker_filter, str):
             raise ConfigInvalid("checker_filter must be a sequence of checker ids, not a string")
         for tid in self.checker_filter:
@@ -97,6 +99,59 @@ def derive_trial_seed(master_seed, theorem_id, index):
     """Stable 64-bit per-trial seed keyed by checker id and trial index."""
     text = f"{int(master_seed)}:{theorem_id}:{int(index)}".encode()
     return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "big")
+
+
+# numpy's SeedSequence hash constants, as columns: each hashmix multiplies its
+# constant by a fixed factor, whatever the data. Mix step src hashes pool word
+# src once per other word, in word order; its row src is a placeholder.
+_POOL_HASH, _STATE_HASH = (
+    np.array([init * pow(mult, k, 2**32) % 2**32 for k in range(steps + 1)], np.uint32)[:, None]
+    for init, mult, steps in ((0x43B0D7E5, 0x931E8875, 16), (0x8B51F9DD, 0x58F38DED, 8)))
+_MIX_STEPS = [(_POOL_HASH[i], _POOL_HASH[i + 1]) for i in
+              np.array([[4 + 3 * src + d - (d >= src) for d in range(4)] for src in range(4)])]
+# 0-d arrays: ufuncs take them faster than Python or numpy scalars
+_MIX_L, _MIX_R, _SHIFT = (np.array(v, dtype=np.uint32) for v in (0xCA01F9DD, 0x4973F715, 16))
+
+
+def _hashmix(v, const, mult):
+    v = (v ^ const) * mult
+    return v ^ (v >> _SHIFT)
+
+
+def _generators(seeds):
+    """``np.random.default_rng(seed)`` for each trial seed, seeded in one batch.
+
+    numpy's SeedSequence hash runs once over a (pool word x seed) array. A seed
+    below 2**32 zero-pads to the pool numpy builds from its one entropy word.
+    """
+    if not all(0 <= seed < 2**64 for seed in seeds):
+        raise BadParams("trial seeds must lie in [0, 2**64)")
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[:2] = np.array(seeds, dtype="<u8").view("<u4").reshape(-1, 2).T  # low word first
+    pool = _hashmix(pool, _POOL_HASH[:4], _POOL_HASH[1:5])
+    for src, (const, mult) in enumerate(_MIX_STEPS):
+        mixed = pool * _MIX_L - _hashmix(pool[src], const, mult) * _MIX_R
+        mixed ^= mixed >> _SHIFT
+        mixed[src] = pool[src]
+        pool = mixed
+    words = _hashmix(np.concatenate((pool, pool)), _STATE_HASH[:8], _STATE_HASH[1:9])
+    states = np.ascontiguousarray(words.T, "<u4").view("<u8").astype(np.uint64)
+    adapter = _state_words()
+    return [np.random.Generator(np.random.PCG64(adapter(row))) for row in states]
+
+
+@functools.cache
+def _state_words():
+    """The ISeedSequence that hands PCG64 a row of state words; numpy.random loads here."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for 4 uint64 words
+    return StateWords
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +275,8 @@ class TrialDraw:
         return isinstance(self.trial_seed, tuple)
 
 
-def _plan(theorem_id, trial_seed, config):
-    """The random part of one trial's draw, as a generator.
+def _plan(theorem_id, rng, config):
+    """The random part of one trial's draw from its seeded ``rng``, as a generator.
 
     The params come first, then the operands that the shape and extras of
     the checker's ``theorems.Checker`` record name. This call order fixes
@@ -232,7 +287,6 @@ def _plan(theorem_id, trial_seed, config):
     """
     checker = theorems.lookup(theorem_id)
     shape = checker.shape
-    rng = np.random.default_rng(int(trial_seed))
     params = checker.sample(rng)
     arrays, spaces = {}, {}
 
@@ -283,15 +337,17 @@ def _plan(theorem_id, trial_seed, config):
 def draw_trial(theorem_ids, trial_seeds, config):
     """Deterministically draw the inputs of each (checker id, trial seed) slot.
 
-    The result holds one TrialDraw per slot and never raises: a failed slot
-    carries its BerlabError for ``evaluate_draw`` to raise. Every plan runs
-    until it asks for a space. The requests of one kernel family (tag and
-    params) and size go to one ``draw_space`` call, so they share a stacked
-    build per attempt; each plan then resumes on its own generator. Last,
-    the operators of one ensemble and size are built as one stack. Each
-    slot's RNG calls and bits are those of a batch of one.
+    A trial seed outside [0, 2**64) raises BadParams. The result holds one
+    TrialDraw per slot and raises no drawn error: a failed slot carries its
+    BerlabError for ``evaluate_draw`` to raise. Every plan runs until it asks
+    for a space. The requests of one kernel family (tag and params) and size
+    go to one ``draw_space`` call, so they share a stacked build per
+    attempt; each plan then resumes on its own generator. Last, the
+    operators of one ensemble and size are built as one stack. Each slot's
+    RNG calls and bits are those of a batch of one.
     """
-    plans = [_plan(tid, seed, config) for tid, seed in zip(theorem_ids, trial_seeds)]
+    seeds = [int(seed) for seed in trial_seeds]
+    plans = [_plan(tid, rng, config) for tid, rng in zip(theorem_ids, _generators(seeds))]
     out = [None] * len(plans)
     replies = dict.fromkeys(range(len(plans)))  # plan index -> space to send
     while replies:
@@ -323,8 +379,7 @@ def draw_trial(theorem_ids, trial_seeds, config):
         built = _build_operators(kind, np.stack([op.g for op in ops]), masks)
         for (arrays, name), op, full in zip(slots, ops, built):
             arrays[name] = np.ascontiguousarray(full[:op.rows, :op.cols])
-    return [TrialDraw(tid, int(seed), *fields)
-            for tid, seed, fields in zip(theorem_ids, trial_seeds, out)]
+    return [TrialDraw(tid, seed, *fields) for tid, seed, fields in zip(theorem_ids, seeds, out)]
 
 
 def _build_block(draw, shape):
@@ -579,8 +634,7 @@ def explore(config, theorem_id, budget):
             best_draw, best_cert = trial[0], cert
     if best_draw is None:
         raise BadParams(f"no evaluable random witness for {theorem_id!r}")
-    rng = np.random.default_rng(derive_trial_seed(config.master_seed,
-                                                  theorem_id + "/explore", 0))
+    [rng] = _generators([derive_trial_seed(config.master_seed, theorem_id + "/explore", 0)])
     per_restart = max(1, budget // EXPLORE_RESTARTS)
     rounds_left = budget
     for _ in range(EXPLORE_RESTARTS):

@@ -3,6 +3,8 @@
 import gc
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,7 +16,7 @@ if str(PERFBENCH) not in sys.path:
     sys.path.insert(0, str(PERFBENCH))
 
 import workloads  # noqa: E402  (first: puts this checkout's src/ on sys.path)
-from berlab import blockops, cli, harness, numlin, report, theorems  # noqa: E402
+from berlab import blockops, cli, harness, numlin, report, rkhs, theorems  # noqa: E402
 from berlab.errors import BadParams, BerlabError, ConfigInvalid, IllConditioned  # noqa: E402
 
 
@@ -85,6 +87,26 @@ def test_trial_seed_derivation():
     assert 0 <= s1 < 2**64
 
 
+@pytest.mark.parametrize("size", (1, 2, 25, 180))
+def test_batched_generators_match_default_rng(size):
+    # a batch's generators are seeded by one vectorized SeedSequence hash;
+    # each has the stream of default_rng(seed), seeds of two words included
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + np.random.default_rng(size).integers(
+        0, 2**64, 10_000, dtype=np.uint64).tolist()
+    for start in range(0, len(seeds), size):
+        batch = seeds[start:start + size]
+        for seed, rng in zip(batch, harness._generators(batch)):
+            want = np.random.default_rng(seed)
+            assert (rng.random(), rng.standard_normal(), rng.integers(2**40)) == (
+                want.random(), want.standard_normal(), want.integers(2**40)), seed
+
+
+def test_trial_seeds_outside_64_bits_are_rejected():
+    for seed in (-1, 2**64, 2**70):
+        with pytest.raises(BadParams, match=r"\[0, 2\*\*64\)"):
+            harness.draw_trial(("L21b", "L21b"), (5, seed), small_config())
+
+
 def test_draw_trial_reproducible():
     config = small_config()
     seed = harness.derive_trial_seed(config.master_seed, "R26", 3)
@@ -125,14 +147,19 @@ def test_config_validation():
     ("dims", ((2, 2, 2),), False),
     ("dims", (2, 2), False),
     ("checker_filter", "T24a", False),
+    ("kernel_families", rkhs.KernelFamily("szego"), False),
+    ("kernel_families", ("szego",), False),
+    ("kernel_families", (rkhs.KernelFamily("szego"), None), False),
+    ("kernel_families", (), False),
     ("trials_per_checker", np.int64(3), True),
     ("master_seed", np.uint32(7), True),
     ("dims", ((np.int64(2), np.int32(3)),), True),
 ])
 def test_config_validation_checks_types(field, value, valid):
-    # a non-integer count, seed or dimension, a bool, and a checker filter
-    # that is a string (whose letters are not ids) are config errors, not a
-    # traceback from deep in a campaign; numpy integers are integers
+    # a non-integer count, seed or dimension, a bool, a checker filter that
+    # is a string (whose letters are not ids) and kernel families that are
+    # not a sequence of KernelFamily are config errors, not a traceback from
+    # deep in a campaign; numpy integers are integers
     config = small_config(**{"checker_filter": ("YOUNG2", "T24a"), field: value})
     if not valid:  # the one-line error names the field
         with pytest.raises(ConfigInvalid, match=field):
@@ -746,6 +773,18 @@ def test_cli_explore_and_case(capsys):
     assert code == 0
     certs = json.loads(capsys.readouterr().out)
     assert certs and certs[0]["theorem_id"] == "L21b"
+    # the largest trial seed replays too
+    assert cli.main(["case", "--theorem", "L21b", "--seed", str(2**64 - 1)]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["witness"]["trial_seed"] == 2**64 - 1
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # every CLI call pays its imports: generators are made on the first draw
+    code = ("import sys, berlab.cli; berlab.harness.CampaignConfig().validate(); "
+            "assert 'numpy.random' not in sys.modules, 'numpy.random is loaded'")
+    src = str(Path(harness.__file__).resolve().parent.parent)
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
@@ -773,6 +812,7 @@ def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
         ["verify", "--dims", "bogus"],
         ["case", "--theorem", "L21b"],  # no seed
         ["case", "--theorem", "L21b", "--seed", "-5"],
+        ["case", "--theorem", "L21b", "--seed", "18446744073709551616"],  # 2**64
         ["verify", "--config", "/no/such/file"],
         ["verify", "--config", str(bad_seed)],
         ["verify", "--config", str(binary)],

@@ -8,6 +8,7 @@ hypothesis with a fixed derandomized search so the suite stays reproducible.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -139,3 +140,24 @@ def test_block_conventions_against_the_assembled_operator(shape, family, kind, n
     assert abs(joint - values[j1, j2]) <= tol
     assert abs(joint - values.max()) <= tol
     assert blockops.ber_block(block, "pair") == (2.0 * joint, (j1, j2))
+
+
+def full_sweep(space, a, grid):
+    """max over the grid of ber(Re(e^{i theta} A)), every angle rotated in one stack."""
+    theta = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    return float(np.abs(rkhs.berezin_symbols(space, numlin.re_rotation(a, theta))).max())
+
+
+@pytest.mark.parametrize("grid", (4, 7, 720, 721))
+@pytest.mark.parametrize("family", harness.DEFAULT_FAMILIES, ids=lambda f: f.tag)
+def test_pruned_rotation_sweep_is_the_full_sweep_bit_for_bit(family, grid):
+    # an odd grid has no angle theta + pi, so a single angle often survives
+    # the bound, and the second angle rotated with it keeps einsum's rounding
+    rng = np.random.default_rng(grid)
+    for n in range(1, 9):
+        [space] = harness.draw_space([rng], family, n)
+        assert isinstance(space, rkhs.KernelSpace)
+        for kind in harness.OPERATOR_KINDS:
+            a = operator(kind, n, int(rng.integers(2**32)))
+            for t in (a, 1e-8 * a, 1e8 * a, np.zeros_like(a)):
+                assert rkhs.ber_via_rotations(space, t, grid) == full_sweep(space, t, grid)
