@@ -147,13 +147,13 @@ def test_config_validation():
     ("dims", ((2, 2, 2),), False),
     ("dims", (2, 2), False),
     ("checker_filter", "T24a", False),
+    ("trials_per_checker", np.int64(3), True),
+    ("master_seed", np.uint32(7), True),
+    ("dims", ((np.int64(2), np.int32(3)),), True),
     ("kernel_families", rkhs.KernelFamily("szego"), False),
     ("kernel_families", ("szego",), False),
     ("kernel_families", (rkhs.KernelFamily("szego"), None), False),
     ("kernel_families", (), False),
-    ("trials_per_checker", np.int64(3), True),
-    ("master_seed", np.uint32(7), True),
-    ("dims", ((np.int64(2), np.int32(3)),), True),
 ])
 def test_config_validation_checks_types(field, value, valid):
     # a non-integer count, seed or dimension, a bool, a checker filter that
