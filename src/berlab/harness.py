@@ -54,19 +54,18 @@ class CampaignConfig:
     format: str = "json"
 
     def validate(self):
-        integer = lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-        if not (integer(self.master_seed) and integer(self.trials_per_checker)):
+        if not (_integer(self.master_seed) and _integer(self.trials_per_checker)):
             raise ConfigInvalid("master_seed and trials_per_checker must be integers")
         if self.trials_per_checker < 1:
             raise ConfigInvalid("trials_per_checker must be >= 1")
-        if not self.dims or any(np.shape(d) != (2,) or not all(integer(n) and n >= 1 for n in d)
+        if not self.dims or any(np.shape(d) != (2,) or not all(_integer(n) and n >= 1 for n in d)
                                 for d in self.dims):
             raise ConfigInvalid("dims entries must be pairs of integers >= 1")
         if not (isinstance(self.kernel_families, (tuple, list)) and self.kernel_families and all(
                 isinstance(f, rkhs.KernelFamily) for f in self.kernel_families)):
             raise ConfigInvalid("kernel_families must be a non-empty sequence of KernelFamily")
-        if isinstance(self.checker_filter, str):
-            raise ConfigInvalid("checker_filter must be a sequence of checker ids, not a string")
+        if not isinstance(self.checker_filter, (tuple, list)):
+            raise ConfigInvalid("checker_filter must be a tuple or list of checker ids")
         for tid in self.checker_filter:
             if tid not in theorems.CHECKERS:
                 raise ConfigInvalid(f"unknown checker id {tid!r}")
@@ -93,6 +92,11 @@ class CampaignConfig:
             "check_tol": theorems.CHECK_TOL,
             "check_tol_overrides": {},
         }
+
+
+def _integer(value):
+    """Whether ``value`` is a Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def derive_trial_seed(master_seed, theorem_id, index):
@@ -252,9 +256,10 @@ class TrialDraw:
 
     The arrays are made read-only: certificates digest them when first read.
     A pair draw's a and b are 0-d float arrays. A stacked draw
-    (``_stack_draws``) holds several draws of one checker as one: its
-    arrays and spaces are stacks with one slice per draw, and
-    ``trial_seed`` and ``params`` are tuples with one entry each.
+    (``_stack_draws``) holds several draws of one checker family as one:
+    its arrays and spaces are stacks with one slice per draw, and
+    ``trial_seed`` and ``params`` are tuples with one entry each, as is
+    ``theorem_id`` when the draws' checkers differ.
     A failed draw is empty and carries, as ``error``, the BerlabError that
     ruled it out; its ``evaluate_draw`` raises a copy.
     """
@@ -347,6 +352,8 @@ def draw_trial(theorem_ids, trial_seeds, config):
     RNG calls and bits are those of a batch of one.
     """
     seeds = [int(seed) for seed in trial_seeds]
+    if len(theorem_ids) != len(seeds):
+        raise BadParams(f"{len(theorem_ids)} checker ids for {len(seeds)} trial seeds")
     plans = [_plan(tid, rng, config) for tid, rng in zip(theorem_ids, _generators(seeds))]
     out = [None] * len(plans)
     replies = dict.fromkeys(range(len(plans)))  # plan index -> space to send
@@ -404,10 +411,11 @@ def _stamped(certs, trial_seed):
 
 
 def _stack_draws(draws):
-    """Draws of one checker and one operand shape as one stacked draw."""
-    first = draws[0]
+    """Draws of one checker family and one operand shape as one stacked draw."""
+    first, ids = draws[0], tuple(d.theorem_id for d in draws)
     return TrialDraw(
-        first.theorem_id, tuple(d.trial_seed for d in draws), tuple(d.params for d in draws),
+        ids[0] if ids.count(ids[0]) == len(ids) else ids,
+        tuple(d.trial_seed for d in draws), tuple(d.params for d in draws),
         {name: np.stack([d.arrays[name] for d in draws]) for name in first.arrays},
         {name: rkhs.stack_spaces([d.spaces[name] for d in draws]) for name in first.spaces})
 
@@ -423,7 +431,8 @@ def evaluate_draw(draw):
     """
     if draw.error is not None:  # a copy: the stored one's traceback would hold draw
         raise type(draw.error)(*draw.error.args)
-    tid, seeds, checker = draw.theorem_id, draw.trial_seed, theorems.CHECKERS[draw.theorem_id]
+    tid, seeds = draw.theorem_id, draw.trial_seed
+    checker = theorems.CHECKERS[tid if isinstance(tid, str) else tid[0]]
     try:
         if checker.kind == theorems.SCALAR:  # a, b (and e) in the order they were drawn
             certs = theorems.check_scalar(tid, draw.params, tuple(draw.arrays.values()))
@@ -432,8 +441,7 @@ def evaluate_draw(draw):
             certs = theorems.check_single(tid, draw.spaces["space"], extras.pop("T"),
                                           draw.params, extras)
         else:
-            certs = theorems.check_block_runs(tid, _build_block(draw, checker.shape),
-                                              draw.params, checker.runs)
+            certs = theorems.check_block_runs(tid, _build_block(draw, checker.shape), draw.params)
     except Exception:  # anything: each draw of the stack raises it again alone
         if draw.stacked:
             return None
@@ -470,44 +478,41 @@ class Report:
         return d
 
 
-def _evaluated(window):
-    """Each draw of one checker's window as (draw, certificates) or None, in order.
-
-    A draw whose evaluation raises a BerlabError, a failed draw among them,
-    gives None. The draws whose operands all have the same shapes make one
-    stacked draw; a failed draw, a shape drawn once and every draw of a
-    stack that raises are evaluated alone.
-    """
-    by_shape, stacked = {}, {}
-    for k, draw in enumerate(window):
-        if draw.error is None:
-            by_shape.setdefault(tuple(a.shape for a in draw.arrays.values()), []).append(k)
-    for ks in by_shape.values():
-        if len(ks) > 1:
-            stacked.update(zip(ks, evaluate_draw(_stack_draws([window[k] for k in ks])) or ()))
-    for k, draw in enumerate(window):
-        try:
-            yield draw, stacked[k] if k in stacked else evaluate_draw(draw)
-        except BerlabError:
-            yield None
-
-
 def _trials(config, theorem_ids):
     """Each campaign trial as (checker id, (draw, certificates) or None).
 
-    Trials are drawn in windows of ``STACK_CAP`` trials per checker, and
-    the windows of every checker at one start are one ``draw_trial`` batch.
-    Then each checker's window is evaluated and yielded in trial order; a
-    failed draw raises its error once, from its ``evaluate_draw``.
+    Trials are drawn in windows of ``STACK_CAP`` trials per checker, and the
+    windows of every checker at one start are one ``draw_trial`` batch,
+    yielded checker by checker, each in trial order. The draws of one
+    checker family (``theorems.Checker``) whose operands all have the same
+    shapes make stacked draws of at most ``STACK_CAP`` draws each, evaluated
+    when their first draw is reached. A failed draw, a shape drawn once and
+    every draw of a stack that raises are evaluated alone: a draw whose
+    evaluation raises a BerlabError raises it once, from its
+    ``evaluate_draw``, and gives None.
     """
     total = config.trials_per_checker
     for start in range(0, total, STACK_CAP):
         slots = [(tid, derive_trial_seed(config.master_seed, tid, i))
                  for tid in theorem_ids for i in range(start, min(start + STACK_CAP, total))]
         draws = draw_trial(*zip(*slots), config)  # (checker ids), (trial seeds)
-        size = len(slots) // len(theorem_ids)
-        for j, tid in enumerate(theorem_ids):
-            yield from ((tid, trial) for trial in _evaluated(draws[j * size:(j + 1) * size]))
+        groups, parts, stacked = {}, {}, {}
+        for k, draw in enumerate(draws):
+            if draw.error is None:
+                checker = theorems.CHECKERS[draw.theorem_id]
+                groups.setdefault((checker.evaluate, checker.shape,
+                                   *(a.shape for a in draw.arrays.values())), []).append(k)
+        for ks in groups.values():  # a last chunk of one draw is evaluated alone
+            parts.update((ks[i], ks[i:i + STACK_CAP]) for i in range(0, len(ks) - 1, STACK_CAP))
+        for k, draw in enumerate(draws):
+            if k in parts:
+                ks = parts.pop(k)
+                stacked.update(zip(ks, evaluate_draw(_stack_draws([draws[j] for j in ks])) or ()))
+            try:  # popped: a yielded trial's certificates are not held here any longer
+                trial = draw, stacked.pop(k) if k in stacked else evaluate_draw(draw)
+                yield draw.theorem_id, trial
+            except BerlabError:
+                yield draw.theorem_id, None
 
 
 def _new_row(theorem_id, convention, link, reading, mode):
@@ -623,8 +628,8 @@ def explore(config, theorem_id, budget):
     """
     config.validate()
     theorems.lookup(theorem_id)
-    if budget < 0:
-        raise BadParams("budget must be >= 0")
+    if not (_integer(budget) and budget >= 0):
+        raise BadParams("budget must be an integer >= 0")
     best_draw, best_cert = None, None
     for _, trial in _trials(config, (theorem_id,)):
         if trial is None:

@@ -9,6 +9,7 @@ the model by construction.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,7 @@ class KernelFamily:
             raise BadParams(f"unknown kernel family {self.tag!r}")
         if self.tag == "gaussian":
             sigma = self.params.get("sigma", 1.0)
-            if not sigma > 0:
+            if not (isinstance(sigma, numbers.Real) and sigma > 0):
                 raise BadParams("gaussian kernel needs sigma > 0")
 
     def gram(self, points):

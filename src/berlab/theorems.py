@@ -144,6 +144,32 @@ def _tightest(cert, pairs, **kw):
     return [cert(*pairs[j], witness={"j": j}, **kw)]
 
 
+def _split(flags, tail, *stacks):
+    """``tail(flag, *stacks)`` on each flag value's slices, merged back into slice order.
+
+    Each stack (an array, list, space or block of one slice per flag) is cut
+    to one flag value's slices; a stack of one flag value is passed whole.
+    """
+    if flags.count(flags[0]) == len(flags):
+        return tail(flags[0], *stacks)
+    idx = {flag: [k for k, f in enumerate(flags) if f == flag] for flag in (False, True)}
+    parts = {flag: iter(tail(flag, *(_take(stack, ks, len(flags)) for stack in stacks)))
+             for flag, ks in idx.items()}
+    return [next(parts[flag]) for flag in flags]
+
+
+def _take(stack, idx, count):
+    """Slices ``idx`` of a stack of ``count`` slices; one slice of a space is a lone space."""
+    if isinstance(stack, rkhs.KernelSpace):  # a shared space stays whole
+        return stack if stack.gram.ndim == 2 else rkhs.KernelSpace(*(
+            f[idx[0]] if len(idx) == 1 else _take(f, idx, count)
+            for f in (stack.points, stack.gram, stack.chart, stack.normalized_chart())))
+    if isinstance(stack, blockops.BlockOperator):
+        return blockops.BlockOperator(*(_take(getattr(stack, f.name), idx, count)
+                                        for f in fields(stack)))
+    return stack[idx] if isinstance(stack, np.ndarray) else [stack[k] for k in idx]
+
+
 # ---------------------------------------------------------------------------
 # Every checker evaluates a bucket: operand stacks with one slice per draw,
 # one params dict and certificate factories per slice. It returns one
@@ -258,13 +284,13 @@ def _l21c(bucket, space, t_mat, params, extras):
 def _p39_r310(bucket, space, t_mat, params, extras, *, chain):
     rs = _slice_values(params, "r", 1.0, math.inf, "P39/R310 need r >= 1")
     out = []
-    for cert, (ber, j), r, norm, ber_sq in zip(
+    for cert, (ber, j), r, norm, ber_sq, chained in zip(
             bucket, _symbol_peaks(space, t_mat), rs, _norms(t_mat),
-            rkhs.berezin_number(space, t_mat @ t_mat)):
+            rkhs.berezin_number(space, t_mat @ t_mat), chain):
         top = norm ** (2 * r)
         mid = 0.5 * (ber_sq**r + top)
         out.append(_chain(cert, (ber ** (2 * r), mid, top), {"r": r}, witness={"j": j})
-                   if chain else [cert(ber ** (2 * r), mid, params={"r": r}, witness={"j": j})])
+                   if chained else [cert(ber ** (2 * r), mid, params={"r": r}, witness={"j": j})])
     return out
 
 
@@ -280,41 +306,45 @@ def _t311(bucket, space, t_mat, params, extras, *, statement):
     left, right = _abs_powers([t2, t2.conj().mT], list(zip(
         *[(e * p * r, (1.0 - e) * q * r) for r, p, q, e in (pr.values() for pr in prs)])))
     p_col, q_col = (np.array([pr[name] for pr in prs])[:, None, None] for name in "pq")
-    combos = left / p_col + right / q_col
-    if statement:
-        return [[cert(ber ** (2 * pr["r"]), 0.5 * (norm ** (2 * pr["r"]) + ber_c),
-                      params=pr, witness={"j": j})]
-                for cert, (ber, j), pr, norm, ber_c in zip(
-                    bucket, _symbol_peaks(space, t_mat), prs, _norms(t_mat),
-                    rkhs.berezin_number(space, combos))]
-    out = []
-    for cert, t, sp, combo, pr in zip(bucket, t_mat, rkhs.unstack_space(space, len(prs)),
-                                      combos, prs):
-        r, pairs = pr["r"], []
-        for k in sp.normalized_chart().T:
-            tk, tsk = t @ k, t.conj().T @ k
-            pairs.append((abs(_inner(tk, k)) ** (2 * r),
-                          0.5 * (np.linalg.norm(tk) ** r * np.linalg.norm(tsk) ** r
-                                 + (np.conj(k) @ (combo @ k)).real)))
-        out.append(_tightest(cert, pairs, params=pr))
-    return out
+
+    def bounds(statement, bucket, space, t_mat, combos, prs):
+        if statement:
+            return [[cert(ber ** (2 * pr["r"]), 0.5 * (norm ** (2 * pr["r"]) + ber_c),
+                          params=pr, witness={"j": j})]
+                    for cert, (ber, j), pr, norm, ber_c in zip(
+                        bucket, _symbol_peaks(space, t_mat), prs, _norms(t_mat),
+                        rkhs.berezin_number(space, combos))]
+        out = []
+        for cert, t, sp, combo, pr in zip(bucket, t_mat, rkhs.unstack_space(space, len(prs)),
+                                          combos, prs):
+            r, pairs = pr["r"], []
+            for k in sp.normalized_chart().T:
+                tk, tsk = t @ k, t.conj().T @ k
+                pairs.append((abs(_inner(tk, k)) ** (2 * r),
+                              0.5 * (np.linalg.norm(tk) ** r * np.linalg.norm(tsk) ** r
+                                     + (np.conj(k) @ (combo @ k)).real)))
+            out.append(_tightest(cert, pairs, params=pr))
+        return out
+    return _split(statement, bounds, bucket, space, t_mat, left / p_col + right / q_col, prs)
 
 
 def _t312(bucket, space, t_mat, params, extras, *, statement):
     nus = _slice_values(params, "nu", 0.0, 1.0, "T312 needs nu in [0, 1]")
     ts = [float(pr["t"]) for pr in params]
     shift, eye = np.array(ts)[:, None, None], np.eye(space.dim, dtype=np.complex128)
-    if statement:
-        lhs = [(norm**2, {}) for norm in _norms(t_mat)]
-    else:  # the squared norms of T k over the normalized kernels k of each slice
+
+    def lhs(statement, space, t_mat):
+        if statement:
+            return [(norm**2, {}) for norm in _norms(t_mat)]
+        # the squared norms of T k over the normalized kernels k of each slice
         norms = np.linalg.norm(t_mat @ space.normalized_chart(), axis=-2) ** 2
-        lhs = [(row[j], {"j": j})
-               for row, j in zip(norms.tolist(), norms.argmax(axis=-1).tolist())]
+        return [(row[j], {"j": j})
+                for row, j in zip(norms.tolist(), norms.argmax(axis=-1).tolist())]
     return [[cert(value, ((1.0 - nu) ** 2 + nu**2) * ber**2 + nu * n_re**2 + (1.0 - nu) * n_im**2,
                   params={"nu": nu, "t": t}, witness=wit)]
             for cert, (value, wit), ber, nu, t, n_re, n_im in zip(
-                bucket, lhs, rkhs.berezin_number(space, t_mat), nus, ts,
-                _norms(t_mat - shift * eye), _norms(t_mat - 1j * shift * eye))]
+                bucket, _split(statement, lhs, space, t_mat), rkhs.berezin_number(space, t_mat),
+                nus, ts, _norms(t_mat - shift * eye), _norms(t_mat - 1j * shift * eye))]
 
 
 def _t32(bucket, space, t_mat, params, extras):
@@ -340,16 +370,17 @@ def _r33(bucket, space, t_mat, params, extras):
 
 def _l22(bucket, space, t_mat, params, extras, *, convex):
     rs = [float(pr["r"]) for pr in params]
-    _require(all(r >= 1.0 if convex else 0.0 < r <= 1.0 for r in rs),
-             "L22a needs r >= 1" if convex else "L22b needs 0 < r <= 1")
+    for r, cx in zip(rs, convex):
+        _require(r >= 1.0 if cx else 0.0 < r <= 1.0,
+                 "L22a needs r >= 1" if cx else "L22b needs 0 < r <= 1")
     out = []
-    for cert, t, sp, tr_pow, r in zip(bucket, t_mat, rkhs.unstack_space(space, len(rs)),
-                                      numlin.matrix_power_psd(t_mat, rs), rs):
+    for cert, t, sp, tr_pow, r, cx in zip(bucket, t_mat, rkhs.unstack_space(space, len(rs)),
+                                          numlin.matrix_power_psd(t_mat, rs), rs, convex):
         pairs = []
         for k in sp.normalized_chart().T:
             base = max((np.conj(k) @ (t @ k)).real, 0.0) ** r
             powd = (np.conj(k) @ (tr_pow @ k)).real
-            pairs.append((base, powd) if convex else (powd, base))
+            pairs.append((base, powd) if cx else (powd, base))
         out.append(_tightest(cert, pairs, params={"r": r}))
     return out
 
@@ -398,10 +429,12 @@ def _ber_norm(bucket, space, t_mat, params, extras):
 # already checked the block against its checker's registry shape.
 
 def _peaks(bucket, block):
-    """Per slice, the (certificate factory, Berezin value, witness) of each run."""
-    peaks = blockops.ber_block(block, tuple(conv for conv, _ in bucket[0]))
+    """Per slice, the (certificate factory, Berezin value, witness) of each of its runs;
+    a family's slices may differ in runs, so each looks its convention up."""
+    convs = tuple({conv: None for runs in bucket for conv, _ in runs})
+    peaks = blockops.ber_block(block, convs)
     return [[(cert, value, {"j1": j1, "j2": j2})
-             for (_, cert), (value, (j1, j2)) in zip(runs, slice_peaks)]
+             for conv, cert in runs for value, (j1, j2) in [slice_peaks[convs.index(conv)]]]
             for runs, slice_peaks in zip(bucket, peaks)]
 
 
@@ -418,20 +451,20 @@ def _peak_chains(bucket, block, params, tails):
             for peaks, tail, pr in zip(_peaks(bucket, block), tails, params)]
 
 
-def _t24_operands(block, r, p, variant):
+def _t24_operands(block, r, p, ff=()):
     """PSD combination operators for the two-sided product bounds.
 
     variant "fg": (f^{2r}(|X|)+g^{2r}(|Y*|), f^{2r}(|Y|)+g^{2r}(|X*|))
     variant "ff": (f^{2r}(|X|)+f^{2r}(|Y*|), g^{2r}(|Y|)+g^{2r}(|X*|))
-    One r and one p per slice. First operand acts on space2, second on space1.
+    One r, p and ``ff`` (variant "ff") per slice. First operand acts on space2, second on space1.
     """
     r, p = np.asarray(r), np.asarray(p)
     fe, ge = 2.0 * r * p, 2.0 * r * (1.0 - p)
     # X and Y* are both n1 x n2, Y and X* both n2 x n1: one stack for all
-    # four when n1 = n2, else one per pair
-    exps = [fe, ge, fe, ge] if variant == "fg" else [fe, fe, ge, ge]
-    x2, ys2, y1, xs1 = _abs_powers(
-        [block.X, block.Y.conj().mT, block.Y, block.X.conj().mT], exps)
+    # four when n1 = n2, else one per pair. "ff" slices swap Y*'s and Y's exponents
+    ys_e, y_e = (np.where(ff, fe, ge), np.where(ff, ge, fe)) if any(ff) else (ge, fe)
+    x2, ys2, y1, xs1 = _abs_powers([block.X, block.Y.conj().mT, block.Y, block.X.conj().mT],
+                                   [fe, ys_e, y_e, ge])
     return x2 + ys2, y1 + xs1
 
 
@@ -459,16 +492,16 @@ def _ineq1(bucket, block, params):
 
 
 def _slice_rp(params, who, fixed=None):
-    """The checked (r, p) of each slice, r >= 1 and p in [0, 1]; or ``fixed`` for all."""
-    if fixed:
-        return [fixed] * len(params)
-    return list(zip(_slice_values(params, "r", 1.0, math.inf, f"{who} need r >= 1"),
-                    _slice_values(params, "p", 0.0, 1.0, f"{who} need p in [0, 1]")))
+    """The checked (r, p) of each slice, r >= 1 and p in [0, 1]; or its ``fixed`` pair if set."""
+    free = [pr for pr, pair in zip(params, fixed) if pair is None] if fixed else params
+    checked = zip(_slice_values(free, "r", 1.0, math.inf, f"{who} need r >= 1"),
+                  _slice_values(free, "p", 0.0, 1.0, f"{who} need p in [0, 1]"))
+    return [pair or next(checked) for pair in fixed] if fixed else list(checked)
 
 
-def _t24(bucket, block, params, *, variant="fg", fixed=None):
+def _t24(bucket, block, params, *, variant, fixed=None):
     rps = _slice_rp(params, "T24/C25/R26", fixed)
-    op2, op1 = _t24_operands(block, *zip(*rps), variant)
+    op2, op1 = _t24_operands(block, *zip(*rps), [v == "ff" for v in variant])
     rhs = [2.0**r / 2.0 * math.sqrt(ber2) * math.sqrt(ber1)
            for (r, _), ber2, ber1 in zip(rps, rkhs.berezin_number(block.space2, op2),
                                          rkhs.berezin_number(block.space1, op1))]
@@ -486,32 +519,33 @@ def _c27(bucket, block, params):
 
 
 def _c28(bucket, block, params):
-    rps = _slice_rp(params, "C28", (1.0, 0.5))
-    op2, op1 = _t24_operands(block, *zip(*rps), "fg")
+    op2, op1 = _t24_operands(block, [1.0] * len(params), [0.5] * len(params))
     return _peak_chains(bucket, block, params, [
         (0.5 * math.sqrt(ber2) * math.sqrt(ber1), 0.25 * (ber2 + ber1), 0.5 * max(ber2, ber1))
         for ber2, ber1 in zip(rkhs.berezin_number(block.space2, op2),
                               rkhs.berezin_number(block.space1, op1))])
 
 
-def _t29(bucket, block, params, *, tied=False):
+def _t29(bucket, block, params, *, tied):
     rps = _slice_rp(params, "T29/C210")
-    op2, op1 = _t24_operands(block, *zip(*rps), "fg")
+    op2, op1 = _t24_operands(block, *zip(*rps))
     avals = np.clip(rkhs.berezin_symbols(block.space2, op2).real, 0.0, None)
     bvals = np.clip(rkhs.berezin_symbols(block.space1, op1).real, 0.0, None)
     eta = (np.sqrt(avals)[..., None, :] - np.sqrt(bvals)[..., :, None]) ** 2
     eta_inf = np.minimum.reduce(eta, axis=(-2, -1)).tolist()
-    if tied:
-        heads = [2.0 ** (r - 1) * norm for (r, _), norm in zip(rps, _norms(op2))]
-    else:
-        heads = [2.0 ** (r - 2) * (a + b)
-                 for (r, _), a, b in zip(rps, np.maximum.reduce(avals, axis=-1).tolist(),
-                                         np.maximum.reduce(bvals, axis=-1).tolist())]
+
+    def heads(tied, rps, op2, avals, bvals):
+        if tied:
+            return [2.0 ** (r - 1) * norm for (r, _), norm in zip(rps, _norms(op2))]
+        return [2.0 ** (r - 2) * (a + b)
+                for (r, _), a, b in zip(rps, np.maximum.reduce(avals, axis=-1).tolist(),
+                                        np.maximum.reduce(bvals, axis=-1).tolist())]
     return [[cert(value**r, head - 2.0 ** (r - 2) * eta_k, params=pr,
                   witness={**wit, "eta_inf": eta_k})
              for cert, value, wit in peaks]
-            for peaks, (r, _), pr, head, eta_k in zip(_peaks(bucket, block), rps,
-                                                      params, heads, eta_inf)]
+            for peaks, (r, _), pr, head, eta_k in zip(
+                _peaks(bucket, block), rps, params,
+                _split(tied, heads, rps, op2, avals, bvals), eta_inf)]
 
 
 def _t31(bucket, block, params, *, tilted):
@@ -520,13 +554,16 @@ def _t31(bucket, block, params, *, tilted):
     y_t, xs_s, x_t, ys_s = _abs_powers(
         [block.Y, block.X.conj().mT, block.X, block.Y.conj().mT], [t, s, t, s], support=True)
     cross = [0.5 * (a + b) for a, b in zip(_norms(y_t @ xs_s), _norms(x_t @ ys_s))]
-    if tilted:
-        transform = blockops.aluthge_offdiag(block.X, block.Y, t,
-                                             space1=block.space1, space2=block.space2)
-        return _peak_bounds(bucket, transform, params, cross)
-    return _peak_bounds(bucket, block, params, [
-        0.5 * max(nx, ny) + 0.5 * c
-        for nx, ny, c in zip(_norms(block.X), _norms(block.Y), cross)])
+
+    def bounds(tilted, bucket, block, params, t, cross):
+        if tilted:
+            transform = blockops.aluthge_offdiag(block.X, block.Y, t,
+                                                 space1=block.space1, space2=block.space2)
+            return _peak_bounds(bucket, transform, params, cross)
+        return _peak_bounds(bucket, block, params, [
+            0.5 * max(nx, ny) + 0.5 * c
+            for nx, ny, c in zip(_norms(block.X), _norms(block.Y), cross)])
+    return _split(tilted, bounds, bucket, block, params, t, cross)
 
 
 def _c35(bucket, block, params):
@@ -543,13 +580,13 @@ def _c35(bucket, block, params):
             for runs, rhs_k, pr, lhss in zip(bucket, rhs, params, readings)]
 
 
-def _t36(bucket, block, params, *, swap=False):
+def _t36(bucket, block, params, *, swap):
     alphas = _slice_values(params, "alpha", 0.0, 1.0, "T36/T37 need alpha in [0, 1]")
     rhs = []
-    for alpha, ber_s, ber_r, nx, ny in zip(
+    for alpha, ber_s, ber_r, nx, ny, swapped in zip(
             alphas, rkhs.berezin_number(block.space1, block.S),
-            rkhs.berezin_number(block.space2, block.R), _norms(block.X), _norms(block.Y)):
-        if swap:  # T37 is T36 with the roles of S, X and R, Y exchanged
+            rkhs.berezin_number(block.space2, block.R), _norms(block.X), _norms(block.Y), swap):
+        if swapped:  # T37 is T36 with the roles of S, X and R, Y exchanged
             ber_s, ber_r, nx, ny = ber_r, ber_s, ny, nx
         rhs.append(0.5 * ber_s + ber_r
                    + 0.5 * math.sqrt(alpha**2 * ber_s**2 + nx**2)
@@ -607,7 +644,8 @@ class Checker:
     operands drawn after T; a complex one becomes params name_re, name_im.
     ``sample(rng)`` draws the params from ``PARAM_GRID`` before any operand.
     ``runs`` holds the (convention, mode) of each evaluation of a draw.
-    ``evaluate`` takes a bucket and has any variant keywords already bound.
+    The records that share ``evaluate`` (which takes a bucket) and ``shape``
+    are a family; ``variant`` holds the keywords that set a record apart.
     """
 
     shape: str
@@ -615,6 +653,7 @@ class Checker:
     sample: Callable = _grid()
     runs: tuple = ((None, GATING),)
     extras: tuple = ()
+    variant: dict = field(default_factory=dict)
 
     @property
     def kind(self):
@@ -636,20 +675,17 @@ CHECKERS = {
     "S310": Checker("vectors", _per_slice(_s310)),
     "L21c": Checker("operator", _l21c,
                     lambda rng: {"theta_grid": PARAM_GRID["theta_grid"]}),
-    "P39": Checker("operator", partial(_p39_r310, chain=False), _grid("r")),
-    "R310": Checker("operator", partial(_p39_r310, chain=True), _grid("r")),
-    "T311_proof": Checker("operator", partial(_t311, statement=False), _sample_t311),
-    "T311_stmt": Checker("operator", partial(_t311, statement=True), _sample_t311,
-                         _INFO),
-    "T312_proof": Checker("operator", partial(_t312, statement=False),
-                          _grid("nu", "t")),
-    "T312_stmt": Checker("operator", partial(_t312, statement=True),
-                         _grid("nu", "t"), _INFO),
+    "P39": Checker("operator", _p39_r310, _grid("r"), variant={"chain": False}),
+    "R310": Checker("operator", _p39_r310, _grid("r"), variant={"chain": True}),
+    "T311_proof": Checker("operator", _t311, _sample_t311, variant={"statement": False}),
+    "T311_stmt": Checker("operator", _t311, _sample_t311, _INFO, variant={"statement": True}),
+    "T312_proof": Checker("operator", _t312, _grid("nu", "t"), variant={"statement": False}),
+    "T312_stmt": Checker("operator", _t312, _grid("nu", "t"), _INFO, variant={"statement": True}),
     "T32": Checker("operator", _t32, _grid("t")),
     "R33": Checker("operator", _r33),
-    "L22a": Checker("psd", partial(_l22, convex=True), _grid("r")),
-    "L22b": Checker("psd", partial(_l22, convex=False),
-                    lambda rng: {"r": 1.0 / choice(rng, PARAM_GRID["r"])}),
+    "L22a": Checker("psd", _l22, _grid("r"), variant={"convex": True}),
+    "L22b": Checker("psd", _l22, lambda rng: {"r": 1.0 / choice(rng, PARAM_GRID["r"])},
+                    variant={"convex": False}),
     "L23": Checker("operator", _l23, _grid("p"),
                    extras=(("x", "vector"), ("y", "vector"))),
     "BER_HOM": Checker("operator", _ber_hom, extras=(("alpha", "complex"),)),
@@ -658,23 +694,21 @@ CHECKERS = {
     "L21a": Checker("diag", _l21a, runs=_JOINT_GATED),
     "L21b": Checker("offdiag", _l21b, runs=_JOINT_GATED),
     "INEQ1": Checker("offdiag", _ineq1, _grid("s", "p"), _JOINT_GATED),
-    "T24a": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED),
-    "T24b": Checker("offdiag", partial(_t24, variant="ff"), _grid("r", "p"),
-                    _PAIR_GATED),
-    "C25a": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED),
-    "C25b": Checker("offdiag", partial(_t24, variant="ff"), _grid("r", "p"),
-                    _PAIR_GATED),
-    "R26": Checker("offdiag", partial(_t24, fixed=(1.0, 0.5)), runs=_JOINT_GATED),
+    "T24a": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED, variant={"variant": "fg"}),
+    "T24b": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED, variant={"variant": "ff"}),
+    "C25a": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED, variant={"variant": "fg"}),
+    "C25b": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED, variant={"variant": "ff"}),
+    "R26": Checker("offdiag", _t24, runs=_JOINT_GATED,
+                   variant={"variant": "fg", "fixed": (1.0, 0.5)}),
     "C27": Checker("tied_square", _c27, runs=_JOINT_GATED),
     "C28": Checker("offdiag", _c28, runs=_JOINT_GATED),
-    "T29": Checker("offdiag", _t29, _grid("r", "p"), _PAIR_GATED),
-    "C210": Checker("tied_square", partial(_t29, tied=True), _grid("r", "p"),
-                    _PAIR_GATED),
-    "T31": Checker("offdiag_square", partial(_t31, tilted=True), _grid("t"), _JOINT),
-    "C34": Checker("offdiag_square", partial(_t31, tilted=False), _grid("t"), _JOINT),
+    "T29": Checker("offdiag", _t29, _grid("r", "p"), _PAIR_GATED, variant={"tied": False}),
+    "C210": Checker("tied_square", _t29, _grid("r", "p"), _PAIR_GATED, variant={"tied": True}),
+    "T31": Checker("offdiag_square", _t31, _grid("t"), _JOINT, variant={"tilted": True}),
+    "C34": Checker("offdiag_square", _t31, _grid("t"), _JOINT, variant={"tilted": False}),
     "C35": Checker("offdiag_square", _c35, runs=_INFO),
-    "T36": Checker("full", _t36, _grid("alpha"), _JOINT),
-    "T37": Checker("full", partial(_t36, swap=True), _grid("alpha"), _JOINT),
+    "T36": Checker("full", _t36, _grid("alpha"), _JOINT, variant={"swap": False}),
+    "T37": Checker("full", _t36, _grid("alpha"), _JOINT, variant={"swap": True}),
 }
 
 # perfbench's campaign_large leaves these out: only its operator checkers scale with dims
@@ -689,36 +723,54 @@ def lookup(theorem_id, kind=None):
     return checker
 
 
-def _bucket(theorem_id, runs, params, arrays, spaces, ndim=2):
-    """(lone, arrays, params, bucket) of one operand set or a stack of them.
+def _bucket(theorem_id, kind, runs, params, arrays, spaces):
+    """(record, lone, arrays, params, bucket, variants) of one operand set or a stack.
 
-    A stack (a first array of more than ``ndim`` axes) takes one params dict
-    per slice; a lone operand set with one dict is a stack of one. The bucket
-    holds, per slice, one (convention, certificate factory) pair per run,
-    sharing one digest over the slice's arrays, Gram matrices and params.
+    ``theorem_id`` is every slice's checker id, or a tuple of one id per
+    slice, all of one family. A stack (a first array of more axes than a lone
+    operand) takes one params dict per slice; a lone operand set with one
+    dict is a stack of one. The bucket holds, per slice, one (convention,
+    certificate factory) pair per run of ``runs`` or else of its record, with
+    one digest of the slice's arrays, Gram matrices and params; ``variants``,
+    each variant keyword's values.
     """
-    lone = np.ndim(arrays[0]) == ndim
-    _require(isinstance(params, dict) if lone
-             else [type(pr) for pr in params] == [dict] * len(arrays[0]),
-             f"{theorem_id} needs one params dict per slice")
+    per_slice = isinstance(theorem_id, tuple)
+    records = ({tid: lookup(tid, kind) for tid in dict.fromkeys(theorem_id)} if per_slice
+               else {theorem_id: lookup(theorem_id, kind)})
+    record = next(iter(records.values()))
+    lone = np.ndim(arrays[0]) == {"pair": 0, "vectors": 1}.get(record.shape, 2)
+    if not (isinstance(params, dict) if lone
+            else [type(pr) for pr in params] == [dict] * len(arrays[0])):
+        raise BadParams(f"{theorem_id} needs one params dict per slice")
     if lone:
         arrays, params = [np.asarray(a)[None] for a in arrays], [params]
+    ids = theorem_id if per_slice else (theorem_id,) * len(params)
+    if len(ids) != len(params) or per_slice and len(
+            {(r.evaluate, r.shape) for r in records.values()}) != 1:
+        raise BadParams(f"{theorem_id}: one checker id per slice, all of one family")
     grams = [s.gram if s.gram.ndim == 3 else [s.gram] * len(params) for s in spaces]
 
-    def factories(slice_params, *inputs):  # one certificate factory per run
+    def factories(tid, slice_runs, slice_params, *inputs):  # one certificate factory per run
         digest = _bound_digest(*inputs, dict(slice_params))
-        return tuple((conv, partial(make_certificate, theorem_id, convention=conv, mode=mode,
-                                    digest=digest)) for conv, mode in runs)
-    return lone, arrays, params, [factories(*inputs) for inputs in zip(params, *arrays, *grams)]
+        return tuple((conv, partial(make_certificate, tid, convention=conv, mode=mode,
+                                    digest=digest)) for conv, mode in slice_runs)
+    if len(records) == 1:  # every slice shares the record's variant and runs
+        variants = {name: [value] * len(ids) for name, value in record.variant.items()}
+        slice_runs = [runs or record.runs] * len(ids)
+    else:
+        variants = {name: [records[tid].variant.get(name) for tid in ids]
+                    for name in {name for r in records.values() for name in r.variant}}
+        slice_runs = [runs or records[tid].runs for tid in ids]
+    return (record, lone, arrays, params, [factories(*inputs) for inputs in zip(
+        ids, slice_runs, params, *arrays, *grams)], variants)
 
 
 def check_scalar(theorem_id, params, inputs):
     """Scalar and vector checkers on floats a, b or vectors a, b, e. Returns Certificates;
     a bucket, a stack of each with one params dict per slice, gives one list per slice."""
-    checker = lookup(theorem_id, SCALAR)
-    lone, inputs, params, bucket = _bucket(theorem_id, checker.runs, params, inputs, [],
-                                           ndim=1 if checker.shape == "vectors" else 0)
-    per_slice = checker.evaluate([cert for ((_, cert),) in bucket], params, inputs)
+    checker, lone, inputs, params, bucket, variants = _bucket(theorem_id, SCALAR, None, params,
+                                                              inputs, [])
+    per_slice = checker.evaluate([cert for ((_, cert),) in bucket], params, inputs, **variants)
     return per_slice[0] if lone else per_slice
 
 
@@ -727,14 +779,15 @@ def check_single(theorem_id, space, t_mat, params, extras=None):
 
     Takes one operator T with one params dict, or a bucket: stacks of T and
     of each extra operand, over a shared or stacked space, with one params
-    dict per slice, which gives one certificate list per slice.
+    dict per slice (and maybe a tuple of one id per slice, of one family),
+    which gives one certificate list per slice.
     """
-    checker = lookup(theorem_id, SINGLE)
     extras = extras or {}
-    lone, (t_mat, *rest), params, bucket = _bucket(
-        theorem_id, checker.runs, params, (space.check_operator(t_mat), *extras.values()), [space])
+    checker, lone, (t_mat, *rest), params, bucket, variants = _bucket(
+        theorem_id, SINGLE, None, params, (space.check_operator(t_mat), *extras.values()),
+        [space])
     per_slice = checker.evaluate([cert for ((_, cert),) in bucket], space, t_mat, params,
-                                 dict(zip(extras, rest)))
+                                 dict(zip(extras, rest)), **variants)
     return per_slice[0] if lone else per_slice
 
 
@@ -753,19 +806,20 @@ def _check_shape(theorem_id, shape, block):
         _require(np.array_equal(block.X, block.Y), f"{theorem_id} needs Y = X")
 
 
-def check_block_runs(theorem_id, block, params, runs):
+def check_block_runs(theorem_id, block, params, runs=None):
     """Block-operator checkers at each (convention, mode) of ``runs``.
 
     The block must have its checker's registry shape. It is one block with
     one params dict, or a bucket: a stacked block with a sequence of one
-    params dict per slice, which gives one certificate list per slice. The
-    certificates of a block's runs share one input digest and the
-    convention-independent operands, and come back in ``runs`` order.
+    params dict per slice (and maybe a tuple of one id per slice, of one
+    family), which gives one certificate list per slice. ``runs`` defaults
+    to each slice's registry runs. The certificates of a block's runs share
+    one input digest and operands, and come back in run order.
     """
-    checker = lookup(theorem_id, BLOCK)
     spaces = (block.space1, block.space2)
-    lone, arrays, params, bucket = _bucket(theorem_id, runs, params,
-                                           (block.S, block.X, block.Y, block.R), spaces)
+    checker, lone, arrays, params, bucket, variants = _bucket(
+        theorem_id, BLOCK, runs, params, (block.S, block.X, block.Y, block.R), spaces)
     _check_shape(theorem_id, checker.shape, block)
-    per_slice = checker.evaluate(bucket, blockops.BlockOperator(*arrays, *spaces), params)
+    per_slice = checker.evaluate(bucket, blockops.BlockOperator(*arrays, *spaces), params,
+                                 **variants)
     return per_slice[0] if lone else per_slice

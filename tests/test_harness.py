@@ -154,12 +154,15 @@ def test_config_validation():
     ("kernel_families", ("szego",), False),
     ("kernel_families", (rkhs.KernelFamily("szego"), None), False),
     ("kernel_families", (), False),
+    ("checker_filter", {"T24a"}, False),
+    ("checker_filter", (tid for tid in ("T24a",)), False),
 ])
 def test_config_validation_checks_types(field, value, valid):
     # a non-integer count, seed or dimension, a bool, a checker filter that
-    # is a string (whose letters are not ids) and kernel families that are
-    # not a sequence of KernelFamily are config errors, not a traceback from
-    # deep in a campaign; numpy integers are integers
+    # is not a tuple or list (a string, whose letters are not ids, a set or a
+    # generator) and kernel families that are not a sequence of KernelFamily
+    # are config errors, not a traceback from deep in a campaign; numpy
+    # integers are integers
     config = small_config(**{"checker_filter": ("YOUNG2", "T24a"), field: value})
     if not valid:  # the one-line error names the field
         with pytest.raises(ConfigInvalid, match=field):
@@ -224,6 +227,14 @@ def test_explore_budget_zero_is_start():
     config = small_config(checker_filter=("YOUNG2",))
     start = harness.explore(config, "YOUNG2", 0)
     assert start.theorem_id == "YOUNG2"
+
+
+@pytest.mark.parametrize("budget", (2.5, "5", True, -1))
+def test_explore_budget_must_be_an_integer(budget):
+    # validate's integer rule: a float, a string or a bool budget is one
+    # BadParams line, as a negative one is, before any trial is drawn
+    with pytest.raises(BadParams, match=r"^budget must be an integer >= 0$"):
+        harness.explore(small_config(checker_filter=("T24a",)), "T24a", budget)
 
 
 def test_explore_never_worse_than_start():
@@ -307,6 +318,22 @@ def test_explore_pinned_long_chunks(tid):
 
 
 STACKING_IDS = tuple(theorems.CHECKERS)
+# the checkers that share an evaluate function and a shape, whose draws stack together
+FAMILIES = (("T24a", "T24b", "C25a", "C25b", "R26"), ("P39", "R310"),
+            ("T311_proof", "T311_stmt"), ("T312_proof", "T312_stmt"), ("L22a", "L22b"),
+            ("T31", "C34"), ("T36", "T37"))
+
+
+def _slice_ids(draw):
+    """The checker id of each slice of a stacked draw."""
+    ids = draw.theorem_id
+    return ids if isinstance(ids, tuple) else (ids,) * len(draw.trial_seed)
+
+
+def _family(tid, shapes):
+    """The stacking group of a draw of checker ``tid`` whose operands have ``shapes``."""
+    checker = theorems.CHECKERS[tid]
+    return checker.evaluate, checker.shape, shapes
 
 
 def _stacks_seen(monkeypatch):
@@ -378,6 +405,36 @@ def test_bucket_matches_per_draw_byte_for_byte(tid, monkeypatch):
                     or any(len({json.dumps(p) for p in d.params}) > 1 for d in draws))
 
 
+def test_the_families_are_the_records_that_share_evaluate_and_shape():
+    groups = {}
+    for tid in theorems.CHECKERS:
+        groups.setdefault(_family(tid, ()), []).append(tid)
+    assert sorted(tuple(ids) for ids in groups.values() if len(ids) > 1) == sorted(FAMILIES)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids="/".join)
+@pytest.mark.parametrize("dims", (harness.DEFAULT_DIMS, workloads.LARGE_DIMS),
+                         ids=("default_dims", "large_dims"))
+def test_family_stacks_match_lone_draws_byte_for_byte(family, dims, monkeypatch):
+    # a batch stacks the draws of one checker family and operand shape across
+    # its checkers, and a variant's own work runs on that variant's slices:
+    # every trial's certificates, input digests included, are its draw's
+    # evaluated alone, byte for byte, over stacked spaces that mix kernel
+    # families and over shared identity spaces
+    for families in (harness.DEFAULT_FAMILIES, harness.DEFAULT_FAMILIES[:1]):
+        config = harness.CampaignConfig(master_seed=37, trials_per_checker=12, dims=dims,
+                                        kernel_families=families, checker_filter=family)
+        with monkeypatch.context() as patched:
+            stacks = _stacks_seen(patched)
+            got = [(tid, trial and report.dumps_json([c.to_dict() for c in trial[1]]))
+                   for tid, trial in harness._trials(config, family)]
+        assert got == [(tid, text) for tid in family for text in _per_draw_trials(config, tid)]
+        assert all(out is not None for _, out in stacks)
+        # some stack mixes the family's variants
+        assert any(len({repr(theorems.CHECKERS[tid].variant) for tid in _slice_ids(draw)}) > 1
+                   for draw, _ in stacks)
+
+
 # where each checker kind's stacked path reaches theorems: the check function,
 # the drawn operand it stacks, where its arguments hold that stack and where
 # they hold the params, one dict per slice of a stack or one lone dict
@@ -391,20 +448,25 @@ STACKED_CALLS = {
 def test_a_bad_draw_in_a_stack_is_one_anomaly(monkeypatch):
     # a stack holding a draw that raises gives None, and each of its draws is
     # then evaluated alone: the bad one raises once and counts one anomaly;
-    # for a block checker and for a single-operator one
-    for tid in ("T24a", "L23"):
+    # for a block checker and for a single-operator one, and for a draw in a
+    # stack that mixes the checkers of the T24 family
+    for tid, checkers in (("T24a", ("L21b", "T24a", "T29")), ("L23", ("L21b", "L23", "T29")),
+                          ("T24a", ("T24b", "T24a", "R26"))):
         with monkeypatch.context() as patched:
-            _assert_one_bad_draw_is_one_anomaly(tid, patched)
+            holders = _assert_one_bad_draw_is_one_anomaly(tid, checkers, patched)
+        # the stack that held the bad draw held other checkers' draws too
+        assert [len(set(ids)) > 1 for ids in holders] == ["R26" in checkers]
 
 
-def _assert_one_bad_draw_is_one_anomaly(tid, monkeypatch):
-    config = small_config(trials_per_checker=40, checker_filter=("L21b", tid, "T29"))
+def _assert_one_bad_draw_is_one_anomaly(tid, checkers, monkeypatch):
+    """Fail one stacked draw of ``tid``; returns the ids of each stack that held it."""
+    config = small_config(trials_per_checker=40, checker_filter=checkers)
     want = harness.run_campaign(config).to_dict()["results"]
     name, operand, operand_of, _ = STACKED_CALLS[theorems.CHECKERS[tid].kind]
     bad_seed = harness.derive_trial_seed(config.master_seed, tid, 7)
     bad = draw_one(tid, bad_seed, config).arrays[operand]
     check, evaluate_draw = getattr(theorems, name), harness.evaluate_draw
-    raised, stacked = [], []
+    raised, stacked, holders = [], [], []
 
     def failing(*args):
         ops = operand_of(args)
@@ -415,6 +477,8 @@ def _assert_one_bad_draw_is_one_anomaly(tid, monkeypatch):
     def counted(draw):  # like perfbench's anomaly counter
         if draw.stacked:
             stacked.extend(draw.trial_seed)
+            if bad_seed in draw.trial_seed:
+                holders.append(_slice_ids(draw))
         try:
             return evaluate_draw(draw)
         except BerlabError:
@@ -431,14 +495,21 @@ def _assert_one_bad_draw_is_one_anomaly(tid, monkeypatch):
                                                          before["trials"] - 1)
         else:
             assert report.dumps_json(row) == report.dumps_json(before)
+    return holders
 
 
 def test_a_stack_holds_at_most_stack_cap_draws(monkeypatch):
-    # all 300 trials share one operand shape, so only the window bounds a stack
-    config = small_config(trials_per_checker=300, dims=((2, 2),), checker_filter=("T24a",))
-    stacks = _stacks_seen(monkeypatch)
-    harness.run_campaign(config)
-    assert max(len(draw.trial_seed) for draw, _ in stacks) == harness.STACK_CAP == 64
+    # all trials share one operand shape, so only STACK_CAP bounds a stack:
+    # a window of one checker, and the five windows of the T24 family, whose
+    # 5 x 60 draws of one shape make stacks of 64 that span two checkers
+    for checkers, trials in ((("T24a",), 300), (FAMILIES[0], 60)):
+        config = small_config(trials_per_checker=trials, dims=((2, 2),), checker_filter=checkers)
+        with monkeypatch.context() as patched:
+            stacks = _stacks_seen(patched)
+            harness.run_campaign(config)
+        assert max(len(draw.trial_seed) for draw, _ in stacks) == harness.STACK_CAP == 64
+    assert [len(draw.trial_seed) for draw, _ in stacks] == [64] * 4 + [44]
+    assert any(len(set(_slice_ids(draw))) > 1 for draw, _ in stacks)
 
 
 def _batches_seen(monkeypatch):
@@ -478,16 +549,30 @@ def test_default_campaign_stacks_never_fall_back(monkeypatch):
     [(slots, _, draws)] = batches
     assert {tid for tid, _ in slots} == set(harness.ALL_CHECKERS)
     assert all(draw.error is None for draw in draws)
-    # every checker whose window repeats an operand shape stacks, the scalar
-    # ones too; at seed 42 only T32's five draws all differ in shape
-    shapes = {}
+    # every (checker family, operand shapes) group of the batch that holds
+    # more than one draw stacks, the scalar ones too; at seed 42 only T32's
+    # five draws all differ in shape
+    sizes = {}
     for draw in draws:
-        if draw.theorem_id in STACKING_IDS:
-            shapes.setdefault(draw.theorem_id, []).append(
-                tuple(a.shape for a in draw.arrays.values()))
-    repeated = {tid for tid, seen in shapes.items() if len(set(seen)) < len(seen)}
-    assert {draw.theorem_id for draw, _ in stacks} == repeated
-    assert set(STACKING_IDS) - repeated == {"T32"}
+        key = _family(draw.theorem_id, tuple(a.shape for a in draw.arrays.values()))
+        sizes[key] = sizes.get(key, 0) + 1
+    assert ({_family(_slice_ids(draw)[0], tuple(a.shape[1:] for a in draw.arrays.values()))
+             for draw, _ in stacks} == {key for key, size in sizes.items() if size > 1})
+    assert set(STACKING_IDS) - {tid for draw, _ in stacks for tid in _slice_ids(draw)} == {"T32"}
+
+
+def test_default_campaign_round_makes_531_evaluations(monkeypatch):
+    # the benchmark's campaign_default round at seed 42, master seeds
+    # 252-257: stacking each batch by checker family and operand shape makes
+    # 531 evaluate_draw calls, where stacking by checker id made 700
+    workload, calls = workloads.WORKLOADS["campaign_default"], []
+    evaluate_draw = harness.evaluate_draw
+    monkeypatch.setattr(harness, "evaluate_draw",
+                        lambda draw: calls.append(draw) or evaluate_draw(draw))
+    assert workload.seeds(42) == list(range(252, 258))
+    for seed in workload.seeds(42):
+        workload.call(seed)
+    assert len(calls) == 531
 
 
 @pytest.mark.parametrize("name", ("campaign_large", "explore_t24a"))
@@ -499,6 +584,13 @@ def test_benchmark_calls_never_fall_back(name, monkeypatch):
     failed = sum(draw.error is not None for *_, draws in batches for draw in draws)
     _assert_nothing_falls_back(stacks, batches)
     assert (failed > 0) == (name == "campaign_large")
+
+
+def test_draw_trial_needs_one_trial_seed_per_checker_id():
+    # zip would drop the slots that one of the two inputs lacks
+    for ids, seeds in ((("T24a",), (5, 6, 7)), (("T24a", "T24b"), (5,))):
+        with pytest.raises(BadParams, match=f"^{len(ids)} checker ids for {len(seeds)} trial"):
+            harness.draw_trial(ids, seeds, small_config())
 
 
 @pytest.mark.parametrize("dims", (harness.DEFAULT_DIMS, workloads.LARGE_DIMS),

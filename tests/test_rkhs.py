@@ -194,6 +194,14 @@ def test_build_space_errors():
         rkhs.KernelFamily("nosuch")
 
 
+@pytest.mark.parametrize("sigma", ("1", None, float("nan"), -1.0))
+def test_gaussian_sigma_must_be_a_positive_real(sigma):
+    # a sigma that is not a real number is the same one-line error as a
+    # nonpositive one, not a TypeError from comparing it with 0
+    with pytest.raises(BadParams, match=r"^gaussian kernel needs sigma > 0$"):
+        rkhs.KernelFamily("gaussian", {"sigma": sigma})
+
+
 # ---------------------------------------------------------------------------
 # Berezin symbols and numbers
 

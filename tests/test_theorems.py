@@ -266,6 +266,34 @@ def test_single_bucket_takes_one_params_dict_per_slice():
             theorems.check_single("R310", sp, t_mat, bad)
 
 
+def test_a_bucket_may_interleave_the_checkers_of_one_family():
+    # a tuple of one checker id per slice, in any order, gives each slice
+    # the certificates of its own checker called alone, with that checker's
+    # runs and variant; a variant's own work runs on its slices only
+    rng = np.random.default_rng(71)
+    sp = rkhs.identity_space(3)
+    x, y = cgauss(rng, (5, 3, 3)), cgauss(rng, (5, 3, 3))
+    zero = np.zeros((5, 3, 3), dtype=complex)
+    ids = ("R26", "T24b", "R26", "T24a", "C25b")
+    params = [{}, {"r": 1.5, "p": 0.25}, {}, {"r": 2.0, "p": 0.75}, {"r": 1.0, "p": 0.0}]
+    got = theorems.check_block_runs(ids, blockops.BlockOperator(zero, x, y, zero, sp, sp), params)
+    assert [[c.to_dict() for c in certs] for certs in got] == [
+        [c.to_dict() for c in theorems.check_block_runs(
+            tid, offdiag(x[k], y[k]), params[k], theorems.CHECKERS[tid].runs)]
+        for k, tid in enumerate(ids)]
+    t_mat = cgauss(rng, (4, 3, 3))
+    ids = ("T311_stmt", "T311_proof", "T311_stmt", "T311_stmt")
+    params = [{"r": 1.0 + k, "p": 2.0, "q": 2.0, "e": 0.25 * k} for k in range(4)]
+    assert [[c.to_dict() for c in certs]
+            for certs in theorems.check_single(ids, sp, t_mat, params)] == [
+        [c.to_dict() for c in theorems.check_single(tid, sp, t, pr)]
+        for tid, t, pr in zip(ids, t_mat, params)]
+    # one id per slice, and ids of one family only
+    for ids in (("T311_stmt", "T311_proof"), ("T311_stmt", "P39", "P39", "P39")):
+        with pytest.raises(BadParams, match="one checker id per slice, all of one family"):
+            theorems.check_single(ids, sp, t_mat, params)
+
+
 def test_l22_l23_checkers():
     rng = np.random.default_rng(17)
     sp = rkhs.identity_space(3)
