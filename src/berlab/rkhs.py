@@ -95,8 +95,8 @@ class KernelSpace:
     ``chart* chart == gram``.
 
     A stacked space (``stack_spaces``) is one model per slice: ``points``
-    holds each slice's points, and ``gram``, ``chart`` and the normalized
-    chart are ``(K, n, n)`` stacks of the slices' own arrays.
+    and ``chart`` hold each slice's points and chart, and ``gram`` and the
+    normalized chart are ``(K, n, n)`` stacks of the slices' own arrays.
     """
 
     points: tuple
@@ -106,7 +106,8 @@ class KernelSpace:
 
     def __post_init__(self):
         # read-only arrays, so that a shared space cannot be mutated
-        for a in (self.gram, self.chart, self._khat):
+        charts = self.chart if self.gram.ndim == 3 else (self.chart,)
+        for a in (self.gram, *charts, self._khat):
             a.flags.writeable = False
 
     @property
@@ -170,14 +171,15 @@ def stack_spaces(spaces):
     Spaces that are all one object, such as a shared ``identity_space(n)``,
     give that space. Otherwise the result is a stacked space: each slice
     keeps its space's own Gram matrix, chart and normalized chart, bit for
-    bit; nothing is recomputed.
+    bit; nothing is recomputed, and the charts, which no evaluation reads,
+    are not stacked.
     """
     first = spaces[0]
     if all(space is first for space in spaces):
         return first
     return KernelSpace(points=tuple(space.points for space in spaces),
                        gram=np.stack([space.gram for space in spaces]),
-                       chart=np.stack([space.chart for space in spaces]),
+                       chart=tuple(space.chart for space in spaces),
                        _khat=np.stack([space.normalized_chart() for space in spaces]))
 
 

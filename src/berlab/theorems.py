@@ -152,21 +152,23 @@ def _split(flags, tail, *stacks):
     """
     if flags.count(flags[0]) == len(flags):
         return tail(flags[0], *stacks)
-    idx = {flag: [k for k, f in enumerate(flags) if f == flag] for flag in (False, True)}
-    parts = {flag: iter(tail(flag, *(_take(stack, ks, len(flags)) for stack in stacks)))
+    idx = {flag: [k for k, f in enumerate(flags) if f == flag] for flag in dict.fromkeys(flags)}
+    parts = {flag: iter(tail(flag, *(_take(stack, ks) for stack in stacks)))
              for flag, ks in idx.items()}
     return [next(parts[flag]) for flag in flags]
 
 
-def _take(stack, idx, count):
-    """Slices ``idx`` of a stack of ``count`` slices; one slice of a space is a lone space."""
+def _take(stack, idx):
+    """Slices ``idx`` (ascending) of a stack; one slice of a space is a lone space. A run
+    of consecutive slices, as a campaign's stacks hold each checker's draws, is a view."""
     if isinstance(stack, rkhs.KernelSpace):  # a shared space stays whole
         return stack if stack.gram.ndim == 2 else rkhs.KernelSpace(*(
-            f[idx[0]] if len(idx) == 1 else _take(f, idx, count)
+            f[idx[0]] if len(idx) == 1 else _take(f, idx)
             for f in (stack.points, stack.gram, stack.chart, stack.normalized_chart())))
     if isinstance(stack, blockops.BlockOperator):
-        return blockops.BlockOperator(*(_take(getattr(stack, f.name), idx, count)
-                                        for f in fields(stack)))
+        return blockops.BlockOperator(*(_take(getattr(stack, f.name), idx) for f in fields(stack)))
+    if idx[-1] - idx[0] == len(idx) - 1:
+        return stack[idx[0]:idx[-1] + 1]
     return stack[idx] if isinstance(stack, np.ndarray) else [stack[k] for k in idx]
 
 
@@ -444,24 +446,17 @@ def _peak_bounds(bucket, block, params, rhs):
             for peaks, rhs_k, pr in zip(_peaks(bucket, block), rhs, params)]
 
 
-def _peak_chains(bucket, block, params, tails):
-    """Per slice, each run's chain from its Berezin peak through that slice's tail."""
-    return [[link for cert, value, wit in peaks
-             for link in _chain(cert, (value, *tail), pr, witness=wit)]
-            for peaks, tail, pr in zip(_peaks(bucket, block), tails, params)]
-
-
-def _t24_operands(block, r, p, ff=()):
+def _t24_operands(block, r, p, ff):
     """PSD combination operators for the two-sided product bounds.
 
-    variant "fg": (f^{2r}(|X|)+g^{2r}(|Y*|), f^{2r}(|Y|)+g^{2r}(|X*|))
-    variant "ff": (f^{2r}(|X|)+f^{2r}(|Y*|), g^{2r}(|Y|)+g^{2r}(|X*|))
-    One r, p and ``ff`` (variant "ff") per slice. First operand acts on space2, second on space1.
+    by default: (f^{2r}(|X|)+g^{2r}(|Y*|), f^{2r}(|Y|)+g^{2r}(|X*|))
+    with ``ff``: (f^{2r}(|X|)+f^{2r}(|Y*|), g^{2r}(|Y|)+g^{2r}(|X*|))
+    One r, p and ``ff`` per slice. First operand acts on space2, second on space1.
     """
     r, p = np.asarray(r), np.asarray(p)
     fe, ge = 2.0 * r * p, 2.0 * r * (1.0 - p)
     # X and Y* are both n1 x n2, Y and X* both n2 x n1: one stack for all
-    # four when n1 = n2, else one per pair. "ff" slices swap Y*'s and Y's exponents
+    # four when n1 = n2, else one per pair. ff slices swap Y*'s and Y's exponents
     ys_e, y_e = (np.where(ff, fe, ge), np.where(ff, ge, fe)) if any(ff) else (ge, fe)
     x2, ys2, y1, xs1 = _abs_powers([block.X, block.Y.conj().mT, block.Y, block.X.conj().mT],
                                    [fe, ys_e, y_e, ge])
@@ -491,93 +486,93 @@ def _ineq1(bucket, block, params):
             for peaks, s_k, rhs_k, pr in zip(_peaks(bucket, block), s, rhs, params)]
 
 
-def _slice_rp(params, who, fixed=None):
-    """The checked (r, p) of each slice, r >= 1 and p in [0, 1]; or its ``fixed`` pair if set."""
-    free = [pr for pr, pair in zip(params, fixed) if pair is None] if fixed else params
-    checked = zip(_slice_values(free, "r", 1.0, math.inf, f"{who} need r >= 1"),
-                  _slice_values(free, "p", 0.0, 1.0, f"{who} need p in [0, 1]"))
-    return [pair or next(checked) for pair in fixed] if fixed else list(checked)
+def _slice_rp(params, fixed, bound):
+    """The (r, p) of each slice: its ``fixed`` pair if set, else its params' r >= 1 and
+    p in [0, 1], or BadParams naming the slice's inequality (T29/C210 for their bounds)."""
+    rps = [pair or (float(pr["r"]), float(pr["p"])) for pr, pair in zip(params, fixed)]
+    for (r, p), b in zip(rps, bound):
+        if not (r >= 1.0 and 0.0 <= p <= 1.0):
+            who = "T29/C210" if b in ("eta", "tied") else "T24/C25/R26"
+            _require(r >= 1.0, f"{who} need r >= 1")
+            raise BadParams(f"{who} need p in [0, 1]")
+    return rps
 
 
-def _t24(bucket, block, params, *, variant, fixed=None):
-    rps = _slice_rp(params, "T24/C25/R26", fixed)
-    op2, op1 = _t24_operands(block, *zip(*rps), [v == "ff" for v in variant])
-    rhs = [2.0**r / 2.0 * math.sqrt(ber2) * math.sqrt(ber1)
-           for (r, _), ber2, ber1 in zip(rps, rkhs.berezin_number(block.space2, op2),
-                                         rkhs.berezin_number(block.space1, op1))]
-    return [[cert(value**r, rhs_k, params=pr, witness=wit)
-             for cert, value, wit in peaks]
-            for peaks, (r, _), rhs_k, pr in zip(_peaks(bucket, block), rps, rhs, params)]
+def _t24(bucket, block, params, *, ff=None, fixed=None, bound=None):
+    """T24a/T24b/C25a/C25b/R26, C28, T29 and C210: one operand pair, its symbols and the
+    Berezin peaks per stack. ``bound`` picks each slice's right side: None the T24
+    bound, "chain" C28's chain, "eta" T29's eta-refined head, "tied" C210's."""
+    ff, fixed, bound = (v or [None] * len(params) for v in (ff, fixed, bound))
+    rps = _slice_rp(params, fixed, bound)
+    op2, op1 = _t24_operands(block, *zip(*rps), ff)
+
+    def bounds(bound, peaks, params, rps, op2, sym2, sym1):
+        if bound in (None, "chain"):  # ber of each operand, read off its symbols
+            bers = zip(*(np.maximum.reduce(np.abs(s), axis=-1).tolist() for s in (sym2, sym1)))
+            if bound is None:
+                return [[cert(value**r, 2.0**r / 2.0 * math.sqrt(b2) * math.sqrt(b1),
+                              params=pr, witness=wit) for cert, value, wit in slice_peaks]
+                        for slice_peaks, pr, (r, _), (b2, b1) in zip(peaks, params, rps, bers)]
+            return [[link for cert, value, wit in slice_peaks for link in _chain(
+                        cert, (value, 0.5 * math.sqrt(b2) * math.sqrt(b1), 0.25 * (b2 + b1),
+                               0.5 * max(b2, b1)), pr, witness=wit)]
+                    for slice_peaks, pr, (b2, b1) in zip(peaks, params, bers)]
+        avals, bvals = (np.clip(s.real, 0.0, None) for s in (sym2, sym1))
+        eta = (np.sqrt(avals)[..., None, :] - np.sqrt(bvals)[..., :, None]) ** 2
+        if bound == "tied":
+            heads = [2.0 ** (r - 1) * norm for (r, _), norm in zip(rps, _norms(op2))]
+        else:
+            heads = [2.0 ** (r - 2) * (a + b)
+                     for (r, _), a, b in zip(rps, np.maximum.reduce(avals, axis=-1).tolist(),
+                                             np.maximum.reduce(bvals, axis=-1).tolist())]
+        return [[cert(value**r, head - 2.0 ** (r - 2) * eta_k, params=pr,
+                      witness={**wit, "eta_inf": eta_k}) for cert, value, wit in slice_peaks]
+                for slice_peaks, pr, (r, _), head, eta_k in zip(
+                    peaks, params, rps, heads, np.minimum.reduce(eta, axis=(-2, -1)).tolist())]
+    return _split(bound, bounds, _peaks(bucket, block), params, rps, op2,
+                  rkhs.berezin_symbols(block.space2, op2), rkhs.berezin_symbols(block.space1, op1))
 
 
 def _c27(bucket, block, params):
     # |X| and |X*| of every slice from one stack
     moduli = numlin.matrix_abs(np.concatenate([block.X, block.X.conj().mT]))
     mids = rkhs.berezin_number(block.space1, moduli[:len(params)] + moduli[len(params):])
-    return _peak_chains(bucket, block, params,
-                        [(0.5 * mid, top) for mid, top in zip(mids, _norms(block.X))])
+    return [[link for cert, value, wit in peaks
+             for link in _chain(cert, (value, 0.5 * mid, top), pr, witness=wit)]
+            for peaks, mid, top, pr in zip(_peaks(bucket, block), mids, _norms(block.X), params)]
 
 
-def _c28(bucket, block, params):
-    op2, op1 = _t24_operands(block, [1.0] * len(params), [0.5] * len(params))
-    return _peak_chains(bucket, block, params, [
-        (0.5 * math.sqrt(ber2) * math.sqrt(ber1), 0.25 * (ber2 + ber1), 0.5 * max(ber2, ber1))
-        for ber2, ber1 in zip(rkhs.berezin_number(block.space2, op2),
-                              rkhs.berezin_number(block.space1, op1))])
+def _t31(bucket, block, params, *, bound):
+    """T31 ("aluthge"), C34 ("norm") and C35 ("readings", at t = 1/2) from one stack
+    of |Y|^t, |X*|^(1-t), |X|^t and |Y*|^(1-t)."""
+    free = iter(_slice_values([pr for pr, b in zip(params, bound) if b != "readings"],
+                              "t", 0.0, 1.0, "T31/C34 need t in [0, 1]"))
+    t = [0.5 if b == "readings" else next(free) for b in bound]
+    powers = _abs_powers([block.Y, block.X.conj().mT, block.X, block.Y.conj().mT],
+                         [t, [1.0 - t_k for t_k in t]] * 2, support=True)
 
+    def bounds(readings, bucket, block, params, bound, t, y_t, xs_s, x_t, ys_s):
+        if readings:  # both readings of the statement are recorded, never gated
+            rhs = [max(nx, ny) + 0.5 * (a + b) for nx, ny, a, b in zip(
+                _norms(block.X), _norms(block.Y), _norms(x_t @ y_t), _norms(xs_s @ ys_s))]
+            sums = zip(_norms(block.X + block.Y), _norms(block.X + block.Y.conj().mT))
+            return [[cert(lhs, rhs_k, params={**pr, "reading": reading}, witness={},
+                          convention=None, mode=INFORMATIONAL)
+                     for _, cert in runs for reading, lhs in zip(("sum", "adjoint_sum"), lhss)]
+                    for runs, rhs_k, pr, lhss in zip(bucket, rhs, params, sums)]
+        cross = [0.5 * (a + b) for a, b in zip(_norms(y_t @ xs_s), _norms(x_t @ ys_s))]
+        return _split(bound, cross_bounds, bucket, block, params, t, cross)
 
-def _t29(bucket, block, params, *, tied):
-    rps = _slice_rp(params, "T29/C210")
-    op2, op1 = _t24_operands(block, *zip(*rps))
-    avals = np.clip(rkhs.berezin_symbols(block.space2, op2).real, 0.0, None)
-    bvals = np.clip(rkhs.berezin_symbols(block.space1, op1).real, 0.0, None)
-    eta = (np.sqrt(avals)[..., None, :] - np.sqrt(bvals)[..., :, None]) ** 2
-    eta_inf = np.minimum.reduce(eta, axis=(-2, -1)).tolist()
-
-    def heads(tied, rps, op2, avals, bvals):
-        if tied:
-            return [2.0 ** (r - 1) * norm for (r, _), norm in zip(rps, _norms(op2))]
-        return [2.0 ** (r - 2) * (a + b)
-                for (r, _), a, b in zip(rps, np.maximum.reduce(avals, axis=-1).tolist(),
-                                        np.maximum.reduce(bvals, axis=-1).tolist())]
-    return [[cert(value**r, head - 2.0 ** (r - 2) * eta_k, params=pr,
-                  witness={**wit, "eta_inf": eta_k})
-             for cert, value, wit in peaks]
-            for peaks, (r, _), pr, head, eta_k in zip(
-                _peaks(bucket, block), rps, params,
-                _split(tied, heads, rps, op2, avals, bvals), eta_inf)]
-
-
-def _t31(bucket, block, params, *, tilted):
-    t = _slice_values(params, "t", 0.0, 1.0, "T31/C34 need t in [0, 1]")
-    s = [1.0 - t_k for t_k in t]
-    y_t, xs_s, x_t, ys_s = _abs_powers(
-        [block.Y, block.X.conj().mT, block.X, block.Y.conj().mT], [t, s, t, s], support=True)
-    cross = [0.5 * (a + b) for a, b in zip(_norms(y_t @ xs_s), _norms(x_t @ ys_s))]
-
-    def bounds(tilted, bucket, block, params, t, cross):
-        if tilted:
+    def cross_bounds(bound, bucket, block, params, t, cross):
+        if bound == "aluthge":
             transform = blockops.aluthge_offdiag(block.X, block.Y, t,
                                                  space1=block.space1, space2=block.space2)
             return _peak_bounds(bucket, transform, params, cross)
         return _peak_bounds(bucket, block, params, [
             0.5 * max(nx, ny) + 0.5 * c
             for nx, ny, c in zip(_norms(block.X), _norms(block.Y), cross)])
-    return _split(tilted, bounds, bucket, block, params, t, cross)
-
-
-def _c35(bucket, block, params):
-    half_y, half_xs, half_x, half_ys = _abs_powers(
-        [block.Y, block.X.conj().mT, block.X, block.Y.conj().mT],
-        [[0.5] * len(params)] * 4, support=True)
-    rhs = [max(nx, ny) + 0.5 * (a + b) for nx, ny, a, b in zip(
-        _norms(block.X), _norms(block.Y), _norms(half_x @ half_y), _norms(half_xs @ half_ys))]
-    readings = zip(_norms(block.X + block.Y), _norms(block.X + block.Y.conj().mT))
-    # both readings of the statement are recorded, never gated
-    return [[cert(lhs, rhs_k, params={**pr, "reading": reading}, witness={},
-                  convention=None, mode=INFORMATIONAL)
-             for _, cert in runs for reading, lhs in zip(("sum", "adjoint_sum"), lhss)]
-            for runs, rhs_k, pr, lhss in zip(bucket, rhs, params, readings)]
+    return _split([b == "readings" for b in bound], bounds, bucket, block, params, bound, t,
+                  *powers)
 
 
 def _t36(bucket, block, params, *, swap):
@@ -694,19 +689,19 @@ CHECKERS = {
     "L21a": Checker("diag", _l21a, runs=_JOINT_GATED),
     "L21b": Checker("offdiag", _l21b, runs=_JOINT_GATED),
     "INEQ1": Checker("offdiag", _ineq1, _grid("s", "p"), _JOINT_GATED),
-    "T24a": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED, variant={"variant": "fg"}),
-    "T24b": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED, variant={"variant": "ff"}),
-    "C25a": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED, variant={"variant": "fg"}),
-    "C25b": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED, variant={"variant": "ff"}),
-    "R26": Checker("offdiag", _t24, runs=_JOINT_GATED,
-                   variant={"variant": "fg", "fixed": (1.0, 0.5)}),
+    "T24a": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED),
+    "T24b": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED, variant={"ff": True}),
+    "C25a": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED),
+    "C25b": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED, variant={"ff": True}),
+    "R26": Checker("offdiag", _t24, runs=_JOINT_GATED, variant={"fixed": (1.0, 0.5)}),
     "C27": Checker("tied_square", _c27, runs=_JOINT_GATED),
-    "C28": Checker("offdiag", _c28, runs=_JOINT_GATED),
-    "T29": Checker("offdiag", _t29, _grid("r", "p"), _PAIR_GATED, variant={"tied": False}),
-    "C210": Checker("tied_square", _t29, _grid("r", "p"), _PAIR_GATED, variant={"tied": True}),
-    "T31": Checker("offdiag_square", _t31, _grid("t"), _JOINT, variant={"tilted": True}),
-    "C34": Checker("offdiag_square", _t31, _grid("t"), _JOINT, variant={"tilted": False}),
-    "C35": Checker("offdiag_square", _c35, runs=_INFO),
+    "C28": Checker("offdiag", _t24, runs=_JOINT_GATED,
+                   variant={"fixed": (1.0, 0.5), "bound": "chain"}),
+    "T29": Checker("offdiag", _t24, _grid("r", "p"), _PAIR_GATED, variant={"bound": "eta"}),
+    "C210": Checker("tied_square", _t24, _grid("r", "p"), _PAIR_GATED, variant={"bound": "tied"}),
+    "T31": Checker("offdiag_square", _t31, _grid("t"), _JOINT, variant={"bound": "aluthge"}),
+    "C34": Checker("offdiag_square", _t31, _grid("t"), _JOINT, variant={"bound": "norm"}),
+    "C35": Checker("offdiag_square", _t31, runs=_INFO, variant={"bound": "readings"}),
     "T36": Checker("full", _t36, _grid("alpha"), _JOINT, variant={"swap": False}),
     "T37": Checker("full", _t36, _grid("alpha"), _JOINT, variant={"swap": True}),
 }

@@ -319,9 +319,9 @@ def test_explore_pinned_long_chunks(tid):
 
 STACKING_IDS = tuple(theorems.CHECKERS)
 # the checkers that share an evaluate function and a shape, whose draws stack together
-FAMILIES = (("T24a", "T24b", "C25a", "C25b", "R26"), ("P39", "R310"),
+FAMILIES = (("T24a", "T24b", "C25a", "C25b", "R26", "C28", "T29"), ("P39", "R310"),
             ("T311_proof", "T311_stmt"), ("T312_proof", "T312_stmt"), ("L22a", "L22b"),
-            ("T31", "C34"), ("T36", "T37"))
+            ("T31", "C34", "C35"), ("T36", "T37"))
 
 
 def _slice_ids(draw):
@@ -448,14 +448,51 @@ STACKED_CALLS = {
 def test_a_bad_draw_in_a_stack_is_one_anomaly(monkeypatch):
     # a stack holding a draw that raises gives None, and each of its draws is
     # then evaluated alone: the bad one raises once and counts one anomaly;
-    # for a block checker and for a single-operator one, and for a draw in a
-    # stack that mixes the checkers of the T24 family
+    # for a block checker and for a single-operator one, and for draws in
+    # stacks that mix the checkers of the T24 family or of the T31 family,
+    # whose three variants split a stack three ways
     for tid, checkers in (("T24a", ("L21b", "T24a", "T29")), ("L23", ("L21b", "L23", "T29")),
-                          ("T24a", ("T24b", "T24a", "R26"))):
+                          ("T24a", ("T24b", "T24a", "R26")), ("C34", ("T31", "C34", "C35"))):
         with monkeypatch.context() as patched:
             holders = _assert_one_bad_draw_is_one_anomaly(tid, checkers, patched)
-        # the stack that held the bad draw held other checkers' draws too
-        assert [len(set(ids)) > 1 for ids in holders] == ["R26" in checkers]
+        # the stack that held the bad draw held draws of each checker of its family
+        kin = {c for c in checkers if _family(c, ()) == _family(tid, ())}
+        assert [set(ids) for ids in holders] == [kin]
+
+
+def test_a_bad_param_in_a_mixed_stack_raises_its_own_message_once(monkeypatch):
+    # a draw whose params break its checker's precondition makes its mixed
+    # stack give None; each draw is then evaluated alone, and only the bad
+    # one raises, once, naming its own inequality
+    draw_trial, evaluate_draw = harness.draw_trial, harness.evaluate_draw
+    for checkers, bad, name, value, message in (
+            (("T24a", "C28", "T29"), "T29", "r", 0.5, "T29/C210 need r >= 1"),
+            (("T29", "T24b", "R26"), "T24b", "p", 2.0, "T24/C25/R26 need p in [0, 1]"),
+            (("T31", "C34", "C35"), "C34", "t", 1.5, "T31/C34 need t in [0, 1]")):
+        config = small_config(trials_per_checker=3, dims=((2, 2),), checker_filter=checkers)
+        bad_seed, raised, stacked = harness.derive_trial_seed(config.master_seed, bad, 1), [], []
+
+        def drawn(ids, seeds, cfg):
+            draws = draw_trial(ids, seeds, cfg)
+            for draw in draws:
+                if draw.trial_seed == bad_seed:
+                    draw.params[name] = value
+            return draws
+
+        def evaluated(draw):
+            if draw.stacked:
+                stacked.append(set(_slice_ids(draw)))
+            try:
+                return evaluate_draw(draw)
+            except BerlabError as exc:
+                raised.append((draw.trial_seed, str(exc)))
+                raise
+        with monkeypatch.context() as patched:
+            patched.setattr(harness, "draw_trial", drawn)
+            patched.setattr(harness, "evaluate_draw", evaluated)
+            failed = [tid for tid, trial in harness._trials(config, checkers) if trial is None]
+        assert stacked == [set(checkers)]
+        assert raised == [(bad_seed, message)] and failed == [bad]
 
 
 def _assert_one_bad_draw_is_one_anomaly(tid, checkers, monkeypatch):
@@ -500,15 +537,15 @@ def _assert_one_bad_draw_is_one_anomaly(tid, checkers, monkeypatch):
 
 def test_a_stack_holds_at_most_stack_cap_draws(monkeypatch):
     # all trials share one operand shape, so only STACK_CAP bounds a stack:
-    # a window of one checker, and the five windows of the T24 family, whose
-    # 5 x 60 draws of one shape make stacks of 64 that span two checkers
+    # a window of one checker, and the seven windows of the T24 family, whose
+    # 7 x 60 draws of one shape make stacks of 64 that span two checkers
     for checkers, trials in ((("T24a",), 300), (FAMILIES[0], 60)):
         config = small_config(trials_per_checker=trials, dims=((2, 2),), checker_filter=checkers)
         with monkeypatch.context() as patched:
             stacks = _stacks_seen(patched)
             harness.run_campaign(config)
         assert max(len(draw.trial_seed) for draw, _ in stacks) == harness.STACK_CAP == 64
-    assert [len(draw.trial_seed) for draw, _ in stacks] == [64] * 4 + [44]
+    assert [len(draw.trial_seed) for draw, _ in stacks] == [64] * 6 + [36]
     assert any(len(set(_slice_ids(draw))) > 1 for draw, _ in stacks)
 
 
@@ -561,18 +598,31 @@ def test_default_campaign_stacks_never_fall_back(monkeypatch):
     assert set(STACKING_IDS) - {tid for draw, _ in stacks for tid in _slice_ids(draw)} == {"T32"}
 
 
-def test_default_campaign_round_makes_531_evaluations(monkeypatch):
-    # the benchmark's campaign_default round at seed 42, master seeds
-    # 252-257: stacking each batch by checker family and operand shape makes
-    # 531 evaluate_draw calls, where stacking by checker id made 700
-    workload, calls = workloads.WORKLOADS["campaign_default"], []
+def _round_evaluations(name, monkeypatch):
+    """The evaluate_draw calls of the benchmark's round of workload ``name`` at seed 42."""
+    workload, calls = workloads.WORKLOADS[name], []
     evaluate_draw = harness.evaluate_draw
     monkeypatch.setattr(harness, "evaluate_draw",
                         lambda draw: calls.append(draw) or evaluate_draw(draw))
-    assert workload.seeds(42) == list(range(252, 258))
     for seed in workload.seeds(42):
         workload.call(seed)
-    assert len(calls) == 531
+    return calls
+
+
+def test_default_campaign_round_makes_471_evaluations(monkeypatch):
+    # the benchmark's campaign_default round at seed 42, master seeds
+    # 252-257: stacking each batch by shared operand calculus and operand
+    # shape makes 471 evaluate_draw calls; one evaluate function per T24 and
+    # T29 family and per T31 and C35 family made 531, stacking by checker id 700
+    assert workloads.WORKLOADS["campaign_default"].seeds(42) == list(range(252, 258))
+    assert len(_round_evaluations("campaign_default", monkeypatch)) == 471
+
+
+@pytest.mark.parametrize("name, count", (("campaign_large", 489), ("explore_t24a", 289)))
+def test_benchmark_round_evaluation_counts(name, count, monkeypatch):
+    # campaign_large's round made 549 calls with four evaluate functions for
+    # the T24 and T31 calculus; explore_t24a's evaluates T24a stacks only
+    assert len(_round_evaluations(name, monkeypatch)) == count
 
 
 @pytest.mark.parametrize("name", ("campaign_large", "explore_t24a"))

@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from berlab import numlin, rkhs
+from berlab import numlin, rkhs, theorems
 from berlab.errors import (
     BadParams,
     BerlabError,
@@ -391,6 +391,29 @@ def test_berezin_symbols_of_a_stack_match_per_slice():
         # a stack's Berezin numbers are its slices', bit for bit
         assert rkhs.berezin_number(sp, stack) == [rkhs.berezin_number(sp, a)
                                                   for a in stack]
+
+
+def test_a_stacked_space_hands_back_each_chart():
+    # a stacked space holds its slices' charts as they are, not as one
+    # stacked array, which no evaluation reads; unstack_space and a
+    # checker's sub-stack (theorems._take) still hand back each slice's
+    # chart, read-only and bit for bit
+    rng = np.random.default_rng(83)
+    for n in (1, 3, 4):
+        spaces = [space_of_dim(n), rkhs.identity_space(n)] + [random_space(rng, n)
+                                                              for _ in range(3)]
+        stacked = rkhs.stack_spaces(spaces)
+        assert all(mine is sp.chart for mine, sp in zip(stacked.chart, spaces))
+        for got, want in [(rkhs.unstack_space(stacked, 5), spaces),
+                          ([theorems._take(stacked, [k]) for k in range(5)], spaces)] + [
+                (rkhs.unstack_space(theorems._take(stacked, ks), 3), [spaces[k] for k in ks])
+                for ks in ([0, 2, 4], [1, 2, 3])]:  # a sub-stack, and a run of slices
+            for mine, sp in zip(got, want, strict=True):
+                assert mine.points == sp.points and mine.gram.ndim == 2
+                for a, b in ((sp.gram, mine.gram), (sp.chart, mine.chart),
+                             (sp.normalized_chart(), mine.normalized_chart())):
+                    assert (b.strides, b.tobytes()) == (a.strides, a.tobytes())
+                    assert not b.flags.writeable
 
 
 def test_rotations_grid_minimum():

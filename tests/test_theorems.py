@@ -8,6 +8,7 @@ finite kernel models (see notes in the acceptance suite).
 
 import dataclasses
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -274,13 +275,22 @@ def test_a_bucket_may_interleave_the_checkers_of_one_family():
     sp = rkhs.identity_space(3)
     x, y = cgauss(rng, (5, 3, 3)), cgauss(rng, (5, 3, 3))
     zero = np.zeros((5, 3, 3), dtype=complex)
-    ids = ("R26", "T24b", "R26", "T24a", "C25b")
-    params = [{}, {"r": 1.5, "p": 0.25}, {}, {"r": 2.0, "p": 0.75}, {"r": 1.0, "p": 0.0}]
-    got = theorems.check_block_runs(ids, blockops.BlockOperator(zero, x, y, zero, sp, sp), params)
-    assert [[c.to_dict() for c in certs] for certs in got] == [
-        [c.to_dict() for c in theorems.check_block_runs(
-            tid, offdiag(x[k], y[k]), params[k], theorems.CHECKERS[tid].runs)]
-        for k, tid in enumerate(ids)]
+    for ids, params in ((("R26", "T24b", "R26", "T24a", "C25b"),
+                         [{}, {"r": 1.5, "p": 0.25}, {}, {"r": 2.0, "p": 0.75},
+                          {"r": 1.0, "p": 0.0}]),
+                        # the T24 bound, C28's chain and T29's eta-refined head
+                        (("T29", "C28", "T24a", "R26", "T29"),
+                         [{"r": 2.0, "p": 0.25}, {}, {"r": 1.5, "p": 0.5}, {},
+                          {"r": 3.0, "p": 1.0}]),
+                        # T31's Aluthge transform, C34's norms and C35's readings
+                        (("C35", "T31", "C34", "C35", "T31"),
+                         [{}, {"t": 0.25}, {"t": 0.75}, {}, {"t": 1.0}])):
+        got = theorems.check_block_runs(ids, blockops.BlockOperator(zero, x, y, zero, sp, sp),
+                                        params)
+        assert [[c.to_dict() for c in certs] for certs in got] == [
+            [c.to_dict() for c in theorems.check_block_runs(
+                tid, offdiag(x[k], y[k]), params[k], theorems.CHECKERS[tid].runs)]
+            for k, tid in enumerate(ids)]
     t_mat = cgauss(rng, (4, 3, 3))
     ids = ("T311_stmt", "T311_proof", "T311_stmt", "T311_stmt")
     params = [{"r": 1.0 + k, "p": 2.0, "q": 2.0, "e": 0.25 * k} for k in range(4)]
@@ -330,6 +340,28 @@ def test_c27_identity_links():
     assert [c.params["link"] for c in certs] == [1, 2]
     assert abs(certs[1].slack) <= 1e-12
     assert all(c.holds for c in certs)
+
+
+def test_merged_checkers_name_their_own_precondition():
+    # the checkers that share an evaluate function each still name their own
+    # inequality for an out-of-range parameter, called alone or as one slice
+    # of a bucket beside another checker of the family
+    rng = np.random.default_rng(89)
+    block = offdiag(*[cgauss(rng, (2, 2))] * 2)  # Y = X: every block shape's promise
+    pair = blockops.BlockOperator(*(np.stack([a, a]) for a in (
+        block.S, block.X, block.Y, block.R)), block.space1, block.space2)
+    for tid, params, message, (other, other_params) in (
+            ("T24a", {"r": 0.5, "p": 0.5}, "T24/C25/R26 need r >= 1", ("T29", {"r": 2, "p": 0})),
+            ("C25b", {"r": 1.0, "p": 1.5}, "T24/C25/R26 need p in [0, 1]", ("C28", {})),
+            ("T29", {"r": 0.5, "p": 0.5}, "T29/C210 need r >= 1", ("T24a", {"r": 1, "p": 1})),
+            ("T29", {"r": 2.0, "p": -0.25}, "T29/C210 need p in [0, 1]", ("R26", {})),
+            ("C210", {"r": 0.5, "p": 0.5}, "T29/C210 need r >= 1", ("C210", {"r": 1, "p": 0})),
+            ("T31", {"t": 1.5}, "T31/C34 need t in [0, 1]", ("C35", {})),
+            ("C34", {"t": -0.5}, "T31/C34 need t in [0, 1]", ("T31", {"t": 0.5}))):
+        with pytest.raises(BadParams, match=rf"^{re.escape(message)}$"):
+            theorems.check_block_runs(tid, block, params)
+        with pytest.raises(BadParams, match=rf"^{re.escape(message)}$"):
+            theorems.check_block_runs((other, tid), pair, [other_params, params])
 
 
 def test_c28_chain_links():
