@@ -11,7 +11,6 @@ import functools
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -161,53 +160,50 @@ def _state_words():
 # ---------------------------------------------------------------------------
 # operator and space generators
 
+def _gaussian(re, im):
+    """(re + 1j im) / sqrt(2) for normal draws re, im (or stacks), the dividend set in place."""
+    z = np.empty(np.shape(re), dtype=np.complex128)
+    z.real, z.imag = re, im
+    return z / np.sqrt(2.0)
+
+
 def _complex_gaussian(rng, shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-class _Operator(NamedTuple):
-    """The random part of one ensemble draw, and the block of it a trial keeps."""
-
-    kind: str
-    g: np.ndarray     # the dim x dim complex Gaussian
-    mask: np.ndarray  # a partial isometry's 0/1 column mask, else None
-    rows: int
-    cols: int
+    return _gaussian(rng.standard_normal(shape), rng.standard_normal(shape))
 
 
 def _draw_gaussians(rng, kind, dim, rows=None, cols=None):
-    """An ``_Operator``: the Gaussian, then a partial isometry's mask, from ``rng``.
+    """``(kind, re, im, mask, rows, cols)``: the random part of one ensemble draw.
 
-    ``rows`` x ``cols`` (default: the whole draw) is the top-left block kept,
-    so a rectangular operand is a slice of a square ensemble draw.
+    ``re``, ``im`` are the normal draws of the dim x dim Gaussian's parts; a
+    partial isometry then draws ``mask``, its 0/1 column mask (else None), and
+    reads as kind "unitary", whose build it shares. The top-left ``rows`` x
+    ``cols`` block (default: all) is kept: a rectangular operand is a slice.
     """
-    g = _complex_gaussian(rng, (dim, dim))
-    mask = (rng.integers(0, 2, size=dim).astype(np.complex128)
-            if kind == "partial_isometry" else None)
-    return _Operator(kind, g, mask, rows or dim, cols or dim)
+    re, im = rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim))
+    mask = rng.integers(0, 2, size=dim) if kind == "partial_isometry" else None
+    return kind if mask is None else "unitary", re, im, mask, rows or dim, cols or dim
 
 
-def _build_operators(kind, g, mask):
-    """The ensemble operators of a stack of Gaussians ``g``, shape (K, n, n).
+def _build_operators(ops):
+    """The ensemble operators of ``_draw_gaussians`` draws of one kind and size, as one stack.
 
-    One stacked call per kind: an SVD for the unitary, partial isometry and
-    contraction ensembles, a matmul for psd. Each slice keeps the bits of a
-    lone build; ``mask`` is the (K, n) stack of partial isometry masks.
+    One stacked call per kind: an SVD for the unitary and contraction
+    ensembles, a matmul for psd. Each slice keeps the bits of a lone build.
     """
+    (kind, *_), re, im, masks, _, _ = zip(*ops)
+    g = _gaussian(np.array(re), np.array(im))
     if kind == "ginibre":
         return g
     if kind == "hermitian":
         return (g + g.conj().mT) / 2.0
     if kind == "psd":
         return g.conj().mT @ g
-    if kind in ("unitary", "partial_isometry"):
+    if kind == "unitary":
         u = numlin.polar_decompose(g)[0]
-        if kind == "unitary":
-            return u
-        diag = np.zeros(g.shape, dtype=np.complex128)
-        idx = np.arange(g.shape[-1])
-        diag[:, idx, idx] = mask
-        return u @ diag
+        masked = [k for k, mask in enumerate(masks) if mask is not None]
+        if masked:  # a partial isometry is its unitary factor times its column mask
+            u[masked] = u[masked] @ np.array([np.diag(masks[k]) for k in masked], np.complex128)
+        return u
     if kind == "contraction":
         return g / np.maximum(numlin.operator_norm(g), 1.0)[:, None, None]
     if kind == "nilpotent":
@@ -215,29 +211,27 @@ def _build_operators(kind, g, mask):
     raise BadParams(f"unknown operator kind {kind!r}")
 
 
-def _draw_points(rng, family, n):
-    """One random point set of a kernel space of a family other than identity."""
-    if family.tag in ("szego", "bergman"):
-        radii = 0.9 * np.sqrt(rng.random(n))
-        angles = 2.0 * np.pi * rng.random(n)
-        return [complex(z) for z in radii * np.exp(1j * angles)]
-    return [float(x) for x in rng.normal(0.0, 2.0, n)]
-
-
 def draw_space(rngs, family, n):
     """Sample one kernel space per generator; ill-conditioned point draws are retried.
 
     Each attempt builds the point sets of every generator still drawing as
     one stack, and each draws its retries from its own generator. The
-    result holds, per generator, its space or an IllConditioned that quotes
-    its last attempt's error; it never raises one.
+    arithmetic on the drawn numbers runs on their stack, elementwise, so
+    each set keeps the bits of its draw alone; points travel as Python
+    lists. The result holds, per generator, its space or an IllConditioned
+    that quotes its last attempt's error; it never raises one.
     """
     if family.tag == "identity":
         return [rkhs.identity_space(n)] * len(rngs)
     out, todo = [None] * len(rngs), range(len(rngs))
     for _ in range(SPACE_ATTEMPTS):
-        built = rkhs.build_space(family, [_draw_points(rngs[k], family, n) for k in todo])
-        for k, space in zip(todo, built):
+        if family.tag == "gaussian":
+            points = [rngs[k].normal(0.0, 2.0, n).tolist() for k in todo]
+        else:  # szego, bergman
+            u = np.array([u for k in todo for u in (rngs[k].random(n), rngs[k].random(n))])
+            radii, angles = 0.9 * np.sqrt(u[0::2]), 2.0 * np.pi * u[1::2]
+            points = (radii * np.exp(1j * angles)).tolist()
+        for k, space in zip(todo, rkhs.build_space(family, points)):
             out[k] = space
         todo = [k for k in todo if isinstance(out[k], BerlabError)]
         if not todo:
@@ -273,24 +267,23 @@ class TrialDraw:
 
     def __post_init__(self):
         for a in self.arrays.values():  # certificates digest them when first read
-            a.flags.writeable = False
+            a.setflags(write=False)
 
     @property
     def stacked(self):
         return isinstance(self.trial_seed, tuple)
 
 
-def _plan(theorem_id, rng, config):
+def _plan(checker, rng, config):
     """The random part of one trial's draw from its seeded ``rng``, as a generator.
 
     The params come first, then the operands that the shape and extras of
-    the checker's ``theorems.Checker`` record name. This call order fixes
-    every trial's inputs, so changing it changes every report. The plan
+    the ``theorems.Checker`` record name. This call order fixes every
+    trial's inputs, so changing it changes every report. The plan
     yields each space it needs as ``(rng, family, n)`` and is sent the space,
     or thrown its IllConditioned. It returns ``(params, arrays, spaces)``,
-    each operator still an ``_Operator`` to build.
+    each operator still a ``_draw_gaussians`` draw to build.
     """
-    checker = theorems.lookup(theorem_id)
     shape = checker.shape
     params = checker.sample(rng)
     arrays, spaces = {}, {}
@@ -329,11 +322,9 @@ def _plan(theorem_id, rng, config):
             arrays["R"] = _draw_gaussians(rng, _choice(rng, OPERATOR_KINDS), n2)
             # a full block draws a fresh ensemble for X
             kind = _choice(rng, OPERATOR_KINDS) if shape == "full" else None
-        if shape == "tied_square":
-            arrays["X"] = _draw_gaussians(rng, kind, n1)
-        elif shape != "diag":
-            # rectangular blocks are slices of square ensemble draws
+        if shape != "diag":  # rectangular blocks are slices of square ensemble draws
             arrays["X"] = _draw_gaussians(rng, kind, max(n1, n2), n1, n2)
+        if shape not in ("diag", "tied_square"):
             arrays["Y"] = _draw_gaussians(rng, _choice(rng, OPERATOR_KINDS), max(n1, n2),
                                           n2, n1)
     return params, arrays, spaces
@@ -342,19 +333,20 @@ def _plan(theorem_id, rng, config):
 def draw_trial(theorem_ids, trial_seeds, config):
     """Deterministically draw the inputs of each (checker id, trial seed) slot.
 
-    A trial seed outside [0, 2**64) raises BadParams. The result holds one
-    TrialDraw per slot and raises no drawn error: a failed slot carries its
-    BerlabError for ``evaluate_draw`` to raise. Every plan runs until it asks
-    for a space. The requests of one kernel family (tag and params) and size
-    go to one ``draw_space`` call, so they share a stacked build per
-    attempt; each plan then resumes on its own generator. Last, the
-    operators of one ensemble and size are built as one stack. Each slot's
-    RNG calls and bits are those of a batch of one.
+    An unknown checker id or a trial seed outside [0, 2**64) raises
+    BadParams. The result holds one TrialDraw per slot and raises no drawn
+    error: a failed slot carries its BerlabError for ``evaluate_draw`` to
+    raise. Every plan runs until it asks for a space. The requests of one
+    kernel family object and size go to one ``draw_space`` call, so they
+    share a stacked build per attempt; each plan then resumes on its own
+    generator. Last, the operators of one ensemble and size are built as
+    one stack. Each slot's RNG calls and bits are those of a batch of one.
     """
     seeds = [int(seed) for seed in trial_seeds]
     if len(theorem_ids) != len(seeds):
         raise BadParams(f"{len(theorem_ids)} checker ids for {len(seeds)} trial seeds")
-    plans = [_plan(tid, rng, config) for tid, rng in zip(theorem_ids, _generators(seeds))]
+    checkers = {tid: theorems.lookup(tid) for tid in dict.fromkeys(theorem_ids)}
+    plans = [_plan(checkers[tid], rng, config) for tid, rng in zip(theorem_ids, _generators(seeds))]
     out = [None] * len(plans)
     replies = dict.fromkeys(range(len(plans)))  # plan index -> space to send
     while replies:
@@ -369,8 +361,7 @@ def draw_trial(theorem_ids, trial_seeds, config):
                 out[k] = {}, {}, {}, exc.with_traceback(None)
         groups, replies = {}, {}
         for k, (_, family, n) in asks.items():
-            key = (family.tag, repr(sorted(family.params.items())), n)  # params: a dict
-            groups.setdefault(key, []).append(k)
+            groups.setdefault((id(family), n), []).append(k)  # params: a dict, no hash
         for ks in groups.values():
             _, family, n = asks[ks[0]]
             replies.update(zip(ks, draw_space([asks[k][0] for k in ks], family, n)))
@@ -378,14 +369,12 @@ def draw_trial(theorem_ids, trial_seeds, config):
     by_kind = {}
     for _, arrays, *_ in out:
         for name, op in arrays.items():
-            if isinstance(op, _Operator):
-                by_kind.setdefault((op.kind, len(op.g)), []).append((arrays, name))
-    for (kind, _), slots in by_kind.items():
+            if isinstance(op, tuple):  # a _draw_gaussians draw
+                by_kind.setdefault((op[0], len(op[1])), []).append((arrays, name))
+    for slots in by_kind.values():
         ops = [arrays[name] for arrays, name in slots]
-        masks = np.stack([op.mask for op in ops]) if kind == "partial_isometry" else None
-        built = _build_operators(kind, np.stack([op.g for op in ops]), masks)
-        for (arrays, name), op, full in zip(slots, ops, built):
-            arrays[name] = np.ascontiguousarray(full[:op.rows, :op.cols])
+        for (arrays, name), (*_, rows, cols), full in zip(slots, ops, _build_operators(ops)):
+            arrays[name] = np.ascontiguousarray(full[:rows, :cols])
     return [TrialDraw(tid, seed, *fields) for tid, seed, fields in zip(theorem_ids, seeds, out)]
 
 
@@ -416,7 +405,7 @@ def _stack_draws(draws):
     return TrialDraw(
         ids[0] if ids.count(ids[0]) == len(ids) else ids,
         tuple(d.trial_seed for d in draws), tuple(d.params for d in draws),
-        {name: np.stack([d.arrays[name] for d in draws]) for name in first.arrays},
+        {name: np.array([d.arrays[name] for d in draws]) for name in first.arrays},
         {name: rkhs.stack_spaces([d.spaces[name] for d in draws]) for name in first.spaces})
 
 

@@ -108,7 +108,7 @@ class KernelSpace:
         # read-only arrays, so that a shared space cannot be mutated
         charts = self.chart if self.gram.ndim == 3 else (self.chart,)
         for a in (self.gram, *charts, self._khat):
-            a.flags.writeable = False
+            a.setflags(write=False)
 
     @property
     def dim(self):
@@ -160,8 +160,7 @@ def build_space(family, point_sets):
         norms = np.sqrt(np.einsum("...ij,...ij->...j", chart.conj(), chart).real)
         khat = chart / norms[..., None, :]
         for i, j in enumerate(good):
-            out[todo[j]] = KernelSpace(points=sets[todo[j]], gram=gram[j], chart=chart[i],
-                                       _khat=khat[i])
+            out[todo[j]] = KernelSpace(sets[todo[j]], gram[j], chart[i], khat[i])
     return out
 
 
@@ -169,16 +168,16 @@ def stack_spaces(spaces):
     """One space over which a stack of operators acts, slice k over ``spaces[k]``.
 
     Spaces that are all one object, such as a shared ``identity_space(n)``,
-    give that space. Otherwise the result is a stacked space: each slice
-    keeps its space's own Gram matrix, chart and normalized chart, bit for
-    bit; nothing is recomputed, and the charts, which no evaluation reads,
-    are not stacked.
+    give that space. Otherwise each slice keeps its own Gram matrix, chart
+    and normalized chart, bit for bit; the charts, which no evaluation reads,
+    are not stacked. np.stack keeps each normalized chart's F order: np.array
+    would make it C order, and the symbols' einsum would round differently.
     """
     first = spaces[0]
     if all(space is first for space in spaces):
         return first
     return KernelSpace(points=tuple(space.points for space in spaces),
-                       gram=np.stack([space.gram for space in spaces]),
+                       gram=np.array([space.gram for space in spaces]),
                        chart=tuple(space.chart for space in spaces),
                        _khat=np.stack([space.normalized_chart() for space in spaces]))
 

@@ -607,7 +607,7 @@ PARAM_GRID = {
 
 def choice(rng, seq):
     """One uniformly drawn element of ``seq``."""
-    return seq[int(rng.integers(len(seq)))]
+    return seq[rng.integers(len(seq))]
 
 
 def _grid(*names):
@@ -718,6 +718,17 @@ def lookup(theorem_id, kind=None):
     return checker
 
 
+class _Params(dict):
+    """One slice's params: reading a key it lacks raises BadParams naming its checker."""
+
+    def __init__(self, theorem_id, params):
+        super().__init__(params)
+        self.theorem_id = theorem_id
+
+    def __missing__(self, key):
+        raise BadParams(f"{self.theorem_id} needs param {key!r}")
+
+
 def _bucket(theorem_id, kind, runs, params, arrays, spaces):
     """(record, lone, arrays, params, bucket, variants) of one operand set or a stack.
 
@@ -743,6 +754,7 @@ def _bucket(theorem_id, kind, runs, params, arrays, spaces):
     if len(ids) != len(params) or per_slice and len(
             {(r.evaluate, r.shape) for r in records.values()}) != 1:
         raise BadParams(f"{theorem_id}: one checker id per slice, all of one family")
+    params = [_Params(tid, pr) for tid, pr in zip(ids, params)]
     grams = [s.gram if s.gram.ndim == 3 else [s.gram] * len(params) for s in spaces]
 
     def factories(tid, slice_runs, slice_params, *inputs):  # one certificate factory per run

@@ -203,9 +203,8 @@ def test_criterion_3_decomposition_oracles():
         seed = int(rng.integers(2**63))
         op = harness._draw_gaussians(np.random.default_rng(seed), kind, dim)
         by_kind.setdefault((kind, dim), []).append(op)
-    for (kind, _), ops in by_kind.items():
-        masks = np.stack([op.mask for op in ops]) if kind == "partial_isometry" else None
-        for t_mat in harness._build_operators(kind, np.stack([op.g for op in ops]), masks):
+    for ops in by_kind.values():
+        for t_mat in harness._build_operators(ops):
             scale = 1.0 + numlin.operator_norm(t_mat)
             u, mod = numlin.polar_decompose(t_mat)
             worst_polar = max(worst_polar,

@@ -37,9 +37,8 @@ def small_config(**kw):
 
 def draw_operators(kind, dim, seeds):
     """The ensemble draws of ``seeds`` as one stacked build, as a campaign builds them."""
-    ops = [harness._draw_gaussians(np.random.default_rng(seed), kind, dim) for seed in seeds]
-    masks = np.stack([op.mask for op in ops]) if kind == "partial_isometry" else None
-    return harness._build_operators(kind, np.stack([op.g for op in ops]), masks)
+    return harness._build_operators([harness._draw_gaussians(np.random.default_rng(seed), kind, dim)
+                                     for seed in seeds])
 
 
 def draw_one(theorem_id, trial_seed, config):
@@ -56,6 +55,22 @@ def test_draw_operator_deterministic():
     for kind in harness.OPERATOR_KINDS:
         for seed, op in enumerate(draw_operators(kind, 4, range(8))):
             assert op.tobytes() == draw_operators(kind, 4, (seed,))[0].tobytes(), kind
+
+
+def test_complex_gaussian_keeps_the_bits_and_the_stream():
+    # the Gaussian's parts are set in place from its two normal draws, then
+    # divided: it keeps the bits of (a + 1j b) / sqrt(2), and the generator is
+    # left where those two draws leave it
+    for seed in range(600):
+        n = 2 + seed % 5
+        for shape in ((), (1,), (n,), n, (n, n)):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = harness._complex_gaussian(rng, shape)
+            want = np.asarray((ref.standard_normal(shape) + 1j * ref.standard_normal(shape))
+                              / np.sqrt(2.0))
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes())
+            assert rng.standard_normal() == ref.standard_normal()
 
 
 def test_ensemble_contracts():
@@ -641,6 +656,51 @@ def test_draw_trial_needs_one_trial_seed_per_checker_id():
     for ids, seeds in ((("T24a",), (5, 6, 7)), (("T24a", "T24b"), (5,))):
         with pytest.raises(BadParams, match=f"^{len(ids)} checker ids for {len(seeds)} trial"):
             harness.draw_trial(ids, seeds, small_config())
+    # each id is looked up once per batch, before any slot draws
+    with pytest.raises(BadParams, match="^no such checker 'NOPE'$"):
+        harness.draw_trial(("T24a", "NOPE"), (5, 6), small_config())
+
+
+def draw_stage_digest(draws):
+    """sha256 over every param, operand and space array of a batch, layout included."""
+    h = hashlib.sha256()
+
+    def arr(a):
+        h.update(repr((a.dtype.str, a.shape, a.strides)).encode())
+        h.update(a.tobytes())
+    for draw in draws:
+        err = draw.error and (type(draw.error).__name__, draw.error.args)
+        h.update(repr((draw.theorem_id, draw.trial_seed, err, list(draw.params.items()),
+                       list(draw.arrays), list(draw.spaces))).encode())
+        for a in draw.arrays.values():
+            arr(a)
+        for sp in draw.spaces.values():
+            h.update(repr(sp.points).encode())
+            for a in (sp.gram, sp.chart, sp.normalized_chart()):
+                arr(a)
+        if "space2" in draw.spaces:
+            h.update(repr(draw.spaces["space1"] is draw.spaces["space2"]).encode())
+    return h.hexdigest()
+
+
+# sha256 of a 36-checker x 6-trial draw_trial batch at master seed 31
+DRAW_STAGE_PINS = {
+    "default_dims": "ceb59d2ba13fc11d047565f6ac86ffed11fd5ea59f5eeff0ce22f4076f0180af",
+    "large_dims": "efbd5331cc5424744b38a307845bc2bbaa254985ba196e664642a744fa8a5a26",
+}
+
+
+@pytest.mark.parametrize("dims", (harness.DEFAULT_DIMS, workloads.LARGE_DIMS),
+                         ids=("default_dims", "large_dims"))
+def test_draw_stage_is_pinned(dims, request):
+    # the golden hash sees a draw only through its evaluation; this pins the
+    # draw stage itself: every drawn param, operand byte and stride, and every
+    # space's points, Gram matrix, chart and normalized chart
+    config = harness.CampaignConfig(master_seed=31, dims=dims)
+    slots = [(tid, harness.derive_trial_seed(31, tid, i))
+             for tid in harness.ALL_CHECKERS for i in range(6)]
+    batch = harness.draw_trial(tuple(t for t, _ in slots), tuple(s for _, s in slots), config)
+    assert draw_stage_digest(batch) == DRAW_STAGE_PINS[request.node.callspec.id]
 
 
 @pytest.mark.parametrize("dims", (harness.DEFAULT_DIMS, workloads.LARGE_DIMS),

@@ -26,9 +26,8 @@ block_shapes = st.sampled_from(("diag", "offdiag", "full"))
 
 
 def operator(kind, n, seed):
-    op = harness._draw_gaussians(np.random.default_rng(seed), kind, n)
-    mask = None if op.mask is None else op.mask[None]
-    return harness._build_operators(kind, op.g[None], mask)[0]
+    [op] = harness._build_operators([harness._draw_gaussians(np.random.default_rng(seed), kind, n)])
+    return op
 
 
 def modulus(kind, n, seed):

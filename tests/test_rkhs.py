@@ -416,6 +416,23 @@ def test_a_stacked_space_hands_back_each_chart():
                     assert not b.flags.writeable
 
 
+def test_stack_spaces_keeps_each_normalized_chart_layout():
+    # a normalized chart slice is F-ordered, strides (16, 16 n): np.stack keeps
+    # that layout, while np.array would copy it C-ordered, and berezin_symbols'
+    # einsum then rounds differently. The stacked space keeps each slice's
+    # strides and bytes, and its symbols are each lone space's, bit for bit
+    rng = np.random.default_rng(101)
+    for n in (2, 3, 4, 6):
+        spaces = [random_space(rng, n) for _ in range(5)] + [rkhs.identity_space(n)]
+        stacked, ops = rkhs.stack_spaces(spaces), cgauss(rng, (6, n, n))
+        for mine, sp in zip(stacked.normalized_chart(), spaces, strict=True):
+            want = sp.normalized_chart()
+            assert want.strides == (16, 16 * n)
+            assert (mine.strides, mine.tobytes()) == (want.strides, want.tobytes())
+        assert rkhs.berezin_symbols(stacked, ops).tobytes() == b"".join(
+            rkhs.berezin_symbols(sp, a).tobytes() for sp, a in zip(spaces, ops))
+
+
 def test_rotations_grid_minimum():
     with pytest.raises(BadParams):
         rkhs.ber_via_rotations(rkhs.identity_space(1), np.eye(1), 3)

@@ -364,6 +364,31 @@ def test_merged_checkers_name_their_own_precondition():
             theorems.check_block_runs((other, tid), pair, [other_params, params])
 
 
+def test_a_missing_param_raises_bad_params_naming_the_checker_and_key():
+    # each entry point reads a slice's params through one dict that turns a
+    # missing key into BadParams, not a bare KeyError; a bucket's message
+    # names the checker of the slice that lacks the key
+    rng = np.random.default_rng(97)
+    block = offdiag(*[cgauss(rng, (2, 2))] * 2)
+    pair = blockops.BlockOperator(*(np.stack([a, a]) for a in (
+        block.S, block.X, block.Y, block.R)), block.space1, block.space2)
+    t_mat, space = cgauss(rng, (2, 2)), rkhs.identity_space(2)
+    for call, message in (
+            (lambda: theorems.check_block_runs("T24a", block, {"r": 2.0}), "T24a needs param 'p'"),
+            (lambda: theorems.check_block_runs("T31", block, {}), "T31 needs param 't'"),
+            (lambda: theorems.check_block_runs(("T24a", "T29"), pair,
+                                               [{"r": 1.0, "p": 0.5}, {"r": 2.0}]),
+             "T29 needs param 'p'"),
+            (lambda: theorems.check_single("P39", space, t_mat, {}), "P39 needs param 'r'"),
+            (lambda: theorems.check_single("T312_proof", space, t_mat, {"nu": 0.5}),
+             "T312_proof needs param 't'"),
+            (lambda: theorems.check_scalar("YOUNG2", {}, (1.0, 2.0)), "YOUNG2 needs param 'm'"),
+            (lambda: theorems.check_scalar("I37", {"r": 2.0}, (1.0, 2.0)),
+             "I37 needs param 'nu'")):
+        with pytest.raises(BadParams, match=rf"^{re.escape(message)}$"):
+            call()
+
+
 def test_c28_chain_links():
     rng = np.random.default_rng(19)
     blk = offdiag(cgauss(rng, (2, 3)), cgauss(rng, (3, 2)))
