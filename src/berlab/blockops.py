@@ -34,15 +34,11 @@ class BlockOperator:
     def __post_init__(self):
         n1, n2 = self.space1.dim, self.space2.dim
         lead = self.S.shape[:-2]
-        shapes = {
-            "S": (self.S.shape, lead + (n1, n1)),
-            "X": (self.X.shape, lead + (n1, n2)),
-            "Y": (self.Y.shape, lead + (n2, n1)),
-            "R": (self.R.shape, lead + (n2, n2)),
-        }
-        for name, (got, want) in shapes.items():
-            if got != want:
-                raise DimensionMismatch(f"block {name} is {got}, expected {want}")
+        want = (lead + (n1, n1), lead + (n1, n2), lead + (n2, n1), lead + (n2, n2))
+        got = (self.S.shape, self.X.shape, self.Y.shape, self.R.shape)
+        if got != want:  # one comparison; the first mismatched block names itself
+            name, got, want = next(m for m in zip("SXYR", got, want) if m[1] != m[2])
+            raise DimensionMismatch(f"block {name} is {got}, expected {want}")
 
 
 def offdiag_block(x, y, space1=None, space2=None):
@@ -76,10 +72,10 @@ def _pair_values(block):
     k2 = block.space2.normalized_chart()
     # the terms keep the order (s + x) + y.T + r: another order moves bits
     vals = k1.conj().mT @ block.X @ k2
-    if block.S.any():
+    if np.count_nonzero(block.S):
         vals = rkhs.berezin_symbols(block.space1, block.S)[..., :, None] + vals
     vals = vals + (k2.conj().mT @ block.Y @ k1).mT
-    if block.R.any():
+    if np.count_nonzero(block.R):
         vals = vals + rkhs.berezin_symbols(block.space2, block.R)[..., None, :]
     return vals
 
@@ -110,12 +106,13 @@ def ber_block(block, conv):
 
 
 def _support_power(moduli, exps):
-    """|T|^t on its support only, for a stack of already-PSD moduli.
+    """|T|^t on its support only, for a list of stacks of already-PSD moduli; a modulus
+    listed more than once (the same object) takes one eigh.
 
     A name of its own so that perfbench's layer trace counts the powers the
     Aluthge transforms take.
     """
-    return numlin.matrix_power_psd(np.stack(moduli), exps, support=True)
+    return numlin._powers_once(moduli, exps, True, numlin.hermitian_eig)
 
 
 def _exponents(t, lead):

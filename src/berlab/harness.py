@@ -198,8 +198,8 @@ def _build_operators(ops):
         return (g + g.conj().mT) / 2.0
     if kind == "psd":
         return g.conj().mT @ g
-    if kind == "unitary":
-        u = numlin.polar_decompose(g)[0]
+    if kind == "unitary":  # only the isometry: polar_decompose would also build |g|
+        u = numlin._polar_svd(g)[0]
         masked = [k for k, mask in enumerate(masks) if mask is not None]
         if masked:  # a partial isometry is its unitary factor times its column mask
             u[masked] = u[masked] @ np.array([np.diag(masks[k]) for k in masked], np.complex128)
@@ -267,7 +267,8 @@ class TrialDraw:
 
     def __post_init__(self):
         for a in self.arrays.values():  # certificates digest them when first read
-            a.setflags(write=False)
+            if a.flags.writeable:  # a view of a frozen stack already is read-only
+                a.setflags(write=False)
 
     @property
     def stacked(self):
@@ -373,7 +374,9 @@ def draw_trial(theorem_ids, trial_seeds, config):
                 by_kind.setdefault((op[0], len(op[1])), []).append((arrays, name))
     for slots in by_kind.values():
         ops = [arrays[name] for arrays, name in slots]
-        for (arrays, name), (*_, rows, cols), full in zip(slots, ops, _build_operators(ops)):
+        built = _build_operators(ops)
+        built.setflags(write=False)  # once: its square slices are views, read-only too
+        for (arrays, name), (*_, rows, cols), full in zip(slots, ops, built):
             arrays[name] = np.ascontiguousarray(full[:rows, :cols])
     return [TrialDraw(tid, seed, *fields) for tid, seed, fields in zip(theorem_ids, seeds, out)]
 
@@ -442,11 +445,6 @@ def evaluate_draw(draw):
 
 # ---------------------------------------------------------------------------
 # campaign aggregation
-
-def _agg_key(cert):
-    return (cert.theorem_id, cert.convention or "", cert.params.get("link", 0),
-            cert.params.get("reading", ""), cert.mode)
-
 
 @dataclass
 class Report:
@@ -524,15 +522,13 @@ def run_campaign(config):
             anomalies[tid] += 1
             continue
         for cert in trial[1]:
-            key = _agg_key(cert)
+            key = (cert.theorem_id, cert.convention or "", cert.params.get("link", 0),
+                   cert.params.get("reading", ""), cert.mode)
             row = rows.get(key)
             if row is None:
                 # mean_slack holds the slack sum and witness the
                 # least-slack certificate until every trial is in
-                row = rows[key] = _new_row(
-                    cert.theorem_id, cert.convention,
-                    cert.params.get("link", 0),
-                    cert.params.get("reading", ""), cert.mode)
+                row = rows[key] = _new_row(cert.theorem_id, cert.convention, *key[2:])
             row["trials"] += 1
             row["mean_slack"] += cert.slack
             if not cert.holds and cert.mode == GATING:

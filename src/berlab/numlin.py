@@ -25,7 +25,7 @@ def as_matrix(a, stack=False):
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 and not (stack and m.ndim > 2):
         raise ValueError(f"expected a 2-d array, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
+    if np.count_nonzero(np.isfinite(m)) != m.size:  # a C count: .all() is a Python call
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -72,7 +72,7 @@ def matrix_abs(t, p=None, support=False):
     phi = None if p is None else _power(m.shape[:-2], p, support)
     gram = m.conj().mT @ m
     gram = (gram + gram.conj().mT) / 2.0
-    if not np.isfinite(gram).all():  # T*T can overflow where T does not
+    if np.count_nonzero(np.isfinite(gram)) != gram.size:  # T*T can overflow where T does not
         raise ValueError("matrix has non-finite entries")
     modulus = _spectral(*np.linalg.eigh(gram), np.sqrt)
     return modulus if phi is None else _spectral(*np.linalg.eigh(modulus), phi)
@@ -117,12 +117,25 @@ def _power(lead, p, support):
         if not support:
             return np.array([x ** e for row, e in zip(rows.tolist(), exps)
                              for x in row]).reshape(w.shape)
-        vals = np.empty_like(rows)
-        for row, e, out in zip(rows, exps, vals):
-            keep = row > RANK_TOL * (float(row[-1]) if row.size else 0.0)
-            out[...] = np.where(keep, np.where(keep, row, 1.0) ** e, 0.0)
-        return vals.reshape(w.shape)
+        keep = rows > RANK_TOL * rows[:, -1:]
+        base, vals = np.where(keep, rows, 1.0), np.empty_like(rows)
+        for e in dict.fromkeys(exps):  # the rows of one exponent take one array power
+            ks = [k for k, x in enumerate(exps) if x == e or x is e]  # x is e: a NaN
+            vals[ks] = base[ks] ** e
+        return np.where(keep, vals, 0.0).reshape(w.shape)
     return phi
+
+
+def _powers_once(mats, p, support, eig):
+    """``_spectral(*eig(np.stack(mats)), phi)``, phi the power ``p``, for a list of stacks;
+    a stack listed more than once (the same object) goes through ``eig`` once."""
+    phi = _power((len(mats),) + np.shape(mats[0])[:-2], p, support)
+    distinct = {id(m): m for m in mats}
+    w, q = eig(np.stack(list(distinct.values())))
+    if len(distinct) < len(mats):
+        idx = [list(distinct).index(id(m)) for m in mats]
+        w, q = w.take(idx, axis=0), q.take(idx, axis=0)
+    return _spectral(w, q, phi)
 
 
 def matrix_power_psd(a, p, support=False):
@@ -143,20 +156,26 @@ def polar_decompose(t):
     U, so ker U = ker |T| and U*U is the projection onto range(|T|). A
     stack (..., n, n) gives each slice's factors, bit for bit, from one SVD.
     """
+    iso, s, vh = _polar_svd(t)
+    modulus = (vh.conj().mT * s[..., None, :]) @ vh
+    modulus = (modulus + modulus.conj().mT) / 2.0
+    return iso, modulus
+
+
+def _polar_svd(t):
+    """(U, s, vh): the isometry of ``polar_decompose(t)`` and the SVD factors of |T|."""
     m = as_matrix(t, stack=True)
     if m.shape[-2] != m.shape[-1]:
         raise ValueError("polar_decompose requires a square matrix")
     u, s, vh = np.linalg.svd(m)
     keep = s > RANK_TOL * s[..., :1]
-    if keep.all():
+    if np.count_nonzero(keep) == keep.size:
         iso = u @ vh
     else:  # each slice drops its own null directions
         iso = np.empty_like(u)
         for i in np.ndindex(m.shape[:-2]):
             iso[i] = u[i][:, keep[i]] @ vh[i][keep[i], :]
-    modulus = (vh.conj().mT * s[..., None, :]) @ vh
-    modulus = (modulus + modulus.conj().mT) / 2.0
-    return iso, modulus
+    return iso, s, vh
 
 
 def re_rotation(a, theta):

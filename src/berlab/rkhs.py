@@ -105,10 +105,12 @@ class KernelSpace:
     _khat: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
-        # read-only arrays, so that a shared space cannot be mutated
+        # read-only arrays, so that a shared space cannot be mutated (the views
+        # of a stack that build_space froze are read-only already)
         charts = self.chart if self.gram.ndim == 3 else (self.chart,)
         for a in (self.gram, *charts, self._khat):
-            a.setflags(write=False)
+            if a.flags.writeable:
+                a.setflags(write=False)
 
     @property
     def dim(self):
@@ -159,6 +161,8 @@ def build_space(family, point_sets):
         chart = np.sqrt(w)[..., :, None] * q.conj().mT
         norms = np.sqrt(np.einsum("...ij,...ij->...j", chart.conj(), chart).real)
         khat = chart / norms[..., None, :]
+        for a in (gram, chart, khat):  # frozen once: each space holds views of them
+            a.setflags(write=False)
         for i, j in enumerate(good):
             out[todo[j]] = KernelSpace(sets[todo[j]], gram[j], chart[i], khat[i])
     return out
@@ -194,6 +198,16 @@ def unstack_space(space, count):
 def identity_space(n):
     """Orthonormal-kernel space on n abstract indices, built once per n."""
     return build_space(KernelFamily("identity"), [range(n)])[0]
+
+
+@functools.lru_cache(maxsize=8)
+def _angles(g):
+    """The uniform grid of ``g`` angles in [0, 2 pi) and its phases, read-only, once per g."""
+    theta = np.linspace(0.0, 2.0 * math.pi, g, endpoint=False)
+    phases = np.exp(1j * theta)
+    for a in (theta, phases):
+        a.setflags(write=False)
+    return theta, phases
 
 
 def berezin_symbols(space, a):
@@ -235,8 +249,8 @@ def ber_via_rotations(space, a, grid):
         raise BadParams("rotation grid must have at least 4 points")
     out = []
     for sp, op, s, g in zip(unstack_space(space, len(a)), a, berezin_symbols(space, a), grid):
-        theta = np.linspace(0.0, 2.0 * math.pi, g, endpoint=False)
-        form = np.abs((np.exp(1j * theta)[:, None] * s).real).max(axis=1)
+        theta, phases = _angles(g)
+        form = np.abs((phases[:, None] * s).real).max(axis=1)
         delta = 8.0 * (len(s) ** 2 + 4) * 2.0**-53 * np.linalg.norm(op)
         cut = np.minimum(form.max() - 2.0 * delta, np.partition(form, -2)[-2])
         # ~(form < cut), not form >= cut: a NaN or infinite bound keeps every angle

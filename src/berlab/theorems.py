@@ -10,6 +10,7 @@ how a campaign draws its inputs, which conventions it runs at and which
 function evaluates it.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -65,10 +66,13 @@ class Certificate:
 
     def to_dict(self):
         # params and witness hold only scalars, so shallow copies suffice
-        d = {f.name: getattr(self, f.name) for f in fields(self)[:-1]}
+        d = {name: getattr(self, name) for name in _CERT_KEYS}
         d["params"], d["witness"] = dict(self.params), dict(self.witness)
         d["input_digest"] = self.input_digest
         return d
+
+
+_CERT_KEYS = tuple(f.name for f in fields(Certificate))[:-1]  # the schema, digest left out
 
 
 def make_certificate(theorem_id, lhs, rhs, *, params=None, witness=None,
@@ -80,18 +84,13 @@ def make_certificate(theorem_id, lhs, rhs, *, params=None, witness=None,
         raise BadParams(f"{theorem_id}: non-finite lhs/rhs")
     slack = rhs - lhs
     tol = slack_tolerance(rhs)
-    return Certificate(
-        theorem_id=theorem_id,
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        holds=bool(abs(slack) <= tol if equality else slack >= -tol),
-        mode=mode,
-        convention=convention,
-        params=dict(params or {}),
-        witness=dict(witness or {}),
-        digest=digest,
-    )
+    # the fields in field order, set at once: __init__ would set them one at a time
+    cert = object.__new__(Certificate)
+    cert.__dict__.update(
+        theorem_id=theorem_id, convention=convention, params=dict(params or {}), lhs=lhs,
+        rhs=rhs, slack=slack, holds=bool(abs(slack) <= tol if equality else slack >= -tol),
+        mode=mode, witness=dict(witness or {}), digest=digest)
+    return cert
 
 
 def digest_inputs(*items):
@@ -166,7 +165,8 @@ def _take(stack, idx):
             f[idx[0]] if len(idx) == 1 else _take(f, idx)
             for f in (stack.points, stack.gram, stack.chart, stack.normalized_chart())))
     if isinstance(stack, blockops.BlockOperator):
-        return blockops.BlockOperator(*(_take(getattr(stack, f.name), idx) for f in fields(stack)))
+        return blockops.BlockOperator(*(_take(f, idx) for f in (
+            stack.S, stack.X, stack.Y, stack.R, stack.space1, stack.space2)))
     if idx[-1] - idx[0] == len(idx) - 1:
         return stack[idx[0]:idx[-1] + 1]
     return stack[idx] if isinstance(stack, np.ndarray) else [stack[k] for k in idx]
@@ -240,24 +240,39 @@ def _s310(cert, params, a, b, e):
 # single-operator checkers: evaluate(bucket, space, T, params, extras), with
 # one stack per extra operand and one certificate factory per slice
 
+def _by_shape(ops):
+    """The indices of ``ops``, grouped by operand shape in first-seen order."""
+    groups = {}
+    for k, op in enumerate(ops):
+        groups.setdefault(op.shape, []).append(k)
+    return groups.values()
+
+
 def _abs_powers(ops, exps, support=False):
     """|A_k|^{p_k} for each stack of operators A_k, with p_k one exponent per slice.
 
     Operands of one shape share one stack: one modulus eigh and one power
-    eigh per shape. ``support`` takes ``matrix_power_psd``'s support power.
+    eigh per shape, and an operand listed twice (the same object) is
+    decomposed once. ``support`` takes ``matrix_power_psd``'s support power.
     """
-    out, by_shape = {}, {}
-    for k, op in enumerate(ops):
-        by_shape.setdefault(op.shape, []).append(k)
-    for ks in by_shape.values():
-        out.update(zip(ks, numlin.matrix_abs(np.stack([ops[k] for k in ks]),
-                                             [exps[k] for k in ks], support)))
+    out = {}
+    for ks in _by_shape(ops):
+        out.update(zip(ks, numlin._powers_once(
+            [ops[k] for k in ks], [exps[k] for k in ks], support,
+            lambda stack: np.linalg.eigh(numlin.matrix_abs(stack)))))
     return [out[k] for k in range(len(ops))]
 
 
-def _norms(a):
-    """operator_norm of each slice of a stack, as Python floats."""
-    return numlin.operator_norm(a).tolist()
+def _norms(*stacks):
+    """operator_norm of each slice of each stack, as Python floats: one list per stack,
+    or the list of a lone stack. Stacks of one shape share one operator_norm call."""
+    out = {}
+    for ks in _by_shape(stacks):
+        norms = numlin.operator_norm(stacks[ks[0]] if len(ks) == 1 else np.concatenate(
+            [stacks[k] for k in ks])).tolist()
+        size = len(norms) // len(ks)
+        out.update((k, norms[i * size:(i + 1) * size]) for i, k in enumerate(ks))
+    return [out[k] for k in range(len(stacks))] if len(stacks) > 1 else out[0]
 
 
 def _slice_values(params, name, lo, hi, who):
@@ -346,7 +361,7 @@ def _t312(bucket, space, t_mat, params, extras, *, statement):
                   params={"nu": nu, "t": t}, witness=wit)]
             for cert, (value, wit), ber, nu, t, n_re, n_im in zip(
                 bucket, _split(statement, lhs, space, t_mat), rkhs.berezin_number(space, t_mat),
-                nus, ts, _norms(t_mat - shift * eye), _norms(t_mat - 1j * shift * eye))]
+                nus, ts, *_norms(t_mat - shift * eye, t_mat - 1j * shift * eye))]
 
 
 def _t32(bucket, space, t_mat, params, extras):
@@ -471,7 +486,7 @@ def _l21a(bucket, block, params):
 
 def _l21b(bucket, block, params):
     return _peak_bounds(bucket, block, params, [
-        0.5 * (nx + ny) for nx, ny in zip(_norms(block.X), _norms(block.Y))])
+        0.5 * (nx + ny) for nx, ny in zip(*_norms(block.X, block.Y))])
 
 
 def _ineq1(bucket, block, params):
@@ -481,7 +496,7 @@ def _ineq1(bucket, block, params):
     f = [2 * p_k * s_k for s_k, p_k in zip(s, p)]
     g = [2 * (1 - p_k) * s_k for s_k, p_k in zip(s, p)]
     y_f, y_g, x_f, x_g = _abs_powers([block.Y, block.Y, block.X, block.X], [f, g, f, g])
-    rhs = [0.25 * ny + 0.25 * nx for ny, nx in zip(_norms(y_f + y_g), _norms(x_f + x_g))]
+    rhs = [0.25 * ny + 0.25 * nx for ny, nx in zip(*_norms(y_f + y_g, x_f + x_g))]
     return [[cert(value**s_k, rhs_k, params=pr, witness=wit) for cert, value, wit in peaks]
             for peaks, s_k, rhs_k, pr in zip(_peaks(bucket, block), s, rhs, params)]
 
@@ -553,14 +568,14 @@ def _t31(bucket, block, params, *, bound):
 
     def bounds(readings, bucket, block, params, bound, t, y_t, xs_s, x_t, ys_s):
         if readings:  # both readings of the statement are recorded, never gated
-            rhs = [max(nx, ny) + 0.5 * (a + b) for nx, ny, a, b in zip(
-                _norms(block.X), _norms(block.Y), _norms(x_t @ y_t), _norms(xs_s @ ys_s))]
-            sums = zip(_norms(block.X + block.Y), _norms(block.X + block.Y.conj().mT))
+            *norms, sum_x_y, sum_x_ys = _norms(block.X, block.Y, x_t @ y_t, xs_s @ ys_s,
+                                               block.X + block.Y, block.X + block.Y.conj().mT)
+            rhs = [max(nx, ny) + 0.5 * (a + b) for nx, ny, a, b in zip(*norms)]
             return [[cert(lhs, rhs_k, params={**pr, "reading": reading}, witness={},
                           convention=None, mode=INFORMATIONAL)
                      for _, cert in runs for reading, lhs in zip(("sum", "adjoint_sum"), lhss)]
-                    for runs, rhs_k, pr, lhss in zip(bucket, rhs, params, sums)]
-        cross = [0.5 * (a + b) for a, b in zip(_norms(y_t @ xs_s), _norms(x_t @ ys_s))]
+                    for runs, rhs_k, pr, lhss in zip(bucket, rhs, params, zip(sum_x_y, sum_x_ys))]
+        cross = [0.5 * (a + b) for a, b in zip(*_norms(y_t @ xs_s, x_t @ ys_s))]
         return _split(bound, cross_bounds, bucket, block, params, t, cross)
 
     def cross_bounds(bound, bucket, block, params, t, cross):
@@ -570,7 +585,7 @@ def _t31(bucket, block, params, *, bound):
             return _peak_bounds(bucket, transform, params, cross)
         return _peak_bounds(bucket, block, params, [
             0.5 * max(nx, ny) + 0.5 * c
-            for nx, ny, c in zip(_norms(block.X), _norms(block.Y), cross)])
+            for nx, ny, c in zip(*_norms(block.X, block.Y), cross)])
     return _split([b == "readings" for b in bound], bounds, bucket, block, params, bound, t,
                   *powers)
 
@@ -580,7 +595,7 @@ def _t36(bucket, block, params, *, swap):
     rhs = []
     for alpha, ber_s, ber_r, nx, ny, swapped in zip(
             alphas, rkhs.berezin_number(block.space1, block.S),
-            rkhs.berezin_number(block.space2, block.R), _norms(block.X), _norms(block.Y), swap):
+            rkhs.berezin_number(block.space2, block.R), *_norms(block.X, block.Y), swap):
         if swapped:  # T37 is T36 with the roles of S, X and R, Y exchanged
             ber_s, ber_r, nx, ny = ber_r, ber_s, ny, nx
         rhs.append(0.5 * ber_s + ber_r
@@ -650,7 +665,7 @@ class Checker:
     extras: tuple = ()
     variant: dict = field(default_factory=dict)
 
-    @property
+    @functools.cached_property
     def kind(self):
         if self.shape in ("pair", "vectors"):
             return SCALAR
@@ -718,15 +733,13 @@ def lookup(theorem_id, kind=None):
     return checker
 
 
-class _Params(dict):
-    """One slice's params: reading a key it lacks raises BadParams naming its checker."""
-
-    def __init__(self, theorem_id, params):
-        super().__init__(params)
-        self.theorem_id = theorem_id
-
-    def __missing__(self, key):
-        raise BadParams(f"{self.theorem_id} needs param {key!r}")
+@functools.cache
+def _params_type(theorem_id):
+    """The dict type of one checker's slice params, built without a Python __init__:
+    reading a key it lacks raises BadParams naming the checker."""
+    def missing(params, key):
+        raise BadParams(f"{theorem_id} needs param {key!r}")
+    return type("Params", (dict,), {"__missing__": missing})
 
 
 def _bucket(theorem_id, kind, runs, params, arrays, spaces):
@@ -754,7 +767,7 @@ def _bucket(theorem_id, kind, runs, params, arrays, spaces):
     if len(ids) != len(params) or per_slice and len(
             {(r.evaluate, r.shape) for r in records.values()}) != 1:
         raise BadParams(f"{theorem_id}: one checker id per slice, all of one family")
-    params = [_Params(tid, pr) for tid, pr in zip(ids, params)]
+    params = [_params_type(tid)(pr) for tid, pr in zip(ids, params)]
     grams = [s.gram if s.gram.ndim == 3 else [s.gram] * len(params) for s in spaces]
 
     def factories(tid, slice_runs, slice_params, *inputs):  # one certificate factory per run
@@ -805,7 +818,7 @@ def _check_shape(theorem_id, shape, block):
     "offdiag_square" also needs n1 = n2, and "tied_square" n1 = n2 and Y = X.
     """
     zero = {"full": "", "diag": "XY"}.get(shape, "SR")
-    _require(not any(getattr(block, name).any() for name in zero),
+    _require(not any(np.count_nonzero(getattr(block, name)) for name in zero),
              f"{theorem_id} needs {' = '.join(zero)} = 0 in its {shape} block")
     if shape in ("offdiag_square", "tied_square"):
         _require(block.space1.dim == block.space2.dim, f"{theorem_id} needs n1 = n2")
@@ -827,6 +840,7 @@ def check_block_runs(theorem_id, block, params, runs=None):
     checker, lone, arrays, params, bucket, variants = _bucket(
         theorem_id, BLOCK, runs, params, (block.S, block.X, block.Y, block.R), spaces)
     _check_shape(theorem_id, checker.shape, block)
-    per_slice = checker.evaluate(bucket, blockops.BlockOperator(*arrays, *spaces), params,
-                                 **variants)
+    # a lone block is evaluated as a stack of one; a stacked block as it was given
+    per_slice = checker.evaluate(bucket, blockops.BlockOperator(*arrays, *spaces) if lone
+                                 else block, params, **variants)
     return per_slice[0] if lone else per_slice

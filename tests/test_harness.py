@@ -57,6 +57,27 @@ def test_draw_operator_deterministic():
             assert op.tobytes() == draw_operators(kind, 4, (seed,))[0].tobytes(), kind
 
 
+def test_unitary_builds_take_the_isometry_only(monkeypatch):
+    # the unitary and partial isometry ensembles use only the polar isometry:
+    # they take its SVD without building |g|, and make no polar_decompose call,
+    # with the bits of polar_decompose(g)[0]
+    seeds = range(8)
+    want = {}
+    for kind in ("unitary", "partial_isometry"):
+        ops = [harness._draw_gaussians(np.random.default_rng(seed), kind, 4) for seed in seeds]
+        want[kind] = numlin.polar_decompose(harness._gaussian(
+            np.array([op[1] for op in ops]), np.array([op[2] for op in ops])))[0]
+        masks = [op[3] for op in ops if op[3] is not None]
+        if masks:
+            want[kind] = want[kind] @ np.array([np.diag(m) for m in masks], np.complex128)
+    calls = []
+    polar = numlin.polar_decompose
+    monkeypatch.setattr(numlin, "polar_decompose", lambda t: calls.append(t) or polar(t))
+    for kind in ("unitary", "partial_isometry"):
+        assert draw_operators(kind, 4, seeds).tobytes() == want[kind].tobytes()
+    assert calls == []
+
+
 def test_complex_gaussian_keeps_the_bits_and_the_stream():
     # the Gaussian's parts are set in place from its two normal draws, then
     # divided: it keeps the bits of (a + 1j b) / sqrt(2), and the generator is

@@ -337,6 +337,32 @@ def test_spectral_stack_matches_per_slice_bit_for_bit():
                         e = float(e)
                         assert same_bits(got, numlin.matrix_power_psd(mod, e, support=support))
                         assert same_bits(got, formula(mod, e))
+    # the support power takes one array power per distinct exponent, over all the
+    # rows that share it: the bits of one array power per row, stacks of 1-64
+    # slices of full-rank, rank-one and zero moduli, exponents mixed per slice
+    support_grid = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
+    for k in range(1, 65):
+        n = 1 + k % 5
+        ops = [(cgauss(rng, (n, n)), np.outer(cgauss(rng, n), cgauss(rng, n).conj()),
+                np.zeros((n, n), dtype=np.complex128))[j % 3] for j in range(k)]
+        moduli = numlin.matrix_abs(np.stack(ops))
+        exps = [support_grid[int(i)] for i in rng.integers(len(support_grid), size=k)]
+        w, _ = np.linalg.eigh(moduli)
+        w = np.maximum(w, 0.0)
+        assert same_bits(numlin._power((k,), exps, True)(w), support_rows_per_slice(w, exps))
+        powers = numlin.matrix_power_psd(moduli, exps, support=True)
+        for mod, e, got in zip(moduli, exps, powers):
+            assert same_bits(got, support_power_formula(mod, e))
+
+
+def support_rows_per_slice(w, exps):
+    """The support power's eigenvalue map as the pinned reports spelled it: one
+    numpy array power per row, with that row's Python-float exponent."""
+    vals = np.empty_like(w)
+    for row, e, out in zip(w, exps, vals):
+        keep = row > numlin.RANK_TOL * (float(row[-1]) if row.size else 0.0)
+        out[...] = np.where(keep, np.where(keep, row, 1.0) ** e, 0.0)
+    return vals
 
 
 def test_spectral_stack_error_paths():
@@ -412,6 +438,32 @@ def test_fused_abs_power_error_paths(monkeypatch):
     assert eighs == []
     assert numlin.matrix_abs(stack, [0.5, 1.0, 2.0]).shape == (3, 2, 2)
     assert len(eighs) == 2  # one for the moduli, one for the powers
+
+
+def test_finite_checks_reject_what_all_rejected():
+    # as_matrix counts the finite entries in C; it must reject exactly the
+    # arrays that `not np.isfinite(m).all()` rejected: NaN or an infinity in
+    # either part, and no signed zero or empty stack
+    nan, inf = float("nan"), float("inf")
+    cases = [np.zeros((0, 0)), np.zeros((0, 2, 2)), np.zeros((3, 0, 4)), -np.zeros((2, 2)),
+             np.array([[complex(-0.0, -0.0)]]), np.eye(3), np.array([[1.0, nan]]),
+             np.array([[complex(0.0, nan)]]), np.array([[inf, 0.0]]), np.array([[-inf]]),
+             np.array([[complex(1.0, -inf)]]), np.full((2, 3, 3), nan)]
+    for a in cases:
+        m = np.asarray(a, dtype=np.complex128)
+        rejected = not np.isfinite(m).all()
+        if rejected:
+            with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+                numlin.as_matrix(a, stack=True)
+        else:
+            assert numlin.as_matrix(a, stack=True).tobytes() == m.tobytes()
+    # the polar isometry's full-rank test is keep.all(), also on an empty stack
+    for t in (np.zeros((0, 3, 3)), np.eye(2), np.diag([1.0, 0.0]), np.zeros((2, 2))):
+        iso, _ = numlin.polar_decompose(t)
+        u, s, vh = np.linalg.svd(np.asarray(t, dtype=np.complex128))
+        keep = s > numlin.RANK_TOL * s[..., :1]
+        if keep.all():
+            assert same_bits(iso, u @ vh)
 
 
 # ---------------------------------------------------------------------------

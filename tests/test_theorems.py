@@ -8,6 +8,7 @@ finite kernel models (see notes in the acceptance suite).
 
 import dataclasses
 import inspect
+import math
 import re
 
 import numpy as np
@@ -617,6 +618,171 @@ def test_abs_powers_match_per_operand_bit_for_bit():
                 assert power.shape == want.shape and power.tobytes() == want.tobytes()
 
 
+def abs_powers_as_pinned(ops, exps, support):
+    """theorems._abs_powers as the pinned reports spelled it: one fused matrix_abs of
+    all the operands of one shape, repeated ones included."""
+    out = {}
+    for shape in dict.fromkeys(op.shape for op in ops):
+        ks = [k for k, op in enumerate(ops) if op.shape == shape]
+        out.update(zip(ks, numlin.matrix_abs(np.stack([ops[k] for k in ks]),
+                                             [exps[k] for k in ks], support)))
+    return [out[k] for k in range(len(ops))]
+
+
+def test_repeated_operands_are_decomposed_once_bit_for_bit(monkeypatch):
+    # a stack listed twice (the same object) gets one eigh, and its (w, q) is
+    # indexed back in: the bits of the stack with every repeat decomposed
+    rng = np.random.default_rng(89)
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+    for k, (n1, n2) in zip((1, 3, 5), ((2, 2), (3, 2), (4, 4))):
+        x, y = cgauss(rng, (k, n1, n2)), cgauss(rng, (k, n2, n1))
+        y[0] = np.outer(cgauss(rng, n2), cgauss(rng, n1).conj())  # rank one
+        f = [[0.5, 1.0, 2.0, 1.5, 0.0][j] for j in range(k)]
+        g = [[1.5, 0.0, 2.0, 0.5, 1.0][j] for j in range(k)]
+        for support in (False, True):
+            for ops, exps in (([y, y, x, x], [f, g, f, g]), ([x, y, y, x], [f, f, g, g]),
+                              ([x, x.conj().mT, x], [f, g, g])):
+                eighs.clear()
+                got = theorems._abs_powers(ops, exps, support)
+                distinct_slices = sum(math.prod(s[:-2]) for s in eighs)
+                want = abs_powers_as_pinned(ops, exps, support)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                # a modulus and a power eigh per distinct operand slice
+                assert distinct_slices == 2 * k * len({id(op) for op in ops})
+        moduli = numlin.matrix_abs(np.stack([x, y.conj().mT]))
+        mod_x, mod_ys = moduli[0], moduli[1]
+        for stacks, exps in (([mod_x] * 4, [f, g, f, g]), ([mod_ys, mod_x, mod_x, mod_ys],
+                                                            [f, g, g, f])):
+            got = blockops._support_power(stacks, exps)
+            want = numlin.matrix_power_psd(np.stack(stacks), exps, support=True)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_norms_share_one_call_per_shape_bit_for_bit(monkeypatch):
+    # _norms(a, b, ...) concatenates the stacks of one shape into one
+    # operator_norm call; each stack keeps the floats of its own call
+    rng = np.random.default_rng(97)
+    stacks = [cgauss(rng, (4, 3, 3)), cgauss(rng, (4, 3, 2)), np.zeros((4, 3, 3)),
+              cgauss(rng, (4, 3, 3)).conj().mT, cgauss(rng, (4, 3, 2))]
+    want = [numlin.operator_norm(s).tolist() for s in stacks]
+    calls = []
+    norm = numlin.operator_norm
+    monkeypatch.setattr(numlin, "operator_norm", lambda a: calls.append(a.shape) or norm(a))
+    assert theorems._norms(*stacks) == want
+    assert calls == [(12, 3, 3), (8, 3, 2)]
+    assert theorems._norms(stacks[1]) == want[1]
+
+
+def count_calls(monkeypatch, module, name, record):
+    """Wrap ``module.name`` so that each call appends its first argument's shape."""
+    inner = getattr(module, name)
+
+    def counted(first, *args, **kwargs):
+        record.append(np.shape(first))
+        return inner(first, *args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("n1, n2", ((3, 3), (3, 2)))
+def test_ineq1_stack_takes_one_modulus_per_operand_slice(n1, n2, monkeypatch):
+    # INEQ1 powers Y and X twice each: a K-slice stack computes 2K moduli, not 4K
+    rng, k = np.random.default_rng(101), 5
+    block = blockops.BlockOperator(
+        np.zeros((k, n1, n1), dtype=complex), cgauss(rng, (k, n1, n2)),
+        cgauss(rng, (k, n2, n1)), np.zeros((k, n2, n2), dtype=complex),
+        rkhs.identity_space(n1), rkhs.identity_space(n2))
+    params = [{"s": [1.0, 2.0][j % 2], "p": [0.25, 0.5, 1.0][j % 3]} for j in range(k)]
+    lone = [theorems.check_block_runs("INEQ1", theorems._take(block, [j]), [params[j]])[0]
+            for j in range(k)]
+    moduli = []
+    count_calls(monkeypatch, numlin, "matrix_abs", moduli)
+    stacked = theorems.check_block_runs("INEQ1", block, params)
+    assert sum(math.prod(shape[:-2]) for shape in moduli) == 2 * k
+    assert len(moduli) == (1 if n1 == n2 else 2)
+    assert [[c.to_dict() for c in certs] for certs in stacked] == [
+        [c.to_dict() for c in certs] for certs in lone]
+
+
+def test_t32_stack_takes_one_k_slice_eigh(monkeypatch):
+    # T32's four powers of one modulus stack come from one K-slice hermitian_eig
+    rng, k = np.random.default_rng(103), 6
+    t_mat = cgauss(rng, (k, 3, 3))
+    params = [{"t": [0.0, 0.25, 0.5, 0.75, 1.0, 0.5][j]} for j in range(k)]
+    space = rkhs.identity_space(3)
+    lone = [theorems.check_single("T32", space, t_mat[j], params[j]) for j in range(k)]
+    eigs = []
+    count_calls(monkeypatch, numlin, "hermitian_eig", eigs)
+    stacked = theorems.check_single("T32", space, t_mat, params)
+    assert eigs == [(1, k, 3, 3)]
+    assert [[c.to_dict() for c in certs] for certs in stacked] == [
+        [c.to_dict() for c in certs] for certs in lone]
+
+
+def test_mixed_t31_stack_makes_three_norm_calls(monkeypatch):
+    # a stack of T31, C34 and C35 draws takes its operator norms in three
+    # calls: the C35 readings, the cross terms, and C34's norm bound
+    rng, ids = np.random.default_rng(107), ("T31", "C34", "C35", "C34", "T31", "C35")
+    k = len(ids)
+    block = blockops.BlockOperator(
+        np.zeros((k, 3, 3), dtype=complex), cgauss(rng, (k, 3, 3)), cgauss(rng, (k, 3, 3)),
+        np.zeros((k, 3, 3), dtype=complex), rkhs.identity_space(3), rkhs.identity_space(3))
+    params = [{} if tid == "C35" else {"t": 0.25 * (j % 5)} for j, tid in enumerate(ids)]
+    lone = [theorems.check_block_runs(tid, theorems._take(block, [j]), [params[j]])[0]
+            for j, tid in enumerate(ids)]
+    norms = []
+    count_calls(monkeypatch, numlin, "operator_norm", norms)
+    stacked = theorems.check_block_runs(ids, block, params)
+    assert len(norms) == 3
+    assert [[c.to_dict() for c in certs] for certs in stacked] == [
+        [c.to_dict() for c in certs] for certs in lone]
+
+
+def t29_reference(x, y, space1, space2, r, p):
+    """T29's right side written out: one eigh per operand Gram matrix and one loop
+    over the kernels, 2^(r-2) (ber op2 + ber op1) - 2^(r-2) inf eta."""
+    def power(gram, e):
+        w, q = np.linalg.eigh(gram)
+        return (q * np.clip(w, 0.0, None) ** e) @ q.conj().T
+    xs, ys = x.conj().T, y.conj().T
+    op2 = power(xs @ x, r * p) + power(y @ ys, r * (1.0 - p))  # f^2r(|X|) + g^2r(|Y*|)
+    op1 = power(ys @ y, r * p) + power(x @ xs, r * (1.0 - p))  # f^2r(|Y|) + g^2r(|X*|)
+    a = [max((np.conj(k) @ op2 @ k).real, 0.0) for k in space2.normalized_chart().T]
+    b = [max((np.conj(k) @ op1 @ k).real, 0.0) for k in space1.normalized_chart().T]
+    eta = min((math.sqrt(a_j) - math.sqrt(b_i)) ** 2 for a_j in a for b_i in b)
+    return 2.0 ** (r - 2) * (max(a) + max(b)) - 2.0 ** (r - 2) * eta, 2.0 ** (r - 2) * eta
+
+
+def test_t29_rhs_is_the_eta_refined_bound():
+    # the abstract's refinement, stated without the engine's operand calculus:
+    # full-rank square X, Y with distinct singular values, over identity and
+    # Szego spaces; the eta term must count, so a T29 without it fails here
+    rng = np.random.default_rng(109)
+    n = 3
+    szego = rkhs.KernelFamily("szego")
+    spaces = [(rkhs.identity_space(n), rkhs.identity_space(n)),
+              tuple(rkhs.build_space(szego, [[0.1, -0.3j, 0.5 + 0.2j],
+                                             [0.2j, -0.4, 0.3 - 0.3j]]))]
+    unitary = [np.linalg.qr(cgauss(rng, (n, n)))[0] for _ in range(4)]
+    blocks = [(unitary[0] @ np.diag([3.0, 2.0, 1.5]) @ unitary[1],
+               unitary[2] @ np.diag([0.3, 0.2, 0.1]) @ unitary[3]),
+              (unitary[1] @ np.diag([1.2, 0.9, 0.7]) @ unitary[2],
+               unitary[3] @ np.diag([1.1, 0.8, 0.4]) @ unitary[0])]
+    material = 0
+    for x, y in blocks:
+        assert min(np.linalg.svd(x, compute_uv=False)) > 0.05
+        for space1, space2 in spaces:
+            block = blockops.offdiag_block(x, y, space1, space2)
+            for r, p in ((1.0, 0.5), (2.0, 0.25)):
+                certs = theorems.check_block_runs("T29", block, {"r": r, "p": p})
+                rhs, eta_term = t29_reference(x, y, space1, space2, r, p)
+                for cert in certs:
+                    assert abs(cert.rhs - rhs) <= 1e-9 * (1.0 + abs(cert.rhs)), (r, p)
+                material += eta_term > 1e-3 * (1.0 + abs(rhs))
+    assert material >= 1
+
+
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -630,6 +796,67 @@ def test_certificate_fields_and_reproducibility():
     assert first.slack == first.rhs - first.lhs
     assert first.holds == (first.slack >= -theorems.slack_tolerance(first.rhs))
     assert first.input_digest and first.input_digest == second.input_digest
+
+
+def test_fast_certificates_are_dataclass_certificates():
+    # make_certificate sets the frozen dataclass's fields at once; the result is
+    # the certificate its __init__ builds, frozen, and replace and to_dict work
+    digest = theorems._bound_digest(np.eye(2), {"r": 1.0})
+    for kw in ({}, {"params": {"r": 2.0, "link": 1}, "witness": {"j": 3}, "mode":
+                    theorems.INFORMATIONAL, "convention": "pair", "digest": digest}):
+        fast = theorems.make_certificate("T24a", 1.0, 1.5, **kw)
+        slow = theorems.Certificate(
+            theorem_id="T24a", lhs=1.0, rhs=1.5, slack=0.5, holds=True,
+            **{k: kw[k] for k in ("params", "witness", "mode", "convention", "digest") if k in kw})
+        assert fast == slow and repr(fast) == repr(slow) and vars(fast) == vars(slow)
+        assert list(vars(fast)) == [f.name for f in dataclasses.fields(theorems.Certificate)]
+        assert fast.to_dict() == slow.to_dict()
+        assert list(fast.to_dict()) == list(theorems._CERT_KEYS) + ["input_digest"]
+        for name, value in (("lhs", 0.0), ("holds", False), ("extra", 1)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(fast, name, value)
+        moved = dataclasses.replace(fast, lhs=2.0, holds=False)
+        assert (moved.lhs, moved.rhs, moved.params, moved.digest) == (
+            2.0, 1.5, fast.params, fast.digest)
+    assert theorems.make_certificate("X", 2.0, 2.0 + 1e-12, equality=True).holds
+
+
+def test_zero_block_checks_count_what_any_counted():
+    # _check_shape and _pair_values count nonzero entries in C where they
+    # called .any(): NaN counts as nonzero, -0.0 as zero, an empty stack has none
+    nan = float("nan")
+    for a in (-np.zeros((2, 2)), np.array([[complex(-0.0, -0.0)]]), np.zeros((0, 3, 3)),
+              np.array([[complex(0.0, nan)]]), np.array([[nan, 0.0]]), np.eye(2) * 1e-300):
+        assert bool(np.count_nonzero(a)) == bool(np.asarray(a).any())
+    sp = rkhs.identity_space(2)
+    for s_block, ok in ((-np.zeros((2, 2), dtype=complex), True),
+                        (np.full((2, 2), complex(0.0, nan)), False),
+                        (np.diag([0.0, 1e-300]).astype(complex), False)):
+        block = blockops.BlockOperator(s_block, np.eye(2, dtype=complex),
+                                       np.eye(2, dtype=complex),
+                                       np.zeros((2, 2), dtype=complex), sp, sp)
+        if ok:
+            assert theorems.check_block_runs("T24a", block, {"r": 1.0, "p": 0.5})
+        else:
+            with pytest.raises(BadParams, match="needs S = R = 0"):
+                theorems.check_block_runs("T24a", block, {"r": 1.0, "p": 0.5})
+    # an empty stacked block has no nonzero S or R
+    empty = blockops.BlockOperator(*(np.zeros((0, 2, 2), dtype=complex),) * 4, sp, sp)
+    theorems._check_shape("T24a", "offdiag", empty)
+    # _pair_values adds the S and R symbols exactly where .any() did
+    rng = np.random.default_rng(113)
+    k1 = k2 = sp.normalized_chart()
+    for s_block in (-np.zeros((2, 2), dtype=complex), cgauss(rng, (2, 2)),
+                    np.diag([0.0, 1e-300]).astype(complex)):
+        x, y = cgauss(rng, (2, 2)), cgauss(rng, (2, 2))
+        block = blockops.BlockOperator(s_block, x, y, s_block.conj().T.copy(), sp, sp)
+        want = k1.conj().T @ x @ k2
+        if s_block.any():
+            want = rkhs.berezin_symbols(sp, s_block)[:, None] + want
+        want = want + (k2.conj().T @ y @ k1).T
+        if s_block.any():
+            want = want + rkhs.berezin_symbols(sp, s_block.conj().T.copy())[None, :]
+        assert blockops._pair_values(block).tobytes() == want.tobytes()
 
 
 def test_evaluate_functions_never_see_the_checker_id():
